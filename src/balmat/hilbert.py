@@ -259,7 +259,8 @@ def hall_extend(h_prime: PartiteHypergraph, matching, w_prime: WeightFunction):
         assigned[e] = j
     extended = tuple(sorted(e + (assigned[e],) for e in matching))
     for e1, e2 in itertools.combinations(extended, 2):
-        assert all(a != b for a, b in zip(e1, e2)), "extension is not a matching"
+        if any(a == b for a, b in zip(e1, e2)):
+            raise RuntimeError(f"extension is not a matching: {e1} meets {e2}")
     return extended, None
 
 
@@ -275,8 +276,4 @@ def _hall_violators(seed, matching, fibers):
             if e not in violators and set(fibers[e]) <= covered:
                 violators.add(e)
                 changed = True
-    covered = {j for e in violators for j in fibers[e]}
-    if len(covered) < len(violators):
-        return tuple(sorted(violators))
-    # fall back: the reachable set in the failed augmentation
     return tuple(sorted(violators))

@@ -147,7 +147,9 @@ def nu_star(h: PartiteHypergraph) -> Fraction:
                     coeffs[index[e]] = Fraction(1)
             constraints.append((coeffs, LE, Fraction(1)))
     res = lp_solve(LPProblem(len(edges), constraints, [Fraction(1)] * len(edges), MAX))
-    assert isinstance(res, Optimal)
+    if not isinstance(res, Optimal):
+        raise RuntimeError(f"fractional matching LP returned {res!r}; it is "
+                           f"feasible (f = 0) and bounded (deg_f <= 1)")
     return res.value
 
 

@@ -1,11 +1,15 @@
 """Exact rational scalars, matrices, rank, and a two-phase simplex LP solver.
 
-Everything downstream (balance certificates, fractional matching numbers,
-homology ranks) runs on `fractions.Fraction`; no floats anywhere.
+Rank over the rationals is exact fraction-free integer elimination: each row
+is scaled to integers and rows are combined by integer multiples, so
+homology ranks never build a `Fraction`.  The LP (balance certificates,
+fractional matching numbers) runs on `fractions.Fraction`.  No floats
+anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -68,42 +72,69 @@ class RationalMatrix:
 
 
 def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals by exact Gaussian elimination.
+    """Rank over the rationals by sparse, fraction-free integer elimination.
 
     Rows are given as dense sequences; sparse callers may pass dicts
-    {col: value} instead, which avoids shuffling zeros around.
+    {col: value} instead, which avoids shuffling zeros around.  Entries may
+    be ints, Fractions, or anything `Fraction()` accepts.
     """
-    sparse: List[dict] = []
-    for row in rows:
-        if isinstance(row, dict):
-            r = {c: Fraction(v) for c, v in row.items() if v}
-        else:
-            r = {c: Fraction(v) for c, v in enumerate(row) if v}
-        if r:
-            sparse.append(r)
     rank = 0
-    # pivots: col -> eliminated row (with leading coefficient 1)
+    # pivots: col -> primitive integer row whose lowest column is col, with a
+    # positive entry there, so that a pivot led by 1 never scales a row
     pivots: dict = {}
-    for row in sparse:
-        row = dict(row)
-        while row:
-            col = min(row)
-            if col in pivots:
-                coef = row.pop(col)
-                for c, v in pivots[col].items():
-                    if c == col:
-                        continue
-                    nv = row.get(c, ZERO) - coef * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            else:
-                lead = row[col]
-                pivots[col] = {c: v / lead for c, v in row.items()}
+    for row in rows:
+        r = _integer_row(row.items() if isinstance(row, dict) else enumerate(row))
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = math.gcd(*r.values())
+                if r[col] < 0:
+                    content = -content
+                if content != 1:
+                    r = {c: v // content for c, v in r.items()}
+                pivots[col] = r
                 rank += 1
                 break
+            # r <- (a/g) r - (b/g) pivot clears col without leaving the integers.
+            a, b = pivot[col], r.pop(col)
+            g = math.gcd(a, b)
+            mult, coef = a // g, b // g
+            if mult != 1:
+                for c in r:
+                    r[c] *= mult
+            for c, v in pivot.items():
+                if c != col:
+                    nv = r.get(c, 0) - coef * v
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+            if mult != 1:
+                # A scaled row is made primitive again, which keeps entries small.
+                content = math.gcd(*r.values())  # 0 when r is empty
+                if content > 1:
+                    for c in r:
+                        r[c] //= content
     return rank
+
+
+def _integer_row(items) -> dict:
+    """{col: int} for the nonzero entries, scaled by the lcm of their
+    denominators, which leaves the rank unchanged.  All-int rows skip
+    `Fraction` entirely."""
+    r = {}
+    converted = False
+    for c, v in items:
+        if type(v) is not int:
+            v = Fraction(v)
+            converted = True
+        if v:
+            r[c] = v
+    if converted and r:
+        scale = math.lcm(*(v.denominator for v in r.values()))
+        r = {c: v.numerator * (scale // v.denominator) for c, v in r.items()}
+    return r
 
 
 # --- Linear programming -----------------------------------------------------

@@ -50,9 +50,21 @@ class SimplicialComplex:
     facets: Tuple[FrozenSet[int], ...]
 
     def __init__(self, vertex_count, facets):
-        fs = {frozenset(f) for f in facets}
-        # drop facets contained in others
-        maximal = [f for f in fs if not any(f < g for g in fs)]
+        fs = list({frozenset(f) for f in facets})
+        # Bit i of containing[v] is set when fs[i] contains v.  A facet is
+        # maximal iff the only facet containing all its vertices is itself.
+        containing: Dict[int, int] = {}
+        for i, f in enumerate(fs):
+            for v in f:
+                containing[v] = containing.get(v, 0) | 1 << i
+        everything = (1 << len(fs)) - 1
+        maximal = []
+        for i, f in enumerate(fs):
+            supersets = everything
+            for v in f:
+                supersets &= containing[v]
+            if supersets == 1 << i:
+                maximal.append(f)
         for f in maximal:
             if any(not 1 <= v <= vertex_count for v in f):
                 raise ValueError("facet vertex out of range")
@@ -68,13 +80,16 @@ class SimplicialComplex:
         if self.is_void:
             return {}
         top = max_dim if max_dim is not None else max(len(f) for f in self.facets) - 1
-        by_dim: Dict[int, set] = {j: set() for j in range(-1, top + 1)}
-        by_dim[-1].add(())
-        for f in self.facets:
-            fv = sorted(f)
-            for j in range(0, min(len(fv), top + 1)):
-                by_dim[j].update(itertools.combinations(fv, j + 1))
-        return {j: sorted(s) for j, s in by_dim.items()}
+        return {j: self.faces_of_dim(j) for j in range(-1, top + 1)}
+
+    def faces_of_dim(self, j: int) -> List[Tuple[int, ...]]:
+        """The j-dimensional faces, sorted; [()] for j = -1 unless void."""
+        if self.is_void or j < -1:
+            return []
+        if j == -1:
+            return [()]
+        return sorted({face for f in self.facets
+                       for face in itertools.combinations(sorted(f), j + 1)})
 
     def euler_characteristic_reduced(self) -> int:
         faces = self.faces()
@@ -91,7 +106,7 @@ def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]]) -
         col = {}
         for i in range(len(face)):
             sub = face[:i] + face[i + 1:]
-            col[idx[sub]] = Fraction((-1) ** i)
+            col[idx[sub]] = (-1) ** i
         cols.append(col)
     return rank_of_rows(cols)  # rank(transpose) = rank
 
@@ -100,15 +115,27 @@ def betti(c: SimplicialComplex, j: int) -> int:
     """dim of the j-th reduced rational homology group (j >= -1)."""
     if j < -1:
         raise ValueError("j must be >= -1")
-    if c.is_void:
-        return 0
-    faces = c.faces(max_dim=j + 1)
-    fj = faces.get(j, [])
+    fj = c.faces_of_dim(j)
     if not fj:
         return 0
-    lower = faces.get(j - 1, [])
-    upper = faces.get(j + 1, [])
-    return len(fj) - _boundary_rank(lower, fj) - _boundary_rank(fj, upper)
+    return (len(fj) - _boundary_rank(c.faces_of_dim(j - 1), fj)
+            - _boundary_rank(fj, c.faces_of_dim(j + 1)))
+
+
+def _betti_scan(c: SimplicialComplex, top: int):
+    """Yield (j, betti(c, j)) for j = -1, 0, ..., top while faces of
+    dimension j exist.  Each face list is built once and each boundary rank
+    computed once, since the rank of the boundary into dimension j enters
+    both betti(c, j) and betti(c, j + 1).  Two face lists are held at a time."""
+    fj = c.faces_of_dim(-1)
+    rank_in = 0  # rank of the boundary out of dimension j
+    for j in range(-1, top + 1):
+        if not fj:
+            return
+        upper = c.faces_of_dim(j + 1)
+        rank_up = _boundary_rank(fj, upper)
+        yield j, len(fj) - rank_in - rank_up
+        fj, rank_in = upper, rank_up
 
 
 @dataclass(frozen=True)
@@ -136,8 +163,8 @@ def eta(c: SimplicialComplex, cap: int) -> Eta:
         raise ValueError("cap must be >= 1")
     if c.is_void:
         return Eta(0, True)
-    for j in range(-1, cap - 1):
-        if betti(c, j) != 0:
+    for j, b in _betti_scan(c, cap - 2):
+        if b != 0:
             return Eta(j + 1, True)
     return Eta(cap, False)
 
@@ -157,21 +184,26 @@ def _maximal_independent_sets(g: Graph) -> List[FrozenSet[int]]:
     for v in range(1, n + 1):
         non_adj[v] = set(range(1, n + 1)) - adj[v] - {v}
 
-    out = []
-
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot_pool = p | x
-        u = max(pivot_pool, key=lambda w: len(non_adj[w] & p))
-        for v in sorted(p - non_adj[u]):
-            bk(r | {v}, p & non_adj[v], x & non_adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    bk(set(), set(range(1, n + 1)), set())
+    out: List[FrozenSet[int]] = []
+    _bron_kerbosch(set(), set(range(1, n + 1)), set(), non_adj, out)
     return out
+
+
+def _bron_kerbosch(r, p, x, non_adj, out):
+    """Append to out each maximal clique of non_adj that contains r, takes
+    its other vertices from p and none from x (with pivoting).
+
+    Not a closure: a recursive closure refers to itself through its cell,
+    and that cycle keeps the sets it holds alive until the next cyclic
+    garbage collection."""
+    if not p and not x:
+        out.append(frozenset(r))
+        return
+    u = max(p | x, key=lambda w: len(non_adj[w] & p))
+    for v in sorted(p - non_adj[u]):
+        _bron_kerbosch(r | {v}, p & non_adj[v], x & non_adj[v], non_adj, out)
+        p = p - {v}
+        x = x | {v}
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
@@ -344,7 +376,9 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
             if not eta(complex_, cap=need).at_least(need):
                 return HallReport(False, K, None)
     matching = _max_matching_edges(h)
-    assert len(matching) >= a1 - deficiency
+    if len(matching) < a1 - deficiency:
+        raise RuntimeError(f"every K passed, yet the largest matching has "
+                           f"{len(matching)} < {a1 - deficiency} edges")
     return HallReport(True, None, tuple(matching[:max(a1 - deficiency, 0)]))
 
 
@@ -448,7 +482,8 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
 
     result = value(frozenset(cells), frozenset())
     bound = ceil_frac(total / (2 * s + 2))
-    assert result >= bound
+    if result < bound:
+        raise RuntimeError(f"certificate value {result} is below its bound {bound}")
     return result
 
 

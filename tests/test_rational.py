@@ -47,6 +47,54 @@ def test_rank_equals_transpose_rank(entries):
     assert m.rank() == m.transpose().rank()
 
 
+def dense_fraction_rank(rows, ncols):
+    """Reference rank: dense Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+scalars = st.one_of(st.integers(-3, 3), st.integers(-10 ** 15, 10 ** 15),
+                    st.fractions(max_denominator=10 ** 9))
+
+
+@st.composite
+def rank_inputs(draw):
+    """Rows that are combinations of a few base rows, so rank deficiency is
+    common, each entry an int or a Fraction (a whole one as either) and each
+    row dense or a dict that keeps its zeros."""
+    ncols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(scalars, min_size=ncols, max_size=ncols), max_size=4))
+    coefs = draw(st.lists(st.lists(scalars, min_size=len(base), max_size=len(base)),
+                          max_size=6))
+    dense, rows = [], []
+    for cs in coefs:
+        row = [sum((Fraction(c) * b[j] for c, b in zip(cs, base)), Fraction(0))
+               for j in range(ncols)]
+        dense.append(row)
+        row = [int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in row]
+        rows.append(dict(enumerate(row)) if draw(st.booleans()) else row)
+    return dense, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_inputs())
+def test_rank_matches_dense_fraction_gauss_jordan(case):
+    dense, ncols, rows = case
+    assert rank_of_rows(rows) == dense_fraction_rank(dense, ncols)
+
+
 def test_lp_basic_max():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
     p = LPProblem(2, [([1, 2], LE, 4), ([3, 1], LE, 6)], [1, 1], MAX)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction
-from balmat.topology import (INFINITE, Graph, SimplicialComplex, betti,
+from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, betti,
                              con_certificate, con_lower_bound, eta, hall_check,
                              independence_complex, line_graph,
                              matching_complex, psi)
@@ -63,6 +63,53 @@ def test_euler_equals_alternating_betti(facets):
     top = max(len(f) for f in c.facets) - 1
     chi = sum((-1) ** j * betti(c, j) for j in range(-1, top + 1))
     assert chi == c.euler_characteristic_reduced()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
+def test_facets_are_the_maximal_sets(sets):
+    fs = {frozenset(f) for f in sets}
+    maximal = {f for f in fs if not any(f < g for g in fs)}
+    assert set(SimplicialComplex(6, sets).facets) == maximal
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8),
+       st.integers(1, 6))
+def test_eta_scan_matches_definition(facets, cap):
+    c = SimplicialComplex(6, facets)
+    if c.is_void:
+        expected = Eta(0, True)
+    else:
+        first = next((j for j in range(-1, cap - 1) if betti(c, j) != 0), None)
+        expected = Eta(cap, False) if first is None else Eta(first + 1, True)
+    assert eta(c, cap) == expected
+
+
+def test_rp2_has_no_rational_homology():
+    """The 6-vertex RP^2 has H_1 = Z/2: zero over Q, nonzero over F_2.  A
+    rank decided modulo 2 and reported as exact would read betti_1 = 1."""
+    rp2 = SimplicialComplex(6, [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
+                                {2, 3, 4}, {2, 3, 5}, {2, 5, 6}, {3, 4, 6}, {4, 5, 6}])
+    faces = rp2.faces()
+    assert [len(faces[j]) for j in range(3)] == [6, 15, 10]
+
+    def rank_mod2(lower, upper):
+        idx = {f: i for i, f in enumerate(lower)}
+        rows = [sum(1 << idx[f[:i] + f[i + 1:]] for i in range(len(f))) for f in upper]
+        rank = 0
+        while rows:
+            r = rows.pop()
+            if r:
+                low = r & -r
+                rows = [x ^ r if x & low else x for x in rows]
+                rank += 1
+        return rank
+
+    assert len(faces[1]) - rank_mod2(faces[0], faces[1]) - rank_mod2(faces[1], faces[2]) == 1
+    for j in range(-1, 3):
+        assert betti(rp2, j) == 0
+    assert eta(rp2, cap=4) == Eta(4, False)
 
 
 def test_independence_complex_path():
