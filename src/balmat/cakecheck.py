@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 ONE = Fraction(1)
 

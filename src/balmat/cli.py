@@ -19,7 +19,7 @@ from .dinterval import coverable, rainbow_matching
 from .hilbert import hilbert_basis, CapExceeded
 from .hypergraph import balanced_certificate, nu, nu_star
 from .rational import format_rational
-from .topology import INFINITE, eta, hall_check, independence_complex, psi
+from .topology import INFINITE, eta, hall_check, psi
 from .search import bm_search
 from .verify import run_all
 
@@ -45,7 +45,6 @@ def main(argv=None) -> int:
                     "verification suite.")
     parser.add_argument("--out", help="also write the JSON result here")
     parser.add_argument("--seed", default="0", help="seed for sampled modes")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nu", help="maximum matching size of a hypergraph")
@@ -208,8 +207,7 @@ def _dispatch(args) -> int:
         return 0 if best < args.n else 1
     if cmd == "bm-search":
         report = bm_search(_sides(args.sides), mode=args.mode, seed=args.seed,
-                           trials=args.trials, edge_cap=args.edge_cap,
-                           threads=args.threads)
+                           trials=args.trials, edge_cap=args.edge_cap)
         payload = {"sides": list(report.side_sizes), "min_nu": report.min_nu,
                    "exhaustive": report.exhaustive,
                    "examined": report.examined,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction
 from .rational import ceil_frac

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Dict, List, Optional, Tuple
 
-from .hypergraph import PartiteHypergraph, WeightFunction
+from .hypergraph import PartiteHypergraph, WeightFunction, _all_edges
 
 Edge = Tuple[int, ...]
 
@@ -57,10 +56,6 @@ class IntegralBalanced:
 
 class CapExceeded(Exception):
     """The norm cap was reached before the generating set closed."""
-
-
-def _all_edges(side_sizes) -> List[Edge]:
-    return [tuple(e) for e in itertools.product(*(range(1, a + 1) for a in side_sizes))]
 
 
 def _integral_balanced_with_degrees(side_sizes, per_side_deg: List[int]):
@@ -116,7 +111,7 @@ def hilbert_basis(side_sizes, norm_cap: int):
     cannot be asserted.
     """
     sizes = tuple(int(a) for a in side_sizes)
-    if _product(sizes) > 12:
+    if prod(sizes) > 12:
         raise ValueError("cone too large for desk-scale enumeration")
     step = lcm(*sizes)
     basis: List[IntegralBalanced] = []
@@ -157,13 +152,6 @@ def decompose(w: IntegralBalanced, basis) -> Optional[List[IntegralBalanced]]:
         return None
 
     return rec(0, [])
-
-
-def _product(xs):
-    p = 1
-    for x in xs:
-        p *= x
-    return p
 
 
 # --- Birkhoff decomposition -------------------------------------------------

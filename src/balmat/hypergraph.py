@@ -6,13 +6,14 @@ of a d-partite hypergraph is a d-tuple (j_1, ..., j_d) with j_t in [a_t].
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .rational import (EQ, GE, LE, MAX, FEASIBILITY, INFEASIBLE, LPProblem, Optimal,
-                       ZERO, lp_solve)
+from .rational import (EQ, LE, MAX, FEASIBILITY, INFEASIBLE, LPProblem, Optimal,
+                       ONE, ZERO, lp_solve)
 
 Edge = Tuple[int, ...]
 Vertex = Tuple[int, int]  # (side, index), both 1-based
@@ -48,6 +49,11 @@ class PartiteHypergraph:
     def edges_at(self, v: Vertex) -> List[Edge]:
         t, j = v
         return [e for e in self.edges if e[t - 1] == j]
+
+
+def _all_edges(side_sizes) -> List[Edge]:
+    """Every edge of the complete d-partite hypergraph, in lexicographic order."""
+    return [tuple(e) for e in itertools.product(*(range(1, a + 1) for a in side_sizes))]
 
 
 @dataclass(frozen=True)
@@ -117,19 +123,11 @@ def balanced_certificate(h: PartiteHypergraph) -> Optional[WeightFunction]:
     deg = degrees(h, WeightFunction({e: 1 for e in edges}))
     if any(d == 0 for d in deg.values()):
         return None  # isolated vertex: its degree can never reach 1/a_t
-    index = {e: i for i, e in enumerate(edges)}
-    constraints = []
-    for t, a in enumerate(h.side_sizes, start=1):
-        for j in range(1, a + 1):
-            coeffs = [ZERO] * len(edges)
-            for e in edges:
-                if e[t - 1] == j:
-                    coeffs[index[e]] = Fraction(1)
-            constraints.append((coeffs, EQ, Fraction(1, a)))
+    constraints = [(row, EQ, Fraction(1, a)) for a, row in _vertex_rows(h)]
     res = lp_solve(LPProblem(len(edges), constraints, sense=FEASIBILITY))
     if res is INFEASIBLE:
         return None
-    return WeightFunction({e: res.point[index[e]] for e in edges if res.point[index[e]] > 0})
+    return WeightFunction({e: x for e, x in zip(edges, res.point) if x > 0})
 
 
 def nu_star(h: PartiteHypergraph) -> Fraction:
@@ -137,20 +135,20 @@ def nu_star(h: PartiteHypergraph) -> Fraction:
     edges = h.edges
     if not edges:
         return ZERO
-    index = {e: i for i, e in enumerate(edges)}
-    constraints = []
-    for t, a in enumerate(h.side_sizes, start=1):
-        for j in range(1, a + 1):
-            coeffs = [ZERO] * len(edges)
-            for e in edges:
-                if e[t - 1] == j:
-                    coeffs[index[e]] = Fraction(1)
-            constraints.append((coeffs, LE, Fraction(1)))
+    constraints = [(row, LE, ONE) for _, row in _vertex_rows(h)]
     res = lp_solve(LPProblem(len(edges), constraints, [Fraction(1)] * len(edges), MAX))
     if not isinstance(res, Optimal):
         raise RuntimeError(f"fractional matching LP returned {res!r}; it is "
                            f"feasible (f = 0) and bounded (deg_f <= 1)")
     return res.value
+
+
+def _vertex_rows(h: PartiteHypergraph) -> List[Tuple[int, List[Fraction]]]:
+    """(a_t, 0/1 incidence row over h.edges) for each vertex (t, j), sides in
+    order, then indices: the degree constraints of the balance and
+    fractional-matching LPs."""
+    return [(a, [ONE if e[t - 1] == j else ZERO for e in h.edges])
+            for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
 
 
 def _disjoint(e: Edge, f: Edge) -> bool:
@@ -166,20 +164,29 @@ def _cheap_bound(edges) -> int:
 
 
 def nu(h: PartiteHypergraph) -> int:
-    """Exact maximum matching size by branch and bound.
+    """Exact maximum matching size."""
+    return len(max_matching(h))
+
+
+def max_matching(h: PartiteHypergraph) -> Tuple[Edge, ...]:
+    """A maximum matching, as a sorted tuple of edges, by branch and bound.
 
     Branches on a vertex of minimum positive degree (fail-first), ties broken
     by lowest (side, index); prunes with the per-side distinct-index bound.
     """
-    return _nu_branch(list(h.edges), 0, 0)
+    best: List[Edge] = []
+    _matching_branch(list(h.edges), [], best)
+    return tuple(sorted(best))
 
 
-def _nu_branch(edges: List[Edge], current: int, best: int) -> int:
-    best = max(best, current)
+def _matching_branch(edges: List[Edge], chosen: List[Edge], best: List[Edge]):
+    """Extend `chosen` from `edges`; `best` holds the largest matching seen."""
+    if len(chosen) > len(best):
+        best[:] = chosen
     if not edges:
-        return best
-    if current + _cheap_bound(edges) <= best:
-        return best
+        return
+    if len(chosen) + _cheap_bound(edges) <= len(best):
+        return
     # vertex of minimum positive degree, lowest (side, index) first
     counts: Dict[Vertex, int] = {}
     for e in edges:
@@ -189,11 +196,10 @@ def _nu_branch(edges: List[Edge], current: int, best: int) -> int:
     t, j = v
     at_v = [e for e in edges if e[t - 1] == j]
     for e in at_v:
-        rest = [f for f in edges if _disjoint(e, f)]
-        best = _nu_branch(rest, current + 1, best)
-    rest = [f for f in edges if f[t - 1] != j]
-    best = _nu_branch(rest, current, best)
-    return best
+        chosen.append(e)
+        _matching_branch([f for f in edges if _disjoint(e, f)], chosen, best)
+        chosen.pop()
+    _matching_branch([f for f in edges if f[t - 1] != j], chosen, best)
 
 
 def nu_oracle(h: PartiteHypergraph) -> int:

@@ -6,6 +6,7 @@ newline-terminated so outputs are byte-deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -28,7 +29,19 @@ def hypergraph_to_json(h: PartiteHypergraph) -> dict:
 
 
 def hypergraph_from_json(data: dict) -> PartiteHypergraph:
-    return PartiteHypergraph(data["sides"], [tuple(e) for e in data["edges"]])
+    """Strict decoding: an object whose sides and edges are lists, every
+    coordinate an int (not a bool, not a float); anything else is a
+    ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a hypergraph must be a JSON object")
+    sides, edges = data["sides"], data["edges"]
+    if not isinstance(sides, list) or not isinstance(edges, list) \
+            or not all(isinstance(e, list) for e in edges):
+        raise ValueError("hypergraph sides and edges must be lists of integers")
+    for x in itertools.chain(sides, *edges):
+        if type(x) is not int:
+            raise ValueError(f"hypergraph coordinate {x!r} is not an integer")
+    return PartiteHypergraph(sides, [tuple(e) for e in edges])
 
 
 def weights_to_json(f: WeightFunction) -> dict:

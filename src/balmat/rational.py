@@ -42,35 +42,6 @@ def ceil_frac(q) -> int:
     return ceil_div(q.numerator, q.denominator)
 
 
-def floor_frac(q) -> int:
-    q = Fraction(q)
-    return q.numerator // q.denominator
-
-
-class RationalMatrix:
-    """Dense matrix of Fractions.  Desk scale only; no sparsity tricks."""
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match declared shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def rank(self) -> int:
-        return rank_of_rows(self.entries)
-
-
 def rank_of_rows(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals by sparse, fraction-free integer elimination.
 

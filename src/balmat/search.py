@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .dinterval import DInterval, coverable
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
-                         balanced_certificate, nu)
+                         _all_edges, balanced_certificate, nu)
 from .topology import Graph
 
 EXHAUSTIVE_UNIVERSE_CAP = 9  # potential-edge universes beyond this are refused
@@ -28,11 +27,6 @@ class SearchReport:
     exhaustive: bool
     examined: int       # hypergraphs whose balance was tested
     balanced_count: int  # of those, how many were fractionally balanced
-
-
-def _all_edges(side_sizes) -> List[Tuple[int, ...]]:
-    return [tuple(e) for e in
-            itertools.product(*(range(1, a + 1) for a in side_sizes))]
 
 
 def canonical_form(side_sizes, edges):
@@ -92,22 +86,16 @@ def _sample_trial(side_sizes, seed, trial, edge_cap):
     return (nu(h), support)
 
 
-def bm_search_sampled(side_sizes, seed, trials: int, edge_cap: Optional[int] = None,
-                      threads: int = 1) -> SearchReport:
+def bm_search_sampled(side_sizes, seed, trials: int,
+                      edge_cap: Optional[int] = None) -> SearchReport:
     """Seeded random search; reports an upper bound on the true minimum.
 
-    Each trial draws its randomness from a seed derived from (seed, trial),
-    so the result does not depend on the thread count.
+    Each trial draws its randomness from a seed derived from (seed, trial).
     """
     sizes = tuple(int(a) for a in side_sizes)
     if edge_cap is None:
         edge_cap = min(len(_all_edges(sizes)), 3 * max(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda t: _sample_trial(sizes, seed, t, edge_cap), range(trials)))
-    else:
-        outcomes = [_sample_trial(sizes, seed, t, edge_cap) for t in range(trials)]
+    outcomes = [_sample_trial(sizes, seed, t, edge_cap) for t in range(trials)]
     hits = [o for o in outcomes if o is not None]
     if not hits:
         return SearchReport(sizes, None, None, False, trials, 0)
@@ -117,11 +105,11 @@ def bm_search_sampled(side_sizes, seed, trials: int, edge_cap: Optional[int] = N
 
 
 def bm_search(side_sizes, mode: str = "exhaustive", seed=0, trials: int = 1000,
-              edge_cap: Optional[int] = None, threads: int = 1) -> SearchReport:
+              edge_cap: Optional[int] = None) -> SearchReport:
     if mode == "exhaustive":
         return bm_search_exhaustive(side_sizes)
     if mode == "sampled":
-        return bm_search_sampled(side_sizes, seed, trials, edge_cap, threads)
+        return bm_search_sampled(side_sizes, seed, trials, edge_cap)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction, neighborhood, nu
+from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, max_matching,
+                         neighborhood)
 from .rational import ZERO, ceil_frac, rank_of_rows
 
 INFINITE = math.inf  # game value for "an isolated vertex appeared"
@@ -360,7 +361,8 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
     """Check eta(M(N_H(K))) >= |K| - deficiency for every K inside side 1.
 
     On success also exhibits a matching of size a_1 - deficiency, as promised
-    by the deficiency form of the topological Hall theorem.
+    by the deficiency form of the topological Hall theorem: the first edges
+    of the sorted `max_matching` witness.
     """
     if h.d != 3:
         raise ValueError("hall_check supports d = 3 only")
@@ -375,32 +377,11 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
             complex_ = matching_complex(neighborhood(h, K))
             if not eta(complex_, cap=need).at_least(need):
                 return HallReport(False, K, None)
-    matching = _max_matching_edges(h)
+    matching = max_matching(h)
     if len(matching) < a1 - deficiency:
         raise RuntimeError(f"every K passed, yet the largest matching has "
                            f"{len(matching)} < {a1 - deficiency} edges")
-    return HallReport(True, None, tuple(matching[:max(a1 - deficiency, 0)]))
-
-
-def _max_matching_edges(h: PartiteHypergraph) -> List[Tuple[int, ...]]:
-    """A maximum matching witness (recomputing nu's branch and bound)."""
-    best: List[Tuple[int, ...]] = []
-
-    def rec(edges, chosen):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if not edges:
-            return
-        sizes = min(len({e[t] for e in edges}) for t in range(len(edges[0])))
-        if len(chosen) + sizes <= len(best):
-            return
-        e, rest = edges[0], edges[1:]
-        rec([f for f in rest if all(a != b for a, b in zip(e, f))], chosen + [e])
-        rec(rest, chosen)
-
-    rec(list(h.edges), [])
-    return best
+    return HallReport(True, None, matching[:max(a1 - deficiency, 0)])
 
 
 # --- CON's four-phase certificate strategy ----------------------------------

@@ -166,6 +166,15 @@ def test_verify_all_subset(tmp_path, capsys):
     assert saved["pass"] is True
 
 
+def test_malformed_hypergraph_exits_2(tmp_path, capsys):
+    bad = [{"sides": [2, 2], "edges": edges}
+           for edges in ([[1.7, 1], [2, 2]], [[True, 1], [2, 2]], 5, [5])]
+    bad += [[[1, 1]], {"sides": [2.0, 2], "edges": [[1, 1]]}]
+    for data in bad:
+        code, out = run(capsys, "nu", write(tmp_path, "h.json", data))
+        assert code == 2 and out == ""
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["nu", str(tmp_path / "missing.json")]) == 2
     assert main(["bogus-command"]) == 2

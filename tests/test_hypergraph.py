@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                balanced_certificate, degrees, is_balanced,
-                               neighborhood, nu, nu_oracle, nu_star,
-                               random_balanced)
+                               max_matching, neighborhood, nu, nu_oracle,
+                               nu_star, random_balanced)
 from balmat.rational import ceil_frac
 
 PASCH_EDGES = [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
@@ -79,7 +80,11 @@ def test_nu_matches_oracle_small():
                 min_size=1, max_size=12))
 def test_nu_agrees_with_oracle(edges):
     h = PartiteHypergraph((3, 3, 3), edges)
-    assert nu(h) == nu_oracle(h)
+    witness = max_matching(h)
+    assert nu(h) == len(witness) == nu_oracle(h)
+    assert set(witness) <= set(h.edges)
+    assert all(a != b for e, f in itertools.combinations(witness, 2)
+               for a, b in zip(e, f))
 
 
 def test_neighborhood_keeps_multiplicity():

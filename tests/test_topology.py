@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, betti,
                              con_certificate, con_lower_bound, eta, hall_check,
                              independence_complex, line_graph,
                              matching_complex, psi)
+from balmat.search import random_knn_balanced
 
 
 def circle():
@@ -162,6 +164,19 @@ def test_hall_check_pasch_deficiency():
     report0 = hall_check(h, deficiency=0)
     assert not report0.all_K_pass
     assert report0.failing_K == (1, 2)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_hall_check_random_knn_matching(k, n, seed):
+    h, _ = random_knn_balanced(k, n, seed=seed)
+    deficiency = k - min(k, -(-n // 2))
+    report = hall_check(h, deficiency)
+    assert report.all_K_pass
+    assert len(report.matching) == k - deficiency
+    assert set(report.matching) <= set(h.edges)
+    assert all(a != b for e, f in itertools.combinations(report.matching, 2)
+               for a, b in zip(e, f))
 
 
 def test_con_certificate_bound_and_errors():
