@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from . import constructions as cons
 from . import jsonio
-from .cakecheck import grid_max, nu_D
+from .cakecheck import grid_max, instance_2n2_nn, instance_nn_2n2, nu_D
 from .dinterval import coverable, rainbow_matching
 from .hilbert import hilbert_basis, CapExceeded
-from .hypergraph import balanced_certificate, nu, nu_star
+from .hypergraph import WeightFunction, balanced_certificate, nu, nu_star
 from .rational import format_rational
 from .topology import INFINITE, eta, hall_check, psi
 from .search import bm_search
@@ -166,8 +166,8 @@ def _dispatch(args) -> int:
             _emit({"cap_exceeded": True, "detail": str(exc)}, args.out)
             return 1
         _emit({"generators": [
-            jsonio.weights_to_json(_as_weight_function(g)) for g in basis]},
-            args.out)
+            jsonio.weights_to_json(WeightFunction({e: Fraction(w) for e, w in g.weights}))
+            for g in basis]}, args.out)
         return 0
     if cmd == "dinterval":
         fams = jsonio.families_from_json(_load(args.families))
@@ -194,7 +194,7 @@ def _dispatch(args) -> int:
                             for i, iv in found]}, args.out)
         return 0
     if cmd == "cake":
-        inst = (instance_for(args.instance))(args.n)
+        inst = (instance_2n2_nn if args.instance == "2n2nn" else instance_nn_2n2)(args.n)
         if args.action == "check":
             if not args.partition:
                 raise ValueError("check requires --partition")
@@ -223,16 +223,6 @@ def _dispatch(args) -> int:
         _emit(payload, args.out)
         return 0 if payload["pass"] else 1
     raise ValueError(f"unhandled command {cmd}")
-
-
-def instance_for(name):
-    from .cakecheck import instance_2n2_nn, instance_nn_2n2
-    return instance_2n2_nn if name == "2n2nn" else instance_nn_2n2
-
-
-def _as_weight_function(g):
-    from .hypergraph import WeightFunction
-    return WeightFunction({e: Fraction(w) for e, w in g.weights})
 
 
 def _construct(args) -> int:

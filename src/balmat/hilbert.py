@@ -185,22 +185,32 @@ def _perfect_matching(n: int, support) -> Optional[Tuple[Edge, ...]]:
     adj: Dict[int, List[int]] = {i: [] for i in range(1, n + 1)}
     for i, j in sorted(support):
         adj[i].append(j)
-    match_col: Dict[int, int] = {}
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_col or augment(match_col[j], seen):
-                match_col[j] = i
-                return True
-        return False
-
-    for i in range(1, n + 1):
-        if not augment(i, set()):
-            return None
+    match_col, stuck = _kuhn(range(1, n + 1), adj)
+    if stuck is not None:
+        return None
     return tuple(sorted((i, j) for j, i in match_col.items()))
+
+
+def _kuhn(keys, options):
+    """Kuhn's augmenting paths: give each key, in order, a distinct one of its
+    options (tried in list order).  Returns (option -> key, None), or stops at
+    the first key that cannot be served: (partial assignment, that key)."""
+    match: Dict[object, object] = {}
+    for key in keys:
+        if not _augment(key, options, match, set()):
+            return match, key
+    return match, None
+
+
+def _augment(key, options, match, seen) -> bool:
+    for x in options[key]:
+        if x in seen:
+            continue
+        seen.add(x)
+        if x not in match or _augment(match[x], options, match, seen):
+            match[x] = key
+            return True
+    return False
 
 
 # --- Hall extension step ----------------------------------------------------
@@ -226,25 +236,10 @@ def hall_extend(h_prime: PartiteHypergraph, matching, w_prime: WeightFunction):
         e: sorted({ep[d] for ep, x in wdict.items() if x >= 1 and ep[:d] == e})
         for e in matching}
 
-    match_rep: Dict[int, Edge] = {}  # representative j -> matching edge
-
-    def augment(e, seen):
-        for j in fibers[e]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_rep or augment(match_rep[j], seen):
-                match_rep[j] = e
-                return True
-        return False
-
-    assigned: Dict[Edge, int] = {}
-    for e in matching:
-        if not augment(e, set()):
-            violators = _hall_violators(e, matching, fibers)
-            return None, violators
-    for j, e in match_rep.items():
-        assigned[e] = j
+    match_rep, stuck = _kuhn(matching, fibers)  # representative j -> matching edge
+    if stuck is not None:
+        return None, _hall_violators(stuck, matching, fibers)
+    assigned = {e: j for j, e in match_rep.items()}
     extended = tuple(sorted(e + (assigned[e],) for e in matching))
     for e1, e2 in itertools.combinations(extended, 2):
         if any(a == b for a, b in zip(e1, e2)):

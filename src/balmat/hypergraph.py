@@ -46,10 +46,6 @@ class PartiteHypergraph:
             for j in range(1, a + 1):
                 yield (t, j)
 
-    def edges_at(self, v: Vertex) -> List[Edge]:
-        t, j = v
-        return [e for e in self.edges if e[t - 1] == j]
-
 
 def _all_edges(side_sizes) -> List[Edge]:
     """Every edge of the complete d-partite hypergraph, in lexicographic order."""
@@ -79,9 +75,6 @@ class WeightFunction:
 
     def total(self) -> Fraction:
         return sum((w for _, w in self.weights), ZERO)
-
-    def support(self) -> List[Edge]:
-        return [e for e, w in self.weights if w > 0]
 
 
 def check_hosted(h: PartiteHypergraph, f: WeightFunction):

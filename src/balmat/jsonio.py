@@ -6,7 +6,6 @@ newline-terminated so outputs are byte-deterministic.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Any
 
@@ -28,20 +27,35 @@ def hypergraph_to_json(h: PartiteHypergraph) -> dict:
     return {"sides": list(h.side_sizes), "edges": [list(e) for e in h.edges]}
 
 
+def _checked(x, kind, what):
+    """x itself when its type is exactly `kind`, so a bool is no int; else a ValueError."""
+    if type(x) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, not {type(x).__name__}")
+    return x
+
+
+def _ints(row, what) -> tuple:
+    return tuple(_checked(x, int, what) for x in _checked(row, list, what))
+
+
+def _int_rows(rows, what) -> list:
+    return [_ints(row, what) for row in _checked(rows, list, what + "s")]
+
+
+def _rational(x, what):
+    try:
+        return parse_rational(_checked(x, str, what))
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {x!r} has a zero denominator") from None
+
+
 def hypergraph_from_json(data: dict) -> PartiteHypergraph:
-    """Strict decoding: an object whose sides and edges are lists, every
-    coordinate an int (not a bool, not a float); anything else is a
-    ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError("a hypergraph must be a JSON object")
-    sides, edges = data["sides"], data["edges"]
-    if not isinstance(sides, list) or not isinstance(edges, list) \
-            or not all(isinstance(e, list) for e in edges):
-        raise ValueError("hypergraph sides and edges must be lists of integers")
-    for x in itertools.chain(sides, *edges):
-        if type(x) is not int:
-            raise ValueError(f"hypergraph coordinate {x!r} is not an integer")
-    return PartiteHypergraph(sides, [tuple(e) for e in edges])
+    """Strict decoding, like every decoder here: objects and lists where they
+    belong, every coordinate an int (not a bool, not a float) and every
+    rational a string; anything else is a ValueError."""
+    data = _checked(data, dict, "hypergraph")
+    return PartiteHypergraph(_ints(data["sides"], "side size"),
+                             _int_rows(data["edges"], "edge"))
 
 
 def weights_to_json(f: WeightFunction) -> dict:
@@ -50,8 +64,9 @@ def weights_to_json(f: WeightFunction) -> dict:
 
 
 def weights_from_json(data: dict) -> WeightFunction:
-    return WeightFunction({tuple(item["edge"]): parse_rational(item["w"])
-                           for item in data["weights"]})
+    items = _checked(_checked(data, dict, "weighting")["weights"], list, "weights")
+    return WeightFunction({_ints(item["edge"], "edge"): _rational(item["w"], "weight")
+                           for item in (_checked(i, dict, "weight") for i in items)})
 
 
 def multigraph_to_json(mg: Multigraph) -> dict:
@@ -60,8 +75,9 @@ def multigraph_to_json(mg: Multigraph) -> dict:
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
-    return Multigraph(data["b"], data["c"],
-                      [(b, c, lab) for b, c, lab in data["edges"]])
+    data = _checked(data, dict, "multigraph")
+    return Multigraph(_checked(data["b"], int, "b"), _checked(data["c"], int, "c"),
+                      _int_rows(data["edges"], "edge"))
 
 
 # --- graphs and complexes ---------------------------------------------------
@@ -73,7 +89,8 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    return Graph(data["vertices"], [tuple(e) for e in data["edges"]])
+    data = _checked(data, dict, "graph")
+    return Graph(_checked(data["vertices"], int, "vertices"), _int_rows(data["edges"], "edge"))
 
 
 def complex_to_json(c: SimplicialComplex) -> dict:
@@ -82,8 +99,9 @@ def complex_to_json(c: SimplicialComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
-    return SimplicialComplex(data["vertices"],
-                             [frozenset(f) for f in data["facets"]])
+    data = _checked(data, dict, "complex")
+    return SimplicialComplex(_checked(data["vertices"], int, "vertices"),
+                             [frozenset(f) for f in _int_rows(data["facets"], "facet")])
 
 
 # --- d-intervals ------------------------------------------------------------
@@ -95,8 +113,9 @@ def dinterval_to_json(iv: DInterval) -> dict:
 
 
 def dinterval_from_json(data: dict) -> DInterval:
-    return DInterval([(parse_rational(lo), parse_rational(hi))
-                      for lo, hi in data["parts"]])
+    parts = _checked(_checked(data, dict, "d-interval")["parts"], list, "parts")
+    return DInterval([[_rational(x, "endpoint") for x in _checked(part, list, "part")]
+                      for part in parts])
 
 
 def families_to_json(fams: DIntervalFamilies) -> dict:
@@ -106,9 +125,11 @@ def families_to_json(fams: DIntervalFamilies) -> dict:
 
 
 def families_from_json(data: dict) -> DIntervalFamilies:
+    data = _checked(data, dict, "d-interval families")
     return DIntervalFamilies(
-        data["d"],
-        [[dinterval_from_json(item) for item in fam] for fam in data["families"]])
+        _checked(data["d"], int, "d"),
+        [[dinterval_from_json(item) for item in _checked(fam, list, "family")]
+         for fam in _checked(data["families"], list, "families")])
 
 
 # --- cake partitions --------------------------------------------------------
@@ -119,4 +140,5 @@ def partition_to_json(p: Partition) -> list:
 
 
 def partition_from_json(data: list) -> Partition:
-    return Partition([[parse_rational(x) for x in cake] for cake in data])
+    return Partition([[_rational(x, "slice length") for x in _checked(cake, list, "cake")]
+                      for cake in _checked(data, list, "partition")])

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 from .dinterval import DInterval, coverable
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                          _all_edges, balanced_certificate, nu)
-from .topology import Graph
+from .topology import Graph, canonical_key
 
 EXHAUSTIVE_UNIVERSE_CAP = 9  # potential-edge universes beyond this are refused
 
@@ -30,15 +30,10 @@ class SearchReport:
 
 
 def canonical_form(side_sizes, edges):
-    """Lexicographically minimal edge list over side-internal relabelings."""
-    perms = [list(itertools.permutations(range(1, a + 1))) for a in side_sizes]
-    best = None
-    for combo in itertools.product(*perms):
-        relab = tuple(sorted(tuple(combo[t][j - 1] for t, j in enumerate(e))
-                             for e in edges))
-        if best is None or relab < best:
-            best = relab
-    return best
+    """Key of an edge set up to side-internal relabelings: equal for two edge
+    sets exactly when such a relabeling maps one onto the other."""
+    colour = {(t, j): t for t, a in enumerate(side_sizes, 1) for j in range(1, a + 1)}
+    return canonical_key(colour, [frozenset(enumerate(e, 1)) for e in edges])
 
 
 def bm_search_exhaustive(side_sizes) -> SearchReport:

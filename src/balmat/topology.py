@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -237,65 +238,67 @@ def matching_complex(mg: Multigraph) -> SimplicialComplex:
 # --- Meshulam's game --------------------------------------------------------
 
 
-def _canonical_edges(edges: FrozenSet[FrozenSet[int]]):
-    """Isomorphism-invariant key for a graph with no isolated vertices.
+CANONICAL_LEAF_BUDGET = 1000  # search-tree leaves before the labeled key
 
-    Degree-refined partition, then exhaustive relabeling within the
-    refinement cells (skipped beyond 12 vertices or too many relabelings,
-    where we fall back to the labeled edge set).
+
+def canonical_key(colour, edges):
+    """Isomorphism key of a hypergraph whose vertices carry int colours: two
+    keys are equal exactly when a colour-preserving bijection maps one edge
+    set onto the other.  Past CANONICAL_LEAF_BUDGET leaves the key is
+    ("labeled", sorted edges), equal only for equal edge sets.
+
+    Individualisation-refinement (McKay-Piperno 2014): the key is the least
+    edge list relabelled by a leaf, a discrete refined colouring.  A vertex
+    whose exchange with the first of its cell maps the edge set onto itself
+    reaches the same leaves as that first vertex, so it is skipped.
     """
-    verts = sorted({v for e in edges for v in e})
-    n = len(verts)
-    adj = {v: set() for v in verts}
-    for e in edges:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    color = {v: len(adj[v]) for v in verts}
+    edges = [frozenset(e) for e in edges]
+    edge_set = set(edges)
+    incident = {v: [e for e in edges if v in e] for v in colour}
+    neighbours = {v: [u for e in es for u in e if u != v] for v, es in incident.items()}
+    best, leaves, stack = None, 0, [_refine(colour, neighbours)]
+    while stack:
+        c = stack.pop()
+        sizes = Counter(c.values())
+        if len(sizes) == len(c):
+            leaves += 1
+            if leaves > CANONICAL_LEAF_BUDGET:
+                return ("labeled", tuple(sorted(tuple(sorted(e)) for e in edges)))
+            form = tuple(sorted(tuple(sorted(c[v] for v in e)) for e in edges))
+            best = form if best is None else min(best, form)
+            continue
+        target = min(k for k, size in sizes.items() if size > 1)
+        cell = [v for v in c if c[v] == target]
+        for v in cell:
+            swap = {cell[0]: v, v: cell[0]}
+            if v == cell[0] or any(frozenset(swap.get(u, u) for u in e) not in edge_set
+                                   for e in incident[cell[0]] + incident[v]):
+                stack.append(_refine({u: 2 * k + (u != v) for u, k in c.items()}, neighbours))
+    return ("canon", tuple(sorted(Counter(colour.values()).items())), best)
+
+
+def _refine(colour, neighbours):
+    """Split colour classes by the multiset of neighbouring colours until none
+    splits; the classes come back renumbered 0, 1, ... in order."""
+    count = len(set(colour.values()))
     while True:
-        sig = {v: (color[v], tuple(sorted(color[u] for u in adj[v]))) for v in verts}
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in verts}
-        if new == color:
-            break
-        color = new
-    cells: Dict[int, List[int]] = {}
-    for v in verts:
-        cells.setdefault(color[v], []).append(v)
-    n_perms = 1
-    for cell in cells.values():
-        n_perms *= math.factorial(len(cell))
-    if n > 12 or n_perms > 40320:
-        return ("labeled", tuple(sorted(tuple(sorted(e)) for e in edges)))
-
-    slots: Dict[int, List[int]] = {}
-    offset = 0
-    for col in sorted(cells):
-        cells[col].sort()
-        slots[col] = list(range(offset, offset + len(cells[col])))
-        offset += len(cells[col])
-    best = None
-    for assignment in _cell_permutations(cells, slots):
-        relabeled = tuple(sorted(tuple(sorted((assignment[u], assignment[v]))) for u, v in
-                                 (tuple(e) for e in edges)))
-        if best is None or relabeled < best:
-            best = relabeled
-    return ("canon", best)
+        sig = {v: (k, tuple(sorted([colour[u] for u in neighbours[v]])))
+               for v, k in colour.items()}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        refined = {v: rank[s] for v, s in sig.items()}
+        if len(rank) in (count, len(colour)):
+            return refined
+        colour, count = refined, len(rank)
 
 
-def _cell_permutations(cells, slots):
-    cols = sorted(cells)
-    pools = [list(itertools.permutations(slots[c])) for c in cols]
-    for combo in itertools.product(*pools):
-        assignment = {}
-        for col, perm in zip(cols, combo):
-            for v, s in zip(cells[col], perm):
-                assignment[v] = s
-        yield assignment
+def _canonical_edges(edges: FrozenSet[FrozenSet[int]]):
+    """Isomorphism key for a graph with no isolated vertices."""
+    return canonical_key({v: 0 for e in edges for v in e}, edges)
 
 
 class MeshulamGame:
-    """Exact value of the CON/NON deletion-explosion game."""
+    """Exact value of the CON/NON deletion-explosion game, memoised under each
+    position's labelled edge set and under its canonical key."""
 
     def __init__(self):
         self.memo: Dict[object, object] = {}
@@ -310,9 +313,11 @@ class MeshulamGame:
         covered = {v for e in edges for v in e}
         if covered != verts:
             return INFINITE  # an isolated vertex: contractible, infinitely connected
-        key = _canonical_edges(edges)
+        # The labelled position first: a repeat of it needs no canonical key.
+        key = edges if edges in self.memo else _canonical_edges(edges)
         hit = self.memo.get(key)
         if hit is not None:
+            self.memo[edges] = hit
             return hit
         best = 0
         for e in sorted(tuple(sorted(e)) for e in edges):
@@ -324,7 +329,7 @@ class MeshulamGame:
                 best = val
             if best == INFINITE:
                 break
-        self.memo[key] = best
+        self.memo[edges] = self.memo[key] = best
         return best
 
 

@@ -4,14 +4,17 @@ claims at desk scale and reports pass/fail with the values it saw.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, Optional
 
 from . import constructions as cons
 from .cakecheck import grid_max, instance_2n2_nn, instance_nn_2n2
 from .dinterval import DIntervalFamilies, rainbow_matching
-from .hilbert import IntegralBalanced, decompose, hilbert_basis
+from .hilbert import (IntegralBalanced, _integral_balanced_with_degrees, decompose,
+                      hilbert_basis)
 from .hypergraph import (PartiteHypergraph, balanced_certificate, is_balanced,
                          nu, nu_oracle, nu_star, random_balanced)
 from .rational import ceil_frac
@@ -93,7 +96,6 @@ def check_furedi(instances: int = 500) -> CheckResult:
 def check_ind_psi(sampled: int = 200, cap: int = 6) -> CheckResult:
     """eta(I(G)) >= Psi(G): exhaustive <= 5 vertices, then seeded 6-8 vertex
     graphs, with eta truncated at the cap."""
-    import itertools
     failures = []
 
     def verdict(g: Graph):
@@ -213,7 +215,6 @@ def check_zeta(n: int = 3) -> CheckResult:
 
 
 def _permutation_generators(n: int):
-    import itertools
     out = set()
     for perm in itertools.permutations(range(1, n + 1)):
         out.add(tuple(sorted(((i + 1, perm[i]), 1) for i in range(n))))
@@ -222,7 +223,6 @@ def _permutation_generators(n: int):
 
 def _star_generators(n: int, s: int):
     """Unions of n disjoint stars K_{1,s} on sides (n, s*n)."""
-    import itertools
     out = set()
     cols = range(1, s * n + 1)
     for split in _set_partitions_equal(list(cols), n, s):
@@ -236,7 +236,6 @@ def _set_partitions_equal(items, blocks, size):
     if not items:
         yield []
         return
-    import itertools
     for block in itertools.combinations(items, size):
         remaining = [x for x in items if x not in block]
         for tail in _set_partitions_equal(remaining, blocks - 1, size):
@@ -247,8 +246,6 @@ def _set_partitions_equal(items, blocks, size):
 def check_gordan() -> CheckResult:
     """Generating sets at (2,2), (3,3), (2,4): permutations resp. star
     unions, and every balanced vector up to the cap decomposes over them."""
-    from .hilbert import _integral_balanced_with_degrees
-    from math import lcm
     plans = [((2, 2), 4, _permutation_generators(2)),
              ((3, 3), 6, _permutation_generators(3)),
              ((2, 4), 8, _star_generators(2, 2))]

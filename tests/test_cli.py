@@ -175,6 +175,22 @@ def test_malformed_hypergraph_exits_2(tmp_path, capsys):
         assert code == 2 and out == ""
 
 
+def test_malformed_inputs_exit_2(tmp_path, capsys):
+    graphs = [{"vertices": 3, "edges": [[1.5, 2]]}, {"vertices": 3.0, "edges": [[1, 2]]},
+              {"vertices": 3, "edges": [[True, 2]]}, {"vertices": 3, "edges": 5}, [[1, 2]]]
+    cases = [(["psi", "{}"], g) for g in graphs]
+    cases += [(["eta", "{}"], {"vertices": 3, "facets": [[1, 2.5]]}),
+              (["eta", "{}"], {"vertices": 3, "facets": [1, 2]})]
+    cases += [(["dinterval", "cover", "{}", "--budgets", "1"],
+               {"d": 1, "families": [[{"parts": [[lo, "1/2"]]}]]}) for lo in (0, 0.0, None)]
+    cases += [(["cake", "check", "--instance", "2n2nn", "--n", "2", "--partition", "{}"], p)
+              for p in ([[0.5, 0.5], [0.5, 0.5]], [["1/2", "1/2"], ["1/0", "1"]])]
+    for argv, data in cases:
+        path = write(tmp_path, "in.json", data)
+        code, out = run(capsys, *[path if a == "{}" else a for a in argv])
+        assert (code, out) == (2, ""), (argv, data)
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["nu", str(tmp_path / "missing.json")]) == 2
     assert main(["bogus-command"]) == 2

@@ -28,6 +28,13 @@ def test_exhaustive_222_finds_pasch():
     assert len(report.witness.edges) == 4
 
 
+@pytest.mark.parametrize("sizes, examined, balanced", [
+    ((2, 2), 6, 3), ((2, 3), 12, 3), ((2, 2, 2), 45, 30), ((3, 3), 35, 15), ((2, 4), 21, 6)])
+def test_exhaustive_counts(sizes, examined, balanced):
+    report = bm_search_exhaustive(sizes)
+    assert (report.examined, report.balanced_count) == (examined, balanced)
+
+
 def test_exhaustive_cap_enforced():
     with pytest.raises(ValueError):
         bm_search_exhaustive((3, 3, 3))

@@ -1,16 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction
-from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, betti,
-                             con_certificate, con_lower_bound, eta, hall_check,
-                             independence_complex, line_graph,
+from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction, _all_edges
+from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, _canonical_edges,
+                             betti, canonical_key, con_certificate, con_lower_bound, eta,
+                             hall_check, independence_complex, line_graph,
                              matching_complex, psi)
-from balmat.search import random_knn_balanced
+from balmat.search import canonical_form, random_knn_balanced
 
 
 def circle():
@@ -137,9 +138,72 @@ def test_psi_basics():
 
 
 def test_psi_matching_of_m_edges():
-    for m in range(1, 4):
+    for m in range(1, 8):
         edges = [(2 * i + 1, 2 * i + 2) for i in range(m)]
         assert psi(Graph(2 * m, edges)) == m
+    # 13 * 11 * 9 * 7 * 5 * 3 leaves after pruning: past the budget, so the key is labeled
+    assert _canonical_edges(Graph(14, edges).edges)[0] == "labeled"
+
+
+def least_relabelling(colour, edges):
+    """Brute-force oracle: the least sorted edge list over every
+    colour-preserving permutation of the vertices."""
+    classes = {}
+    for v in sorted(colour):
+        classes.setdefault(colour[v], []).append(v)
+    cells = list(classes.values())
+    best = None
+    for images in itertools.product(*(itertools.permutations(c) for c in cells)):
+        image = {v: w for cell, imgs in zip(cells, images) for v, w in zip(cell, imgs)}
+        form = sorted(sorted(image[v] for v in e) for e in edges)
+        best = form if best is None else min(best, form)
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_against_brute_force(data):
+    n = data.draw(st.integers(2, 6))
+    colour = dict(enumerate(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), 1))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    e1, e2 = [data.draw(st.sets(st.sampled_from(pairs))) for _ in range(2)]
+    # any relabelling, applied to the colours and the edges alike
+    p = dict(zip(range(1, n + 1), data.draw(st.permutations(range(1, n + 1)))))
+    assert canonical_key(colour, e1) == canonical_key(
+        {p[v]: k for v, k in colour.items()}, [{p[v] for v in e} for e in e1])
+    assert (canonical_key(colour, e1) == canonical_key(colour, e2)) == (
+        least_relabelling(colour, e1) == least_relabelling(colour, e2))
+
+
+def test_canonical_key_where_refinement_alone_fails():
+    # Regular graphs: colour refinement leaves one class, so only the
+    # individualisation tells them (and their vertices) apart.
+    c3_c4 = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    c7 = [(i, i % 7 + 1) for i in range(1, 8)]
+    prism = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+    k33 = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]
+    rng = random.Random(0)
+    keys = {}
+    for name, edges in [("c3_c4", c3_c4), ("c7", c7), ("prism", prism), ("k33", k33)]:
+        n = max(max(e) for e in edges)
+        for _ in range(20):
+            p = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            key = _canonical_edges(frozenset(frozenset((p[u], p[v])) for u, v in edges))
+            assert keys.setdefault(name, key) == key
+    assert len(set(keys.values())) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (1, 3, 3)]), st.data())
+def test_canonical_form_against_brute_force(sizes, data):
+    universe = _all_edges(sizes)
+    e1, e2 = [data.draw(st.sets(st.sampled_from(universe))) for _ in range(2)]
+    perms = [data.draw(st.permutations(range(1, a + 1))) for a in sizes]
+    relabelled = [tuple(perms[t][j - 1] for t, j in enumerate(e)) for e in e1]
+    assert canonical_form(sizes, e1) == canonical_form(sizes, relabelled)
+    colour = {(t, j): t for t, a in enumerate(sizes, 1) for j in range(1, a + 1)}
+    oracle = [least_relabelling(colour, [set(enumerate(e, 1)) for e in es]) for es in (e1, e2)]
+    assert (canonical_form(sizes, e1) == canonical_form(sizes, e2)) == (oracle[0] == oracle[1])
 
 
 def test_psi_isomorphism_invariance():
