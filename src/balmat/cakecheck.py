@@ -8,9 +8,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Set, Tuple
+from typing import Callable, Set, Tuple
 
-ONE = Fraction(1)
+from .hypergraph import PartiteHypergraph, nu
+from .rational import ONE
 
 IndexVector = Tuple[int, ...]
 
@@ -37,15 +38,6 @@ class DivisionInstance:
     slice_counts: Tuple[int, ...]
     # (agent 1-based, Partition) -> set of acceptable index vectors
     oracle: Callable[[int, Partition], Set[IndexVector]]
-
-    def accepted(self, i: int, p: Partition) -> Set[IndexVector]:
-        out = self.oracle(i, p)
-        for vec in out:
-            if len(vec) != len(self.slice_counts):
-                raise ValueError("oracle returned wrong arity")
-            if any(not 1 <= j <= a for j, a in zip(vec, self.slice_counts)):
-                raise ValueError(f"oracle returned out-of-range vector {vec}")
-        return out
 
 
 def _max_sum_pairs(pairs, v, w):
@@ -110,25 +102,12 @@ def instance_nn_2n2(n: int) -> DivisionInstance:
 
 def nu_D(inst: DivisionInstance, p: Partition) -> int:
     """Largest number of agents assignable acceptable vectors that are
-    pairwise distinct in every coordinate."""
-    accepted = [sorted(inst.accepted(i, p)) for i in range(1, inst.agent_count + 1)]
-    order = sorted(range(inst.agent_count), key=lambda i: len(accepted[i]))
-    best = 0
-
-    def rec(pos, chosen: List[IndexVector]):
-        nonlocal best
-        best = max(best, len(chosen))
-        if pos == len(order) or len(chosen) + (len(order) - pos) <= best:
-            return
-        for vec in accepted[order[pos]]:
-            if all(all(a != b for a, b in zip(vec, c)) for c in chosen):
-                chosen.append(vec)
-                rec(pos + 1, chosen)
-                chosen.pop()
-        rec(pos + 1, chosen)
-
-    rec(0, [])
-    return best
+    pairwise distinct in every coordinate: the matching number of the
+    (d+1)-partite hypergraph of (agent, acceptable vector) edges."""
+    h = PartiteHypergraph((inst.agent_count,) + inst.slice_counts,
+                          [(i,) + vec for i in range(1, inst.agent_count + 1)
+                           for vec in inst.oracle(i, p)])
+    return nu(h)
 
 
 def _compositions(total: int, parts: int):

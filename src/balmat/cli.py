@@ -73,7 +73,7 @@ def main(argv=None) -> int:
                                     "truncated_projective", "conj_nn"])
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--r")
+    p.add_argument("--r", type=_rational)
     p.add_argument("--q", type=int)
     p.add_argument("--variant", type=int, default=1)
 
@@ -113,6 +113,14 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _rational(text):
+    """An argparse type: a bad rational is a usage error (exit 2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 def _sides(text):
@@ -239,7 +247,7 @@ def _construct(args) -> int:
         h, f = cons.mlessn2(_require(args.k, "--k"), _require(args.n, "--n"))
     elif name == "main_negative":
         h, f = cons.main_negative(_require(args.n, "--n"),
-                                  Fraction(_require(args.r, "--r")),
+                                  _require(args.r, "--r"),
                                   _require(args.k, "--k"))
     elif name == "truncated_projective":
         h, f = cons.truncated_projective(_require(args.q, "--q")), None

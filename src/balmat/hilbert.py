@@ -106,9 +106,10 @@ def hilbert_basis(side_sizes, norm_cap: int):
 
     Enumerates integral balanced vectors in order of total weight |w| (which
     must be a multiple of every side size) and keeps those not dominated by a
-    previously found generator.  Raises CapExceeded when a generator appears
-    in the top half of the searched range, i.e. when closure within the cap
-    cannot be asserted.
+    previously found generator.  Raises CapExceeded when the cap finds no
+    generator (the all-ones weighting is balanced, so the basis is never
+    empty) or a generator in the top half of the searched range, i.e. when
+    closure within the cap cannot be asserted.
     """
     sizes = tuple(int(a) for a in side_sizes)
     if prod(sizes) > 12:
@@ -122,6 +123,8 @@ def hilbert_basis(side_sizes, norm_cap: int):
             if any(cand.dominates(g) for g in basis):
                 continue
             basis.append(cand)
+    if not basis:
+        raise CapExceeded(f"no generator of norm <= {norm_cap}")
     if any(g.norm() > norm_cap // 2 for g in basis):
         raise CapExceeded(
             f"generator of norm > {norm_cap // 2} found; cap {norm_cap} does "

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .rational import (EQ, LE, MAX, FEASIBILITY, INFEASIBLE, LPProblem, Optimal,
-                       ONE, ZERO, lp_solve)
+from .rational import EQ, LE, INFEASIBLE, LPProblem, Optimal, ONE, ZERO, lp_solve
 
 Edge = Tuple[int, ...]
 Vertex = Tuple[int, int]  # (side, index), both 1-based
@@ -117,7 +116,7 @@ def balanced_certificate(h: PartiteHypergraph) -> Optional[WeightFunction]:
     if any(d == 0 for d in deg.values()):
         return None  # isolated vertex: its degree can never reach 1/a_t
     constraints = [(row, EQ, Fraction(1, a)) for a, row in _vertex_rows(h)]
-    res = lp_solve(LPProblem(len(edges), constraints, sense=FEASIBILITY))
+    res = lp_solve(LPProblem(len(edges), constraints, [ZERO] * len(edges)))
     if res is INFEASIBLE:
         return None
     return WeightFunction({e: x for e, x in zip(edges, res.point) if x > 0})
@@ -129,7 +128,7 @@ def nu_star(h: PartiteHypergraph) -> Fraction:
     if not edges:
         return ZERO
     constraints = [(row, LE, ONE) for _, row in _vertex_rows(h)]
-    res = lp_solve(LPProblem(len(edges), constraints, [Fraction(1)] * len(edges), MAX))
+    res = lp_solve(LPProblem(len(edges), constraints, [ONE] * len(edges)))
     if not isinstance(res, Optimal):
         raise RuntimeError(f"fractional matching LP returned {res!r}; it is "
                            f"feasible (f = 0) and bounded (deg_f <= 1)")

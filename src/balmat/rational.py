@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Rational = Fraction
 
@@ -110,28 +110,28 @@ def _integer_row(items) -> dict:
 
 # --- Linear programming -----------------------------------------------------
 
-LE, EQ, GE = "<=", "=", ">="
-
-MAX, MIN, FEASIBILITY = "max", "min", "feasibility"
+LE, EQ = "<=", "="
 
 
 @dataclass
 class LPProblem:
+    """Maximise objective . x subject to (coeffs, LE or EQ, rhs) rows with
+    rhs >= 0, and x >= 0."""
+
     variables: int
     constraints: List[Tuple[Sequence, str, object]]  # (coeffs, relation, rhs)
-    objective: Optional[Sequence] = None
-    sense: str = MAX
+    objective: Sequence
 
     def check(self):
-        for coeffs, rel, _ in self.constraints:
+        if len(self.objective) != self.variables:
+            raise ValueError("objective length mismatch")
+        for coeffs, rel, rhs in self.constraints:
             if len(coeffs) != self.variables:
                 raise ValueError("constraint length mismatch")
-            if rel not in (LE, EQ, GE):
+            if rel not in (LE, EQ):
                 raise ValueError(f"bad relation {rel!r}")
-        if self.sense not in (MAX, MIN, FEASIBILITY):
-            raise ValueError(f"bad sense {self.sense!r}")
-        if self.sense != FEASIBILITY and self.objective is None:
-            raise ValueError("objective required unless feasibility")
+            if Fraction(rhs) < 0:
+                raise ValueError(f"negative right-hand side {rhs}")
 
 
 @dataclass
@@ -155,65 +155,27 @@ UNBOUNDED = _Tag("Unbounded")
 def lp_solve(p: LPProblem):
     """Exact two-phase simplex with Bland's anti-cycling rule.
 
-    Variables are implicitly >= 0.  Returns Optimal(value, point),
-    INFEASIBLE, or UNBOUNDED.  In feasibility mode any feasible point is
-    returned with value 0.
+    Returns Optimal(value, point), INFEASIBLE, or UNBOUNDED.  `LE` rows start
+    on their slack, `EQ` rows on an artificial driven out in phase 1.
     """
     p.check()
     n = p.variables
-    if p.sense == FEASIBILITY:
-        obj = [ZERO] * n
-    elif p.sense == MIN:
-        obj = [-Fraction(c) for c in p.objective]
-    else:
-        obj = [Fraction(c) for c in p.objective]
-
-    # Normalize constraints to nonnegative rhs.
-    rows = []
-    for coeffs, rel, rhs in p.constraints:
-        coeffs = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rows.append((coeffs, rel, rhs))
-
-    m = len(rows)
-    if m == 0:
-        # Only x >= 0; optimum is 0 unless some objective coefficient is positive.
-        if any(c > 0 for c in obj):
-            return UNBOUNDED
-        point = [ZERO] * n
-        return _finish(point, p)
-
-    n_slack = sum(1 for _, rel, _ in rows if rel != EQ)
-    n_art = sum(1 for _, rel, _ in rows if rel != LE)
-    total = n + n_slack + n_art
+    n_slack = sum(1 for _, rel, _ in p.constraints if rel == LE)
+    total = n + len(p.constraints)  # one slack per LE row, one artificial per EQ row
 
     tableau: List[List[Fraction]] = []
     basis: List[int] = []
-    si = n
-    ai = n + n_slack
     art_cols = []
-    for coeffs, rel, rhs in rows:
-        row = coeffs + [ZERO] * (n_slack + n_art) + [rhs]
+    si, ai = n, n + n_slack
+    for coeffs, rel, rhs in p.constraints:
+        row = [Fraction(c) for c in coeffs] + [ZERO] * (total - n) + [Fraction(rhs)]
         if rel == LE:
-            row[si] = ONE
-            basis.append(si)
-            si += 1
-        elif rel == GE:
-            row[si] = -ONE
-            si += 1
-            row[ai] = ONE
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
+            col, si = si, si + 1
         else:
-            row[ai] = ONE
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
+            col, ai = ai, ai + 1
+            art_cols.append(col)
+        row[col] = ONE
+        basis.append(col)
         tableau.append(row)
 
     if art_cols:
@@ -228,26 +190,17 @@ def lp_solve(p: LPProblem):
         _drive_out_artificials(tableau, basis, art_cols, n + n_slack)
 
     # Phase 2.
-    cost = [ZERO] * (total + 1)
-    for j, c in enumerate(obj):
-        cost[j] = c
+    obj = [Fraction(c) for c in p.objective]
+    cost = obj + [ZERO] * (total + 1 - n)
     _reduce_cost(cost, tableau, basis)
-    blocked = set(art_cols)
-    if not _pivot_until_optimal(tableau, basis, cost, total, blocked):
+    if not _pivot_until_optimal(tableau, basis, cost, total, set(art_cols)):
         return UNBOUNDED
 
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tableau[i][total]
-    return _finish(point, p)
-
-
-def _finish(point, p: LPProblem):
-    if p.sense == FEASIBILITY:
-        return Optimal(ZERO, point)
-    value = sum((Fraction(c) * x for c, x in zip(p.objective, point)), ZERO)
-    return Optimal(value, point)
+    return Optimal(sum((c * x for c, x in zip(obj, point)), ZERO), point)
 
 
 def _reduce_cost(cost, tableau, basis):

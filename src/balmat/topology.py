@@ -467,7 +467,7 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
         return res
 
     result = value(frozenset(cells), frozenset())
-    bound = ceil_frac(total / (2 * s + 2))
+    bound = con_lower_bound(total, s)
     if result < bound:
         raise RuntimeError(f"certificate value {result} is below its bound {bound}")
     return result

@@ -20,8 +20,9 @@ from .hypergraph import (PartiteHypergraph, balanced_certificate, is_balanced,
 from .rational import ceil_frac
 from .search import (bm_search_exhaustive, random_graph, random_knn_balanced,
                      random_two_interval_family, random_weighted_multigraph)
-from .topology import (INFINITE, Graph, betti, con_certificate, eta, hall_check,
-                       independence_complex, line_graph, matching_complex, psi)
+from .topology import (INFINITE, Graph, betti, con_certificate, con_lower_bound, eta,
+                       hall_check, independence_complex, line_graph, matching_complex,
+                       psi)
 
 
 @dataclass
@@ -124,7 +125,7 @@ def check_matching_bound(instances: int = 100) -> CheckResult:
         g, f, s = random_weighted_multigraph(seed=i)
         if len(g.edges) > 10:
             continue
-        bound = ceil_frac(f.total() / (2 * s + 2))
+        bound = con_lower_bound(f.total(), s)
         game = psi(line_graph(g))
         cert = con_certificate(g, f, s)
         if (game is not INFINITE and game < bound) or cert < bound:

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balmat.cakecheck import (DivisionInstance, Partition, grid_max,
                               grid_partitions, instance_2n2_nn,
@@ -20,14 +23,14 @@ def test_2n2_nn_even_split_lists():
     inst = instance_2n2_nn(2)
     p = Partition([[HALF, HALF], [HALF, HALF]])
     # threshold is 1/(n-1) = 1, so B is empty; only max-sum system pairs remain
-    assert inst.accepted(1, p) == {(1, 1), (2, 2)}
-    assert inst.accepted(2, p) == {(1, 2), (2, 1)}
+    assert inst.oracle(1, p) == {(1, 1), (2, 2)}
+    assert inst.oracle(2, p) == {(1, 2), (2, 1)}
 
 
 def test_2n2_nn_degenerate_partition():
     inst = instance_2n2_nn(2)
     p = Partition([[1, 0], [1, 0]])
-    assert (1, 1) in inst.accepted(1, p)
+    assert (1, 1) in inst.oracle(1, p)
 
 
 def test_2n2_nn_nu_D_at_even_split():
@@ -41,7 +44,7 @@ def test_nn_2n2_systems():
     assert inst.slice_counts == (2, 2)
     p = Partition([[HALF, HALF], [1, 0]])
     # agent 1's system is {(1,1),(2,2)}; with w = (1,0) the max-sum pair is (1,1)
-    acc = inst.accepted(1, p)
+    acc = inst.oracle(1, p)
     assert (1, 1) in acc
 
 
@@ -49,7 +52,7 @@ def test_nn_2n2_b_pairs_pick_joint_max():
     inst = instance_nn_2n2(3)
     p = Partition([[HALF, HALF, 0], [HALF, HALF, 0, 0]])
     for i in (1, 2, 3):
-        acc = inst.accepted(i, p)
+        acc = inst.oracle(i, p)
         assert acc  # hungriness at this grid point
         for j, k in acc:
             assert 1 <= j <= 3 and 1 <= k <= 4
@@ -71,6 +74,44 @@ def test_nu_D_respects_componentwise_disjointness():
     assert nu_D(clash, p) == 1  # both agents need slice 1 of cake 1
 
 
+def nu_D_brute_force(inst, p):
+    """Try every assignment of an acceptable vector, or nothing, to each agent."""
+    choices = [[None] + sorted(inst.oracle(i, p))
+               for i in range(1, inst.agent_count + 1)]
+    best = 0
+    for pick in itertools.product(*choices):
+        chosen = [vec for vec in pick if vec is not None]
+        if all(len({vec[t] for vec in chosen}) == len(chosen)
+               for t in range(len(inst.slice_counts))):
+            best = max(best, len(chosen))
+    return best
+
+
+@st.composite
+def small_instances(draw):
+    """A DivisionInstance with a fixed random acceptable set per agent."""
+    agents = draw(st.integers(1, 4))
+    slices = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    vectors = list(itertools.product(*(range(1, a + 1) for a in slices)))
+    lists = [draw(st.sets(st.sampled_from(vectors))) for _ in range(agents)]
+    return DivisionInstance(agents, slices, lambda i, p: lists[i - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_nu_D_matches_brute_force(inst):
+    p = Partition([[Fraction(1, a)] * a for a in inst.slice_counts])
+    assert nu_D(inst, p) == nu_D_brute_force(inst, p)
+
+
+@pytest.mark.parametrize("bad", [{(1,)}, {(1, 1, 1)}, {(3, 1)}, {(0, 1)}])
+def test_nu_D_rejects_bad_oracle_vectors(bad):
+    inst = DivisionInstance(2, (2, 2), lambda i, p: bad)
+    p = Partition([[HALF, HALF], [HALF, HALF]])
+    with pytest.raises(ValueError):
+        nu_D(inst, p)
+
+
 def test_grid_partitions_count():
     # compositions of q into a parts per cake
     parts = list(grid_partitions((2, 2), 2))
@@ -81,7 +122,7 @@ def test_oracle_idempotent_on_grid():
     inst = instance_2n2_nn(2)
     for p in grid_partitions(inst.slice_counts, 4):
         for i in (1, 2):
-            assert inst.accepted(i, p) == inst.accepted(i, p)
+            assert inst.oracle(i, p) == inst.oracle(i, p)
 
 
 @pytest.mark.parametrize("builder", [instance_2n2_nn, instance_nn_2n2])
@@ -91,7 +132,7 @@ def test_hungriness_on_grid(builder):
     for p in grid_partitions(inst.slice_counts, 4):
         for i in range(1, inst.agent_count + 1):
             assert any(all(p.cakes[t][vec[t] - 1] > 0 for t in range(2))
-                       for vec in inst.accepted(i, p))
+                       for vec in inst.oracle(i, p))
 
 
 def test_grid_max_trivial_instance():

@@ -119,8 +119,10 @@ def test_construct_requires_params(capsys):
 def test_hilbert_command(capsys):
     code, out = run(capsys, "hilbert", "--sides", "2,2", "--cap", "4")
     assert code == 0 and len(json.loads(out)["generators"]) == 2
-    code, out = run(capsys, "hilbert", "--sides", "2,2", "--cap", "2")
-    assert code == 1 and json.loads(out)["cap_exceeded"] is True
+    # cap 2 finds the generators in its top half; caps 0 and 5 find none
+    for sides, cap in (("2,2", "2"), ("2,2", "0"), ("2,3", "5")):
+        code, out = run(capsys, "hilbert", "--sides", sides, "--cap", cap)
+        assert code == 1 and json.loads(out)["cap_exceeded"] is True
 
 
 def test_dinterval_commands(tmp_path, capsys):
@@ -197,3 +199,5 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["nu", str(bad)]) == 2
+    for r in ("1/0", "abc"):
+        assert main(["construct", "main_negative", "--n", "3", "--r", r, "--k", "1"]) == 2

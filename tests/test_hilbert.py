@@ -49,8 +49,11 @@ def test_hilbert_basis_24_is_star_unions():
 
 
 def test_hilbert_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        hilbert_basis((2, 2), 2)
+    # cap 2 finds the (2,2) generators in its top half; the other caps find
+    # none, and an empty basis is never closed (all-ones is balanced)
+    for sides, cap in (((2, 2), 2), ((2, 2), 0), ((2, 2), 1), ((2, 3), 5)):
+        with pytest.raises(CapExceeded):
+            hilbert_basis(sides, cap)
 
 
 def test_decompose_completeness_22():

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmat.rational import (EQ, GE, LE, MAX, MIN, FEASIBILITY, INFEASIBLE,
-                             LPProblem, Optimal, UNBOUNDED, ceil_frac,
-                             format_rational, lp_solve, parse_rational,
+from balmat.rational import (EQ, LE, INFEASIBLE, LPProblem, Optimal, UNBOUNDED,
+                             ceil_frac, format_rational, lp_solve, parse_rational,
                              rank_of_rows)
 
 
@@ -94,40 +93,40 @@ def test_rank_matches_dense_fraction_gauss_jordan(case):
 
 def test_lp_basic_max():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
-    p = LPProblem(2, [([1, 2], LE, 4), ([3, 1], LE, 6)], [1, 1], MAX)
+    p = LPProblem(2, [([1, 2], LE, 4), ([3, 1], LE, 6)], [1, 1])
     res = lp_solve(p)
     assert isinstance(res, Optimal)
     assert res.value == Fraction(14, 5)
 
 
 def test_lp_infeasible():
-    p = LPProblem(1, [([1], LE, 1), ([1], GE, 2)], [1], MAX)
+    p = LPProblem(1, [([1], LE, 1), ([1], EQ, 2)], [1])
     assert lp_solve(p) is INFEASIBLE
 
 
 def test_lp_unbounded():
-    p = LPProblem(1, [([-1], LE, 0)], [1], MAX)
+    p = LPProblem(1, [([-1], LE, 0)], [1])
     assert lp_solve(p) is UNBOUNDED
 
 
 def test_lp_equality_and_min():
-    # min x + y s.t. x + y = 3, x <= 2
-    p = LPProblem(2, [([1, 1], EQ, 3), ([1, 0], LE, 2)], [1, 1], MIN)
+    # min x + y, as max -x - y, s.t. x + y = 3, x <= 2
+    p = LPProblem(2, [([1, 1], EQ, 3), ([1, 0], LE, 2)], [-1, -1])
     res = lp_solve(p)
-    assert res.value == 3
+    assert res.value == -3
 
 
 def test_lp_feasibility_mode():
-    p = LPProblem(2, [([1, 1], EQ, 1)], sense=FEASIBILITY)
+    # a zero objective asks only for a feasible point
+    p = LPProblem(2, [([1, 1], EQ, 1)], [0, 0])
     res = lp_solve(p)
-    assert sum(res.point) == 1
+    assert res.value == 0 and sum(res.point) == 1
 
 
-def test_lp_negative_rhs_normalization():
-    # x >= 2 written as -x <= -2
-    p = LPProblem(1, [([-1], LE, -2)], [-1], MAX)
-    res = lp_solve(p)
-    assert res.value == -2 and res.point == [Fraction(2)]
+def test_lp_negative_rhs_rejected():
+    # x >= 2 written as -x <= -2 is outside the one form lp_solve poses
+    with pytest.raises(ValueError):
+        lp_solve(LPProblem(1, [([-1], LE, -2)], [-1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,7 +137,7 @@ def test_lp_negative_rhs_normalization():
 def test_lp_weak_duality_with_point(cons, obj):
     """Any Optimal answer must actually satisfy its constraints and have a
     consistent objective value."""
-    p = LPProblem(2, [(c, LE, r) for c, r in cons], obj, MAX)
+    p = LPProblem(2, [(c, LE, r) for c, r in cons], obj)
     res = lp_solve(p)
     if isinstance(res, Optimal):
         for coeffs, rhs in cons:
@@ -149,6 +148,8 @@ def test_lp_weak_duality_with_point(cons, obj):
 
 def test_lp_problem_validation():
     with pytest.raises(ValueError):
-        LPProblem(2, [([1], LE, 1)], [1, 1], MAX).check()
+        LPProblem(2, [([1], LE, 1)], [1, 1]).check()
     with pytest.raises(ValueError):
-        LPProblem(1, [([1], "<", 1)], [1], MAX).check()
+        LPProblem(1, [([1], "<", 1)], [1]).check()
+    with pytest.raises(ValueError):
+        LPProblem(1, [([1], LE, 1)], [1, 1]).check()
