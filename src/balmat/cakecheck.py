@@ -104,6 +104,10 @@ def nu_D(inst: DivisionInstance, p: Partition) -> int:
     """Largest number of agents assignable acceptable vectors that are
     pairwise distinct in every coordinate: the matching number of the
     (d+1)-partite hypergraph of (agent, acceptable vector) edges."""
+    shape = tuple(len(cake) for cake in p.cakes)
+    if shape != inst.slice_counts:
+        raise ValueError(f"partition has slice counts {list(shape)}, "
+                         f"the instance needs {list(inst.slice_counts)}")
     h = PartiteHypergraph((inst.agent_count,) + inst.slice_counts,
                           [(i,) + vec for i in range(1, inst.agent_count + 1)
                            for vec in inst.oracle(i, p)])

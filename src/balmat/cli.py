@@ -24,6 +24,20 @@ from .search import bm_search
 from .verify import run_all
 
 
+# name -> (builder, the flags it takes, in order); a builder returns the
+# hypergraph, or the hypergraph and its witness weights
+CONSTRUCTIONS = {
+    "pasch": (cons.pasch, ()),
+    "nnn_tight": (cons.nnn_tight, ("n",)),
+    "drisko": (cons.drisko, ("n",)),
+    "mlessn": (cons.mlessn, ("k", "n")),
+    "mlessn2": (cons.mlessn2, ("k", "n")),
+    "main_negative": (cons.main_negative, ("n", "r", "k")),
+    "truncated_projective": (cons.truncated_projective, ("q",)),
+    "conj_nn": (cons.conj_nn, ("n", "variant")),
+}
+
+
 def _load(path):
     with open(path) as fh:
         return json.load(fh)
@@ -68,9 +82,7 @@ def main(argv=None) -> int:
     p.add_argument("--deficiency", type=int, default=0)
 
     p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument("name", choices=["pasch", "nnn_tight", "drisko", "mlessn",
-                                    "mlessn2", "main_negative",
-                                    "truncated_projective", "conj_nn"])
+    p.add_argument("name", choices=list(CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=_rational)
@@ -234,25 +246,9 @@ def _dispatch(args) -> int:
 
 
 def _construct(args) -> int:
-    name = args.name
-    if name == "pasch":
-        h, f = cons.pasch()
-    elif name == "nnn_tight":
-        h, f = cons.nnn_tight(_require(args.n, "--n"))
-    elif name == "drisko":
-        h, f = cons.drisko(_require(args.n, "--n"))
-    elif name == "mlessn":
-        h, f = cons.mlessn(_require(args.k, "--k"), _require(args.n, "--n"))
-    elif name == "mlessn2":
-        h, f = cons.mlessn2(_require(args.k, "--k"), _require(args.n, "--n"))
-    elif name == "main_negative":
-        h, f = cons.main_negative(_require(args.n, "--n"),
-                                  _require(args.r, "--r"),
-                                  _require(args.k, "--k"))
-    elif name == "truncated_projective":
-        h, f = cons.truncated_projective(_require(args.q, "--q")), None
-    else:
-        h, f = cons.conj_nn(_require(args.n, "--n"), args.variant), None
+    builder, flags = CONSTRUCTIONS[args.name]
+    built = builder(*(_require(getattr(args, flag), f"--{flag}") for flag in flags))
+    h, f = built if isinstance(built, tuple) else (built, None)
     payload = jsonio.hypergraph_to_json(h)
     if f is not None:
         payload.update(jsonio.weights_to_json(f))

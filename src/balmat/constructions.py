@@ -112,6 +112,8 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
 
     nu <= ceil(n/2), witnessed by the block family H_4.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     m = n // 2
     kp = k - m
     if not (m < k) or kp <= 0 or m % kp != 0:
@@ -154,6 +156,8 @@ def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]
     Requires rn, 2rn/(2r+1) and 2r integral, and 2rn/(2r+1) <= k <= rn.
     Sides (n, n, k); nu <= 2rn/(2r+1).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = Fraction(r)
     if r < 1:
         raise ValueError("r must be >= 1")

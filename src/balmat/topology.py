@@ -296,44 +296,48 @@ def _canonical_edges(edges: FrozenSet[FrozenSet[int]]):
     return canonical_key({v: 0 for e in edges for v in e}, edges)
 
 
-class MeshulamGame:
-    """Exact value of the CON/NON deletion-explosion game, memoised under each
-    position's labelled edge set and under its canonical key."""
+# A game position is (verts, edges): the vertices still alive and the edges
+# among them that CON has not deleted.  Values are memoised across calls under
+# each position's labelled edge set and under its canonical key.
+_PSI_MEMO: Dict[object, object] = {}
 
-    def __init__(self):
-        self.memo: Dict[object, object] = {}
 
-    def psi(self, g: Graph):
-        verts = frozenset(range(1, g.vertex_count + 1))
-        return self._value(verts, g.edges)
+def psi(g: Graph):
+    """Game value Psi(G): an int, or INFINITE when CON can force an isolated
+    vertex (equivalently, one exists already)."""
+    return _psi_value(frozenset(range(1, g.vertex_count + 1)), g.edges)
 
-    def _value(self, verts: FrozenSet[int], edges: FrozenSet[FrozenSet[int]]):
-        if not verts:
-            return 0
-        covered = {v for e in edges for v in e}
-        if covered != verts:
-            return INFINITE  # an isolated vertex: contractible, infinitely connected
-        # The labelled position first: a repeat of it needs no canonical key.
-        key = edges if edges in self.memo else _canonical_edges(edges)
-        hit = self.memo.get(key)
-        if hit is not None:
-            self.memo[edges] = hit
-            return hit
-        best = 0
-        for e in sorted(tuple(sorted(e)) for e in edges):
-            u, v = e
-            deleted = self._value(verts, edges - {frozenset(e)})
-            boom_verts, boom_edges = _explode(verts, edges, u, v)
-            val = min(deleted, self._value(boom_verts, boom_edges) + 1)
-            if val > best:
-                best = val
-            if best == INFINITE:
-                break
-        self.memo[edges] = self.memo[key] = best
-        return best
+
+def _psi_value(verts: FrozenSet[int], edges: FrozenSet[FrozenSet[int]]):
+    """Exact value of the CON/NON deletion-explosion game at a position."""
+    if not verts:
+        return 0
+    covered = {v for e in edges for v in e}
+    if covered != verts:
+        return INFINITE  # an isolated vertex: contractible, infinitely connected
+    # The labelled position first: a repeat of it needs no canonical key.
+    key = edges if edges in _PSI_MEMO else _canonical_edges(edges)
+    hit = _PSI_MEMO.get(key)
+    if hit is not None:
+        _PSI_MEMO[edges] = hit
+        return hit
+    best = 0
+    for e in sorted(tuple(sorted(e)) for e in edges):
+        u, v = e
+        deleted = _psi_value(verts, edges - {frozenset(e)})
+        boom_verts, boom_edges = _explode(verts, edges, u, v)
+        val = min(deleted, _psi_value(boom_verts, boom_edges) + 1)
+        if val > best:
+            best = val
+        if best == INFINITE:
+            break
+    _PSI_MEMO[edges] = _PSI_MEMO[key] = best
+    return best
 
 
 def _explode(verts, edges, u, v):
+    """The position after NON explodes edge uv: u, v and every neighbour of
+    either are removed, with all edges that touch them."""
     adj = {u, v}
     for e in edges:
         if u in e or v in e:
@@ -341,15 +345,6 @@ def _explode(verts, edges, u, v):
     new_verts = verts - adj
     new_edges = frozenset(e for e in edges if not (e & adj))
     return new_verts, new_edges
-
-
-_GAME = MeshulamGame()
-
-
-def psi(g: Graph):
-    """Game value Psi(G): an int, or INFINITE when CON can force an isolated
-    vertex (equivalently, one exists already)."""
-    return _GAME.psi(g)
 
 
 # --- Topological Hall checker ----------------------------------------------
@@ -394,7 +389,7 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
 
 def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     """Explosion count when CON plays the four-phase row/column order and NON
-    replies exactly optimally.
+    replies exactly optimally, in Meshulam's game on the line graph L(g).
 
     Requires f integral with values in {0, 1, 2}, row degrees <= 2s and
     column degrees <= 2.  Leftover mutually-disconnected cells cost one
@@ -405,76 +400,64 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     if s < 1:
         raise ValueError("s must be >= 1")
     cells = list(g.edges)
+    weights = f.as_dict()
     w = {}
-    total = ZERO
     for cell in cells:
-        x = f[cell]
+        x = weights.get(cell, ZERO)
         if x not in (0, 1, 2):
             raise ValueError("weights must be in {0, 1, 2}")
         w[cell] = int(x)
-        total += x
-    row_deg: Dict[int, Fraction] = {}
-    col_deg: Dict[int, Fraction] = {}
+    row_deg, col_deg = Counter(), Counter()
     for (b, c, _), x in w.items():
-        row_deg[b] = row_deg.get(b, ZERO) + x
-        col_deg[c] = col_deg.get(c, ZERO) + x
+        row_deg[b] += x
+        col_deg[c] += x
     if any(d > 2 * s for d in row_deg.values()):
         raise ValueError("row degree exceeds 2s")
     if any(d > 2 for d in col_deg.values()):
         raise ValueError("column degree exceeds 2")
 
-    same_row = lambda p, q: p[0] == q[0]
-    same_col = lambda p, q: p[1] == q[1]
-    pairs = [(p, q) for i, p in enumerate(cells) for q in cells[i + 1:]
-             if same_row(p, q) or same_col(p, q)]
-    phase1 = [pq for pq in pairs if same_row(*pq) and w[pq[0]] + w[pq[1]] >= 2]
-    phase2 = [pq for pq in pairs if same_col(*pq) and w[pq[0]] == w[pq[1]] == 1
-              and pq not in phase1]
-    phase3 = [pq for pq in pairs if same_row(*pq) and sorted((w[pq[0]], w[pq[1]])) == [0, 1]]
-    used = set(phase1) | set(phase2) | set(phase3)
-    phase4 = [pq for pq in pairs if pq not in used]
-    order = phase1 + phase2 + phase3 + phase4
-
-    adjacency = {cell: set() for cell in cells}
-    for p, q in pairs:
-        adjacency[p].add(q)
-        adjacency[q].add(p)
-
-    memo: Dict[object, int] = {}
-
-    def value(alive: FrozenSet, deleted: FrozenSet) -> int:
-        offer = next((pq for pq in order
-                      if pq[0] in alive and pq[1] in alive and pq not in deleted), None)
-        if offer is None:
-            return len(alive)  # isolated leftovers: one explosion each
-        key = (alive, deleted)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        del_val = value(alive, deleted | {offer})
-        p, q = offer
-        blast = {p, q}
-        for cell in (p, q):
-            for nb in adjacency[cell]:
-                if nb in alive and _pair(cell, nb) not in deleted:
-                    blast.add(nb)
-        new_alive = alive - blast
-        new_deleted = frozenset(pq for pq in deleted
-                                if pq[0] in new_alive and pq[1] in new_alive)
-        boom_val = value(new_alive, new_deleted) + 1
-        res = min(del_val, boom_val)
-        memo[key] = res
-        return res
-
-    result = value(frozenset(cells), frozenset())
-    bound = con_lower_bound(total, s)
+    lg = line_graph(g)  # vertex i is cells[i - 1]
+    offers = sorted((_con_phase(cells[i - 1], cells[k - 1], w), i, k)
+                    for i, k in map(sorted, lg.edges))
+    order = [frozenset((i, k)) for _, i, k in offers]
+    result = _con_value(frozenset(range(1, len(cells) + 1)), lg.edges, order, {})
+    bound = con_lower_bound(sum(w.values()), s)
     if result < bound:
         raise RuntimeError(f"certificate value {result} is below its bound {bound}")
     return result
 
 
-def _pair(p, q):
-    return (p, q) if p <= q else (q, p)
+def _con_phase(p, q, w) -> int:
+    """The phase in which CON offers the pair of adjacent cells p, q: the
+    first that applies of (1) a row pair of weight >= 2, (2) a column pair of
+    two 1s, (3) a row pair of weights 0 and 1, (4) any other pair."""
+    same_row = p[0] == q[0]
+    if same_row and w[p] + w[q] >= 2:
+        return 1
+    if p[1] == q[1] and w[p] == w[q] == 1:
+        return 2
+    if same_row and {w[p], w[q]} == {0, 1}:
+        return 3
+    return 4
+
+
+def _con_value(verts, edges, order, memo) -> int:
+    """Explosions CON forces from a game position by offering the first edge
+    of order still present, against NON's best replies; a position without
+    edges counts one explosion per vertex left.  memo is per call, keyed by
+    position."""
+    offer = next((e for e in order if e in edges), None)
+    if offer is None:
+        return len(verts)
+    hit = memo.get((verts, edges))
+    if hit is not None:
+        return hit
+    u, v = offer
+    boom_verts, boom_edges = _explode(verts, edges, u, v)
+    value = min(_con_value(verts, edges - {offer}, order, memo),
+                _con_value(boom_verts, boom_edges, order, memo) + 1)
+    memo[(verts, edges)] = value
+    return value
 
 
 def con_lower_bound(f_total, s) -> int:

@@ -39,6 +39,17 @@ def test_2n2_nn_nu_D_at_even_split():
     assert nu_D(inst, p) == 1
 
 
+def test_nu_D_rejects_partition_of_wrong_shape():
+    inst = instance_2n2_nn(2)
+    third = Fraction(1, 3)
+    for cakes in ([[1], [HALF, HALF]], [[HALF, HALF], [third, third, third]],
+                  [[HALF, HALF]], [[HALF, HALF], [HALF, HALF], [1]]):
+        with pytest.raises(ValueError, match="slice counts"):
+            nu_D(inst, Partition(cakes))
+    with pytest.raises(ValueError, match="slice counts"):
+        nu_D(instance_nn_2n2(3), Partition([[third] * 3, [third] * 3]))
+
+
 def test_nn_2n2_systems():
     inst = instance_nn_2n2(2)
     assert inst.slice_counts == (2, 2)

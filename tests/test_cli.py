@@ -186,7 +186,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     cases += [(["dinterval", "cover", "{}", "--budgets", "1"],
                {"d": 1, "families": [[{"parts": [[lo, "1/2"]]}]]}) for lo in (0, 0.0, None)]
     cases += [(["cake", "check", "--instance", "2n2nn", "--n", "2", "--partition", "{}"], p)
-              for p in ([[0.5, 0.5], [0.5, 0.5]], [["1/2", "1/2"], ["1/0", "1"]])]
+              for p in ([[0.5, 0.5], [0.5, 0.5]], [["1/2", "1/2"], ["1/0", "1"]],
+                        [["1"], ["1/2", "1/2"]], [["1/2", "1/2"], ["1/3", "1/3", "1/3"]],
+                        [["1/2", "1/2"]])]
     for argv, data in cases:
         path = write(tmp_path, "in.json", data)
         code, out = run(capsys, *[path if a == "{}" else a for a in argv])
@@ -201,3 +203,6 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["nu", str(bad)]) == 2
     for r in ("1/0", "abc"):
         assert main(["construct", "main_negative", "--n", "3", "--r", r, "--k", "1"]) == 2
+    for argv in (["mlessn2", "--k", "1", "--n", "1"], ["mlessn2", "--k", "1", "--n", "0"],
+                 ["main_negative", "--n", "0", "--r", "1", "--k", "0"]):
+        assert main(["construct", *argv]) == 2

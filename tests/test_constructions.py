@@ -65,6 +65,9 @@ def test_mlessn2(k, n):
 def test_mlessn2_divisibility_required():
     with pytest.raises(ValueError):
         cons.mlessn2(5, 6)  # k - 3 = 2 does not divide 3
+    for k, n in ((1, 1), (3, 1), (1, 0), (2, 0)):  # n - 1 or n would divide
+        with pytest.raises(ValueError):
+            cons.mlessn2(k, n)
 
 
 @pytest.mark.parametrize("n,r,k", [(3, 1, 2), (3, 1, 3), (4, Fraction(3, 2), 4),
@@ -81,6 +84,8 @@ def test_main_negative_validation():
         cons.main_negative(3, Fraction(1, 3), 2)  # 2r not integral
     with pytest.raises(ValueError):
         cons.main_negative(3, 1, 1)  # k below 2rn/(2r+1)
+    with pytest.raises(ValueError):
+        cons.main_negative(0, 1, 0)  # k = 0 would divide
 
 
 def test_zeta_counterexample_structure():

@@ -11,7 +11,7 @@ from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, _canonical
                              betti, canonical_key, con_certificate, con_lower_bound, eta,
                              hall_check, independence_complex, line_graph,
                              matching_complex, psi)
-from balmat.search import canonical_form, random_knn_balanced
+from balmat.search import canonical_form, random_knn_balanced, random_weighted_multigraph
 
 
 def circle():
@@ -257,6 +257,39 @@ def test_con_certificate_bound_and_errors():
 def test_con_certificate_single_heavy_cell():
     g = Multigraph(1, 1, [(1, 1, 0)])
     f = WeightFunction({(1, 1, 0): 2})
+    assert con_certificate(g, f, 1) == 1
+
+
+# con_certificate at random_weighted_multigraph seeds 0-99; any change to
+# CON's offer order or to the game engine that alters a value fails here.
+CON_VALUES = [1, 1, 2, 3, 1, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2, 1,
+              2, 1, 2, 2, 2, 1, 2, 1, 2, 1, 2, 2, 1, 2, 1, 1, 2, 2, 2, 3,
+              2, 2, 2, 1, 2, 3, 1, 1, 1, 2, 2, 2, 2, 2, 1, 2, 1, 1, 3, 2,
+              2, 1, 2, 2, 1, 1, 1, 2, 1, 2, 2, 2, 2, 1, 2, 1, 2, 2, 3, 2,
+              2, 1, 3, 1, 1, 2, 2, 2, 2, 2, 1, 2, 2, 1, 2, 2, 2, 1, 2, 2]
+
+
+def test_con_certificate_pinned_values():
+    """CON's fixed strategy is one of psi's strategies, and leftover cells
+    cost a finite count where psi's value is infinite, so the certificate
+    never exceeds psi(L(G)); here it is strictly below on 51 seeds."""
+    strict = 0
+    for seed, expected in enumerate(CON_VALUES):
+        g, f, s = random_weighted_multigraph(seed)
+        value = con_certificate(g, f, s)
+        assert value == expected, seed
+        game = psi(line_graph(g))
+        assert value <= game
+        strict += value < game
+    assert strict == 51
+
+
+def test_con_certificate_zero_weight_cells():
+    # weight-0 cells and a parallel pair: the two row pairs of weights 0 and 1
+    # (phase 3) are offered before the other pairs (phase 4); offered in
+    # plain pair order, CON would force 2 explosions here
+    g = Multigraph(4, 3, [(2, 2, 1), (3, 2, 0), (3, 3, 2), (3, 3, 3), (4, 3, 4)])
+    f = WeightFunction({(3, 3, 2): 1})
     assert con_certificate(g, f, 1) == 1
 
 
