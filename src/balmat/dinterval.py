@@ -94,6 +94,8 @@ def rainbow_matching(fams: DIntervalFamilies, target: int):
 
     Returns a list of (family_index, DInterval) pairs.
     """
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
     n = len(fams.families)
     if target > n:
         return None

@@ -112,6 +112,8 @@ def hilbert_basis(side_sizes, norm_cap: int):
     closure within the cap cannot be asserted.
     """
     sizes = tuple(int(a) for a in side_sizes)
+    if norm_cap < 0:
+        raise ValueError(f"norm cap must be >= 0, got {norm_cap}")
     if prod(sizes) > 12:
         raise ValueError("cone too large for desk-scale enumeration")
     step = lcm(*sizes)
@@ -223,8 +225,9 @@ def hall_extend(h_prime: PartiteHypergraph, matching, w_prime: WeightFunction):
     """Extend a d-partite matching by one coordinate using distinct
     representatives among side-(d+1) vertices of weight >= 1 fibers.
 
-    Returns the extended matching, or (None, violating_edges) when Hall's
-    condition fails.
+    Returns (extended matching, None), or (None, violators) when Hall's
+    condition fails: violators is a set of matching edges whose fibers
+    together hold exactly one side-(d+1) vertex fewer than there are edges.
     """
     d = h_prime.d - 1
     matching = [tuple(e) for e in matching]
@@ -241,7 +244,7 @@ def hall_extend(h_prime: PartiteHypergraph, matching, w_prime: WeightFunction):
 
     match_rep, stuck = _kuhn(matching, fibers)  # representative j -> matching edge
     if stuck is not None:
-        return None, _hall_violators(stuck, matching, fibers)
+        return None, _hall_violators(stuck, match_rep, fibers)
     assigned = {e: j for j, e in match_rep.items()}
     extended = tuple(sorted(e + (assigned[e],) for e in matching))
     for e1, e2 in itertools.combinations(extended, 2):
@@ -250,16 +253,13 @@ def hall_extend(h_prime: PartiteHypergraph, matching, w_prime: WeightFunction):
     return extended, None
 
 
-def _hall_violators(seed, matching, fibers):
-    """A set E of matching edges with |union of fibers| < |E| (found by
-    closing up the alternating-reachability set from the failed edge)."""
-    violators = {seed}
-    changed = True
-    while changed:
-        changed = False
-        covered = {j for e in violators for j in fibers[e]}
-        for e in matching:
-            if e not in violators and set(fibers[e]) <= covered:
-                violators.add(e)
-                changed = True
-    return tuple(sorted(violators))
+def _hall_violators(stuck, match_rep, fibers):
+    """The edges that alternating paths over Kuhn's assignment reach from the
+    stuck edge.  Every vertex in their fibers is assigned to one of them (else
+    Kuhn would have served the stuck edge), and the stuck edge has none."""
+    reached = [stuck]
+    for e in reached:
+        for j in fibers[e]:
+            if match_rep[j] not in reached:
+                reached.append(match_rep[j])
+    return tuple(sorted(reached))

@@ -69,9 +69,6 @@ class WeightFunction:
     def as_dict(self) -> Dict[Edge, Fraction]:
         return dict(self.weights)
 
-    def __getitem__(self, e) -> Fraction:
-        return dict(self.weights).get(tuple(e), ZERO)
-
     def total(self) -> Fraction:
         return sum((w for _, w in self.weights), ZERO)
 

@@ -153,125 +153,80 @@ UNBOUNDED = _Tag("Unbounded")
 
 
 def lp_solve(p: LPProblem):
-    """Exact two-phase simplex with Bland's anti-cycling rule.
+    """Exact two-phase simplex with Bland's anti-cycling rule on one tableau.
 
-    Returns Optimal(value, point), INFEASIBLE, or UNBOUNDED.  `LE` rows start
-    on their slack, `EQ` rows on an artificial driven out in phase 1.
+    Returns Optimal(value, point), INFEASIBLE, or UNBOUNDED.  Row i starts on
+    its slack (`LE`) or artificial (`EQ`) at column n + i.  The objective row
+    sits below the constraint rows for the whole solve, and in phase 1 the
+    phase-1 row (maximise minus the sum of artificials) sits below it.
+    Artificials still basic after phase 1 are at zero: they stay basic, are
+    never entered, and leave on the first pivot whose column touches them.
     """
     p.check()
     n = p.variables
-    n_slack = sum(1 for _, rel, _ in p.constraints if rel == LE)
-    total = n + len(p.constraints)  # one slack per LE row, one artificial per EQ row
-
+    m = len(p.constraints)
+    total = n + m
     tableau: List[List[Fraction]] = []
-    basis: List[int] = []
-    art_cols = []
-    si, ai = n, n + n_slack
-    for coeffs, rel, rhs in p.constraints:
-        row = [Fraction(c) for c in coeffs] + [ZERO] * (total - n) + [Fraction(rhs)]
-        if rel == LE:
-            col, si = si, si + 1
-        else:
-            col, ai = ai, ai + 1
-            art_cols.append(col)
-        row[col] = ONE
-        basis.append(col)
+    arts = set()
+    for i, (coeffs, rel, rhs) in enumerate(p.constraints):
+        row = [Fraction(c) for c in coeffs] + [ZERO] * m + [Fraction(rhs)]
+        row[n + i] = ONE
+        if rel == EQ:
+            arts.add(n + i)
         tableau.append(row)
+    tableau.append([Fraction(c) for c in p.objective] + [ZERO] * (m + 1))
+    basis = list(range(n, total))
 
-    if art_cols:
-        # Phase 1: maximize -(sum of artificials).
+    if arts:
+        # Phase 1 row, priced out over the nonzero entries of the EQ rows.
         cost = [ZERO] * (total + 1)
-        for c in art_cols:
-            cost[c] = -ONE
-        _reduce_cost(cost, tableau, basis)
-        _pivot_until_optimal(tableau, basis, cost, total)
-        if -cost[total] != ZERO:  # leftover artificial infeasibility
+        for a in arts:
+            for j, x in enumerate(tableau[a - n]):
+                if x and j != a:
+                    cost[j] += x
+        tableau.append(cost)
+        _pivot_until_optimal(tableau, basis, total, ())
+        if tableau.pop()[total]:  # leftover artificial infeasibility
             return INFEASIBLE
-        _drive_out_artificials(tableau, basis, art_cols, n + n_slack)
 
-    # Phase 2.
-    obj = [Fraction(c) for c in p.objective]
-    cost = obj + [ZERO] * (total + 1 - n)
-    _reduce_cost(cost, tableau, basis)
-    if not _pivot_until_optimal(tableau, basis, cost, total, set(art_cols)):
+    if not _pivot_until_optimal(tableau, basis, total, arts):
         return UNBOUNDED
-
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tableau[i][total]
-    return Optimal(sum((c * x for c, x in zip(obj, point)), ZERO), point)
+    return Optimal(-tableau[m][total], point)
 
 
-def _reduce_cost(cost, tableau, basis):
-    """Express the cost row in terms of nonbasic variables (price out basis)."""
-    total = len(cost) - 1
-    for i, b in enumerate(basis):
-        coef = cost[b]
-        if coef:
-            row = tableau[i]
-            for j in range(total + 1):
-                if row[j]:
-                    cost[j] -= coef * row[j]
+def _pivot_until_optimal(tableau, basis, total, blocked):
+    """Bland's rule on the reduced costs in the last row, updating every row.
 
-
-def _pivot_until_optimal(tableau, basis, cost, total, blocked=frozenset()):
-    """Bland's rule pivoting.  Returns False on unboundedness."""
-    m = len(tableau)
+    Blocked columns never enter, and a row whose basic column is blocked
+    leaves on any nonzero entry of the entering column.  Returns False on
+    unboundedness.
+    """
     while True:
-        enter = -1
-        for j in range(total):
-            if j in blocked:
-                continue
-            if cost[j] > 0:
-                enter = j
-                break
+        cost = tableau[-1]
+        enter = next((j for j in range(total) if cost[j] > 0 and j not in blocked), -1)
         if enter < 0:
             return True
         leave = -1
         best = None
-        for i in range(m):
+        for i, b in enumerate(basis):
             a = tableau[i][enter]
+            if a and b in blocked:
+                leave = i
+                break
             if a > 0:
                 ratio = tableau[i][total] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if best is None or ratio < best or (ratio == best and b < basis[leave]):
+                    best, leave = ratio, i
         if leave < 0:
             return False
-        _pivot(tableau, basis, cost, leave, enter, total)
-
-
-def _pivot(tableau, basis, cost, leave, enter, total):
-    row = tableau[leave]
-    piv = row[enter]
-    tableau[leave] = [x / piv for x in row]
-    row = tableau[leave]
-    for i, other in enumerate(tableau):
-        if i == leave:
-            continue
-        coef = other[enter]
-        if coef:
-            tableau[i] = [o - coef * r for o, r in zip(other, row)]
-    coef = cost[enter]
-    if coef:
-        for j in range(total + 1):
-            cost[j] -= coef * row[j]
-    basis[leave] = enter
-
-
-def _drive_out_artificials(tableau, basis, art_cols, n_real):
-    arts = set(art_cols)
-    i = 0
-    while i < len(tableau):
-        if basis[i] in arts:
-            row = tableau[i]
-            enter = next((j for j in range(n_real) if row[j]), None)
-            if enter is None:
-                # Redundant constraint; drop the row.
-                del tableau[i]
-                del basis[i]
-                continue
-            dummy = [ZERO] * (len(row))
-            _pivot(tableau, basis, dummy, i, enter, len(row) - 1)
-        i += 1
+        piv = tableau[leave][enter]
+        row = tableau[leave] = [x / piv for x in tableau[leave]]
+        for i, other in enumerate(tableau):
+            coef = other[enter]
+            if coef and i != leave:
+                tableau[i] = [o - coef * r for o, r in zip(other, row)]
+        basis[leave] = enter

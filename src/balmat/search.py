@@ -36,10 +36,17 @@ def canonical_form(side_sizes, edges):
     return canonical_key(colour, [frozenset(enumerate(e, 1)) for e in edges])
 
 
+def _side_sizes(side_sizes) -> Tuple[int, ...]:
+    sizes = tuple(int(a) for a in side_sizes)
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"side sizes must be >= 1, got {sizes}")
+    return sizes
+
+
 def bm_search_exhaustive(side_sizes) -> SearchReport:
     """Exact minimum nu over all fractionally balanced hypergraphs on the
     given sides, up to side-internal relabeling."""
-    sizes = tuple(int(a) for a in side_sizes)
+    sizes = _side_sizes(side_sizes)
     universe = _all_edges(sizes)
     if len(universe) > EXHAUSTIVE_UNIVERSE_CAP:
         raise ValueError(
@@ -87,7 +94,9 @@ def bm_search_sampled(side_sizes, seed, trials: int,
 
     Each trial draws its randomness from a seed derived from (seed, trial).
     """
-    sizes = tuple(int(a) for a in side_sizes)
+    sizes = _side_sizes(side_sizes)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if edge_cap is None:
         edge_cap = min(len(_all_edges(sizes)), 3 * max(sizes))
     outcomes = [_sample_trial(sizes, seed, t, edge_cap) for t in range(trials)]

@@ -28,6 +28,8 @@ class Graph:
     edges: FrozenSet[FrozenSet[int]]  # vertices are 1..vertex_count
 
     def __init__(self, vertex_count, edges):
+        if vertex_count < 0:
+            raise ValueError("vertex count must be >= 0")
         es = set()
         for e in edges:
             u, v = sorted(e)
@@ -52,6 +54,8 @@ class SimplicialComplex:
     facets: Tuple[FrozenSet[int], ...]
 
     def __init__(self, vertex_count, facets):
+        if vertex_count < 0:
+            raise ValueError("vertex count must be >= 0")
         fs = list({frozenset(f) for f in facets})
         # Bit i of containing[v] is set when fs[i] contains v.  A facet is
         # maximal iff the only facet containing all its vertices is itself.

@@ -224,23 +224,8 @@ def _permutation_generators(n: int):
 
 def _star_generators(n: int, s: int):
     """Unions of n disjoint stars K_{1,s} on sides (n, s*n)."""
-    out = set()
-    cols = range(1, s * n + 1)
-    for split in _set_partitions_equal(list(cols), n, s):
-        out.add(tuple(sorted(((i + 1, c), 1)
-                             for i, block in enumerate(split) for c in block)))
-    return out
-
-
-def _set_partitions_equal(items, blocks, size):
-    """Ordered splits into `blocks` blocks of `size` (block i goes to row i)."""
-    if not items:
-        yield []
-        return
-    for block in itertools.combinations(items, size):
-        remaining = [x for x in items if x not in block]
-        for tail in _set_partitions_equal(remaining, blocks - 1, size):
-            yield [block] + tail
+    return {tuple(sorted(((row, c), 1) for c, row in split.items()))
+            for split in cons._grid_assignments(range(1, s * n + 1), [s] * n)}
 
 
 @_check("gordan")

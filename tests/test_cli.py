@@ -179,10 +179,12 @@ def test_malformed_hypergraph_exits_2(tmp_path, capsys):
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):
     graphs = [{"vertices": 3, "edges": [[1.5, 2]]}, {"vertices": 3.0, "edges": [[1, 2]]},
-              {"vertices": 3, "edges": [[True, 2]]}, {"vertices": 3, "edges": 5}, [[1, 2]]]
+              {"vertices": 3, "edges": [[True, 2]]}, {"vertices": 3, "edges": 5}, [[1, 2]],
+              {"vertices": -2, "edges": []}]
     cases = [(["psi", "{}"], g) for g in graphs]
     cases += [(["eta", "{}"], {"vertices": 3, "facets": [[1, 2.5]]}),
-              (["eta", "{}"], {"vertices": 3, "facets": [1, 2]})]
+              (["eta", "{}"], {"vertices": 3, "facets": [1, 2]}),
+              (["eta", "{}"], {"vertices": -1, "facets": []})]
     cases += [(["dinterval", "cover", "{}", "--budgets", "1"],
                {"d": 1, "families": [[{"parts": [[lo, "1/2"]]}]]}) for lo in (0, 0.0, None)]
     cases += [(["cake", "check", "--instance", "2n2nn", "--n", "2", "--partition", "{}"], p)
@@ -206,3 +208,13 @@ def test_usage_errors(tmp_path, capsys):
     for argv in (["mlessn2", "--k", "1", "--n", "1"], ["mlessn2", "--k", "1", "--n", "0"],
                  ["main_negative", "--n", "0", "--r", "1", "--k", "0"]):
         assert main(["construct", *argv]) == 2
+    # negative or zero counts are usage errors, not empty results
+    families = write(tmp_path, "fams.json", {"d": 1, "families": [[{"parts": [["0", "1"]]}]]})
+    for argv in (["bm-search", "--sides", "2,2", "--mode", "sampled", "--trials", "-3"],
+                 ["bm-search", "--sides", "0"], ["bm-search", "--sides", "2,0"],
+                 ["bm-search", "--sides", "0,2", "--mode", "sampled"],
+                 ["dinterval", "rainbow", families, "--target", "-1"],
+                 ["hilbert", "--sides", "2,2", "--cap", "-1"]):
+        assert main(argv) == 2, argv
+    for cap in ("0", "1"):
+        assert main(["hilbert", "--sides", "2,2", "--cap", cap]) == 1

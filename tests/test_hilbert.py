@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balmat.hilbert import (CapExceeded, IntegralBalanced, birkhoff_decompose,
                             decompose, hall_extend, hilbert_basis,
@@ -114,3 +116,32 @@ def test_hall_extend_ignores_fractional_fibers():
     extended, violators = hall_extend(h, [(1, 1)], w)
     assert violators is None
     assert extended == ((1, 1, 2),)
+
+
+def test_hall_extend_violators_are_the_alternating_closure():
+    # Hall fails on all four edges (three values); the pair (2,), (4,) has
+    # fibers {2} and {1, 2}, two values for two edges, and is no violator.
+    edges = [(1, 1), (1, 3), (2, 2), (3, 3), (4, 1), (4, 2)]
+    h = PartiteHypergraph((4, 3), edges)
+    extended, violators = hall_extend(h, [(1,), (2,), (3,), (4,)],
+                                      WeightFunction({e: 1 for e in edges}))
+    assert extended is None
+    assert violators == ((1,), (2,), (3,), (4,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                       st.sampled_from(["1/2", "1", "2"]), min_size=1))
+def test_hall_extend_violators_have_too_few_values(weights):
+    h = PartiteHypergraph((5, 4), list(weights))
+    matching = sorted({e[:1] for e in weights})
+    fibers = {e: {j for (i, j), w in weights.items() if (i,) == e and w != "1/2"}
+              for e in matching}
+    hall_holds = all(len(set().union(*(fibers[e] for e in sub))) >= r
+                     for r in range(1, len(matching) + 1)
+                     for sub in itertools.combinations(matching, r))
+    extended, violators = hall_extend(h, matching, WeightFunction(weights))
+    assert (extended is not None) == hall_holds
+    if violators is not None:
+        assert set(violators) <= set(matching)
+        assert len(set().union(*(fibers[e] for e in violators))) < len(violators)

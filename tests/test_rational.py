@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balmat.rational import (EQ, LE, INFEASIBLE, LPProblem, Optimal, UNBOUNDED,
@@ -153,3 +154,78 @@ def test_lp_problem_validation():
         LPProblem(1, [([1], "<", 1)], [1]).check()
     with pytest.raises(ValueError):
         LPProblem(1, [([1], LE, 1)], [1, 1]).check()
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square system, or None when it is singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] / a[r][r] for r in range(n)]
+
+
+def _vertices(n, eqs, les):
+    """Every vertex of {x >= 0, eqs hold with equality, les hold}: the
+    feasible solutions of n linearly independent constraints made tight."""
+    bounds = les + [([-(i == j) for j in range(n)], 0) for i in range(n)]
+    found = set()
+    for tight in itertools.combinations(eqs + bounds, n):
+        x = _solve_square([c for c, _ in tight], [b for _, b in tight])
+        if x is not None and all(sum(a * v for a, v in zip(c, x)) == b for c, b in eqs) \
+                and all(sum(a * v for a, v in zip(c, x)) <= b for c, b in bounds):
+            found.add(tuple(x))
+    return found
+
+
+def _lp_oracle(n, cons, obj):
+    """max obj . x by enumeration: INFEASIBLE without a vertex, UNBOUNDED when
+    some extreme ray (a vertex of the recession cone cut by sum x = 1) gains."""
+    eqs = [(c, r) for c, rel, r in cons if rel == EQ]
+    les = [(c, r) for c, rel, r in cons if rel == LE]
+    points = _vertices(n, eqs, les)
+    if not points:
+        return INFEASIBLE
+    rays = _vertices(n, [(c, 0) for c, _ in eqs] + [([1] * n, 1)], [(c, 0) for c, _ in les])
+    if any(sum(c * d for c, d in zip(obj, ray)) > 0 for ray in rays):
+        return UNBOUNDED
+    return max(sum(c * x for c, x in zip(obj, point)) for point in points)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    st.sampled_from([LE, EQ]), st.integers(0, 4))
+    cons = draw(st.lists(row, min_size=1, max_size=4))
+    if len(cons) < 4 and any(rel == EQ for _, rel, _ in cons) and draw(st.booleans()):
+        cons.append(next(c for c in cons if c[1] == EQ))  # a repeated EQ row
+    obj = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    return n, cons, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+# After phase 1 the artificial of -3x = 0 is basic at zero; raising x would
+# make it positive, so x must pivot into its row: the value is 0, not 4/3.
+@example((1, [([-3], EQ, 0), ([3], LE, 2)], [2]))
+def test_lp_matches_vertex_enumeration(lp):
+    n, cons, obj = lp
+    res = lp_solve(LPProblem(n, cons, obj))
+    want = _lp_oracle(n, cons, obj)
+    if not isinstance(res, Optimal):
+        assert res is want
+        return
+    assert res.value == want
+    assert len(res.point) == n and all(x >= 0 for x in res.point)
+    for coeffs, rel, rhs in cons:
+        lhs = sum(Fraction(a) * x for a, x in zip(coeffs, res.point))
+        assert lhs == rhs if rel == EQ else lhs <= rhs
+    assert res.value == sum(Fraction(c) * x for c, x in zip(obj, res.point))
