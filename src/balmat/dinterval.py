@@ -72,6 +72,8 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     Returns the per-component cover point lists, or None when no cover within
     budget exists.
     """
+    if min(budgets, default=0) < 0:
+        raise ValueError(f"budgets must be >= 0, got {tuple(budgets)}")
     family = list(family)
     if not family:
         return [[] for _ in budgets]

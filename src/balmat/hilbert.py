@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import lcm, prod
 from typing import Dict, List, Optional, Tuple
 
-from .hypergraph import PartiteHypergraph, WeightFunction, _all_edges
+from .hypergraph import PartiteHypergraph, WeightFunction, _all_edges, check_side_sizes
 
 Edge = Tuple[int, ...]
 
@@ -111,7 +111,7 @@ def hilbert_basis(side_sizes, norm_cap: int):
     empty) or a generator in the top half of the searched range, i.e. when
     closure within the cap cannot be asserted.
     """
-    sizes = tuple(int(a) for a in side_sizes)
+    sizes = check_side_sizes(side_sizes)
     if norm_cap < 0:
         raise ValueError(f"norm cap must be >= 0, got {norm_cap}")
     if prod(sizes) > 12:

@@ -24,9 +24,7 @@ class PartiteHypergraph:
     edges: Tuple[Edge, ...]  # sorted, duplicate-free
 
     def __init__(self, side_sizes, edges):
-        sizes = tuple(int(a) for a in side_sizes)
-        if not sizes or any(a < 1 for a in sizes):
-            raise ValueError("side sizes must be naturals >= 1")
+        sizes = check_side_sizes(side_sizes)
         es = sorted({tuple(int(j) for j in e) for e in edges})
         for e in es:
             if len(e) != len(sizes):
@@ -44,6 +42,15 @@ class PartiteHypergraph:
         for t, a in enumerate(self.side_sizes, start=1):
             for j in range(1, a + 1):
                 yield (t, j)
+
+
+def check_side_sizes(side_sizes) -> Tuple[int, ...]:
+    """The side sizes as a tuple of ints, when they are a non-empty list of
+    naturals >= 1; else a ValueError."""
+    sizes = tuple(int(a) for a in side_sizes)
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"side sizes must be naturals >= 1, got {sizes}")
+    return sizes
 
 
 def _all_edges(side_sizes) -> List[Edge]:

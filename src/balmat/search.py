@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from .dinterval import DInterval, coverable
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
-                         _all_edges, balanced_certificate, nu)
+                         _all_edges, balanced_certificate, check_side_sizes, nu)
 from .topology import Graph, canonical_key
 
 EXHAUSTIVE_UNIVERSE_CAP = 9  # potential-edge universes beyond this are refused
@@ -36,17 +36,10 @@ def canonical_form(side_sizes, edges):
     return canonical_key(colour, [frozenset(enumerate(e, 1)) for e in edges])
 
 
-def _side_sizes(side_sizes) -> Tuple[int, ...]:
-    sizes = tuple(int(a) for a in side_sizes)
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"side sizes must be >= 1, got {sizes}")
-    return sizes
-
-
 def bm_search_exhaustive(side_sizes) -> SearchReport:
     """Exact minimum nu over all fractionally balanced hypergraphs on the
     given sides, up to side-internal relabeling."""
-    sizes = _side_sizes(side_sizes)
+    sizes = check_side_sizes(side_sizes)
     universe = _all_edges(sizes)
     if len(universe) > EXHAUSTIVE_UNIVERSE_CAP:
         raise ValueError(
@@ -94,7 +87,7 @@ def bm_search_sampled(side_sizes, seed, trials: int,
 
     Each trial draws its randomness from a seed derived from (seed, trial).
     """
-    sizes = _side_sizes(side_sizes)
+    sizes = check_side_sizes(side_sizes)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if edge_cap is None:
@@ -106,15 +99,6 @@ def bm_search_sampled(side_sizes, seed, trials: int,
     val, support = min(hits)
     return SearchReport(sizes, val, PartiteHypergraph(sizes, support), False,
                         trials, len(hits))
-
-
-def bm_search(side_sizes, mode: str = "exhaustive", seed=0, trials: int = 1000,
-              edge_cap: Optional[int] = None) -> SearchReport:
-    if mode == "exhaustive":
-        return bm_search_exhaustive(side_sizes)
-    if mode == "sampled":
-        return bm_search_sampled(side_sizes, seed, trials, edge_cap)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # --- Seeded generators for the verification suites ---------------------------

@@ -370,6 +370,8 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
     """
     if h.d != 3:
         raise ValueError("hall_check supports d = 3 only")
+    if deficiency < 0:
+        raise ValueError(f"deficiency must be >= 0, got {deficiency}")
     a1 = h.side_sizes[0]
     if a1 > 12:
         raise ValueError("side 1 too large for subset enumeration")

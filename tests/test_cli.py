@@ -1,11 +1,15 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from balmat import jsonio
 from balmat.cakecheck import Partition
-from balmat.cli import main
+from balmat.cli import CONSTRUCTIONS, main
 from balmat.dinterval import DInterval, DIntervalFamilies
 from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction
 from balmat.topology import Graph, SimplicialComplex
@@ -214,7 +218,173 @@ def test_usage_errors(tmp_path, capsys):
                  ["bm-search", "--sides", "0"], ["bm-search", "--sides", "2,0"],
                  ["bm-search", "--sides", "0,2", "--mode", "sampled"],
                  ["dinterval", "rainbow", families, "--target", "-1"],
-                 ["hilbert", "--sides", "2,2", "--cap", "-1"]):
+                 ["hilbert", "--sides", "2,2", "--cap", "-1"],
+                 ["hall-check", write(tmp_path, "h.json", {"sides": [2, 2, 2],
+                                                         "edges": [[1, 1, 1], [2, 2, 2]]}),
+                  "--deficiency", "-1"]):
         assert main(argv) == 2, argv
+    # one side-size rule for every command that takes sides
+    for sides in ("--sides=2,-2", "--sides=0,2"):
+        capsys.readouterr()
+        assert main(["hilbert", sides, "--cap", "4"]) == 2, sides
+        assert "side sizes must be naturals >= 1" in capsys.readouterr().err
+    # one budget per component, none negative, also for an empty family
+    empty = write(tmp_path, "empty.json", {"d": 2, "families": []})
+    for budgets in ("--budgets=1,1,1", "--budgets=-1,1", "--budgets=1"):
+        assert main(["dinterval", "cover", empty, budgets]) == 2, budgets
     for cap in ("0", "1"):
         assert main(["hilbert", "--sides", "2,2", "--cap", cap]) == 1
+
+
+# --- fuzzing ----------------------------------------------------------------
+# Each case is a well-formed command with in-range values, used as it is or
+# with one fault: a document node replaced by a value of the wrong type,
+# shape or range, or removed, or one argument value replaced by one that is
+# not a count or is below the range.  Sizes stay small (at most 6 vertices, 4 edges, facets or
+# d-intervals, --cap <= 8, --q <= 3, --trials <= 5), so one run takes well
+# under a second.
+
+COUNTS = st.integers(-3, 8)
+MISSING = object()
+FAULTS = st.one_of(COUNTS, st.sampled_from([None, True, 1.5, "1/0", "x", [], {}, MISSING]))
+BAD_ARGS = st.sampled_from(["x", "1.5", "1/0", "", "2,", "0", "-1", "-3"])
+GRID = ["0", "1/4", "1/3", "1/2", "2/3", "1"]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (list, dict)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, (*path, key))
+
+
+@st.composite
+def with_fault(draw, cases):
+    """A case of `cases` as it is, or with one fault in its document or argv."""
+    argv, data = draw(cases)
+    where = draw(st.sampled_from(["nowhere", "document", "argument"]))
+    if where == "document" and data is not None:
+        path, fault = draw(st.sampled_from(list(_paths(data)))), draw(FAULTS)
+        if not path:
+            data = None if fault is MISSING else fault
+        else:
+            parent = data = json.loads(json.dumps(data))
+            for key in path[:-1]:
+                parent = parent[key]
+            if fault is MISSING:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = fault
+    flags = [i for i, a in enumerate(argv) if a.startswith("--") and "=" in a]
+    if where == "argument" and flags:
+        i = draw(st.sampled_from(flags))
+        argv = [*argv[:i], argv[i].split("=")[0] + "=" + draw(BAD_ARGS), *argv[i + 1:]]
+    return argv, data
+
+
+def csv(values, size):
+    return st.lists(values, min_size=size, max_size=size).map(lambda xs: ",".join(map(str, xs)))
+
+
+def rows(entries, lo, hi, max_rows=4):
+    return st.lists(st.lists(entries, min_size=lo, max_size=hi), max_size=max_rows)
+
+
+def hypergraph(d):
+    sides = st.lists(st.integers(1, 3), min_size=d, max_size=d)
+    return sides.flatmap(lambda a: st.fixed_dictionaries({"sides": st.just(a), "edges": st.lists(
+        st.tuples(*(st.integers(1, n) for n in a)).map(list), max_size=4)}))
+
+
+def simplices(key, lo, hi):
+    return st.integers(0, 6).flatmap(lambda n: st.fixed_dictionaries(
+        {"vertices": st.just(n), key: rows(st.integers(1, max(n, 1)), lo, hi)}))
+
+
+def families(d):
+    interval = st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True).map(
+        lambda ends: sorted(ends, key=Fraction))
+    d_interval = st.fixed_dictionaries({"parts": st.lists(interval, min_size=d, max_size=d)})
+    return st.fixed_dictionaries({"d": st.just(d), "families": rows(d_interval, 0, 2, 2)})
+
+
+def split(k):
+    """One cake cut into k slices at points of the 1/6 grid, as rational strings."""
+    cuts = st.lists(st.integers(0, 6), min_size=k - 1, max_size=k - 1).map(sorted)
+    return cuts.map(lambda cs: [str(Fraction(b - a, 6)) for a, b in zip([0, *cs], [*cs, 6])])
+
+
+def command(words, document=st.none(), optional=(), **values):
+    """(argv, document) with a `--flag=value` for each of `values`, those
+    named in `optional` present or not; `{}` in argv stands for the
+    document's path and `_` in a flag for `-`."""
+    flags = st.fixed_dictionaries(
+        {k: v for k, v in values.items() if k not in optional},
+        optional={k: v for k, v in values.items() if k in optional})
+    argv = flags.map(lambda d: words + [f"--{k.replace('_', '-')}={v}"
+                                        for k, v in sorted(d.items())])
+    return st.tuples(argv, document)
+
+
+def construct(name):
+    flags = CONSTRUCTIONS[name][1]
+    values = dict(n=COUNTS, k=COUNTS, q=st.integers(-3, 3), variant=st.integers(1, 4),
+                  r=st.sampled_from(GRID + ["3/2", "2", "-1/2"]))
+    return command(["construct", name], optional=[f for f in values if f not in flags],
+                   **values)
+
+
+def cake(instance, n):
+    counts = (n, n) if instance == "2n2nn" else (n, 2 * n - 2)
+    return st.one_of(
+        command(["cake", "search", "--instance", instance, f"--n={n}"], q=st.integers(1, 3)),
+        command(["cake", "check", "--instance", instance, f"--n={n}", "--partition", "{}"],
+                st.tuples(*(split(k) for k in counts if 1 <= k <= 6)).map(list)))
+
+
+DIMENSIONS = st.integers(1, 3)
+CASES = with_fault(st.one_of(
+    *(DIMENSIONS.flatmap(lambda d, name=name: command([name, "{}"], hypergraph(d)))
+      for name in ("nu", "nustar", "balance")),
+    command(["hall-check", "{}"], hypergraph(3), optional=["deficiency"],
+            deficiency=st.integers(0, 2)),
+    command(["eta", "{}"], simplices("facets", 1, 3), optional=["cap"], cap=st.integers(0, 8)),
+    command(["psi", "{}"], simplices("edges", 2, 2)),
+    st.sampled_from(list(CONSTRUCTIONS)).flatmap(construct),
+    DIMENSIONS.flatmap(lambda d: command(["hilbert"], sides=csv(st.integers(1, 3), d),
+                                         cap=st.integers(0, 8))),
+    DIMENSIONS.flatmap(lambda d: command(["dinterval", "cover", "{}"], families(d),
+                                         budgets=csv(st.integers(0, 2), d))),
+    DIMENSIONS.flatmap(lambda d: command(["dinterval", "rainbow", "{}"], families(d),
+                                         target=st.integers(0, 3))),
+    st.tuples(st.sampled_from(["2n2nn", "nn2n2"]), st.integers(-3, 3)).flatmap(
+        lambda t: cake(*t)),
+    st.tuples(DIMENSIONS, st.sampled_from(["exhaustive", "sampled"])).flatmap(
+        lambda t: command(["--seed=0", "bm-search", "--mode", t[1]],
+                          sides=csv(st.integers(1, 3), t[0]), trials=st.integers(0, 5),
+                          edge_cap=st.integers(1, 8), optional=["edge_cap"])),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=CASES)
+@example(case=(["hall-check", "{}", "--deficiency=-1"],
+               {"sides": [2, 2, 2], "edges": [[1, 1, 1], [2, 2, 2]]}))
+@example(case=(["hilbert", "--sides=2,-2", "--cap=4"], None))
+@example(case=(["hilbert", "--sides=0,2", "--cap=4"], None))
+@example(case=(["dinterval", "cover", "{}", "--budgets=1,1,1"], {"d": 2, "families": []}))
+@example(case=(["dinterval", "cover", "{}", "--budgets=-1,1"], {"d": 2, "families": []}))
+def test_cli_fuzz(tmp_path_factory, case):
+    """Every subcommand but verify-all exits 0 or 1 with a JSON result on
+    stdout, or 2 with nothing there; an uncaught exception fails."""
+    argv, data = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main([str(path) if a == "{}" else a for a in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())

@@ -35,6 +35,9 @@ def test_coverable_trivial_cases():
     assert cover is not None
     assert any(iv.contains(0, x) for x in cover[0])
     assert coverable([], (0, 0)) == [[], []]
+    for family in ([], [iv]):
+        with pytest.raises(ValueError, match="budgets must be >= 0"):
+            coverable(family, (-1, 1))
 
 
 def test_coverable_two_disjoint():

@@ -7,12 +7,13 @@ When an output changes on purpose, rerun the command, check the new bytes by
 hand, and update its digest together with a note in CHANGES.md.
 """
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from balmat.cli import main
+from balmat.cli import build_parser, main
 
 PASCH = {"sides": [2, 2, 2],
          "edges": [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]]}
@@ -49,11 +50,13 @@ COMMANDS = [
     ("nu-drisko3", ["nu", "{}"], DRISKO_3),
     ("nustar-drisko3", ["nustar", "{}"], DRISKO_3),
     ("balance-drisko3", ["balance", "{}"], DRISKO_3),
+    ("balance-unbalanced", ["balance", "{}"], {"sides": [2, 2], "edges": [[1, 1]]}),
     ("psi-petersen", ["psi", "{}"], PETERSEN),
     ("eta-octahedron", ["eta", "{}", "--cap", "4"], OCTAHEDRON),
     ("hall-check-pasch", ["hall-check", "{}", "--deficiency", "1"], PASCH),
     ("hall-check-drisko3", ["hall-check", "{}", "--deficiency", "1"], DRISKO_3),
     ("hilbert", ["hilbert", "--sides", "2,2", "--cap", "4"], None),
+    ("hilbert-cap-exceeded", ["hilbert", "--sides", "2,2", "--cap", "2"], None),
     ("cake-search-2n2nn", ["cake", "search", "--instance", "2n2nn", "--n", "2", "--q", "4"],
      None),
     ("cake-search-nn2n2", ["cake", "search", "--instance", "nn2n2", "--n", "2", "--q", "4"],
@@ -65,6 +68,8 @@ COMMANDS = [
                            "sampled", "--trials", "50"], None),
     ("dinterval-cover", ["dinterval", "cover", "{}", "--budgets", "1,1"], FAMILIES),
     ("dinterval-rainbow", ["dinterval", "rainbow", "{}", "--target", "2"], FAMILIES),
+    ("dinterval-cover-none", ["dinterval", "cover", "{}", "--budgets", "1,0"], FAMILIES),
+    ("dinterval-rainbow-none", ["dinterval", "rainbow", "{}", "--target", "3"], FAMILIES),
     ("verify-all", ["verify-all", "--only", "pasch", "zeta"], None),
 ]
 
@@ -85,11 +90,13 @@ DIGESTS = {
     "nu-drisko3": (0, "4c8a7fc9581381f26165f4bfe25a1264deeebf5e9938002d66c6d13d50efd101"),
     "nustar-drisko3": (0, "740c8ec7d167d2c4b7df90bd22ebaca3d70db2c3486d324fb2cb356e505e4786"),
     "balance-drisko3": (0, "a37d74f574373ae6bee6accbb6213a98645a66aa2def3037e0b796fc613af1b0"),
+    "balance-unbalanced": (1, "99ef9fe875833b789f5f973bb6527ed7080827f0af2d530f03540e0dcc6117e6"),
     "psi-petersen": (0, "19e3cea8b5ec06c13d969d9ccf666ad9c7eda2d0ba11968459836abdbd22c74f"),
     "eta-octahedron": (0, "303d20507f196af6324b4d03f74fdf53a7a50b8bc70b117f7e7e529b28cb249a"),
     "hall-check-pasch": (0, "ead177abaa0b3512f363c2a45fb72e68ff8358fa0fc66c40bd1702a5d14eac15"),
     "hall-check-drisko3": (1, "c2b0b0d1bf61df390ea5d524937d3886f23187ccbf6ae6165a4c6908184f19b7"),
     "hilbert": (0, "364d3925b6c48734e85a5556b64d7e51df9eeff6b1d6031b30a2397b05164138"),
+    "hilbert-cap-exceeded": (1, "64b4983badde95425972a0a3175893a0951043462f56645b98c097e2e5d3cd4d"),
     "cake-search-2n2nn": (0, "bccccf99f6d25839eb39665e0953d77c8f42ecc9ff5e0cc4ef99a5f88607b064"),
     "cake-search-nn2n2": (0, "bccccf99f6d25839eb39665e0953d77c8f42ecc9ff5e0cc4ef99a5f88607b064"),
     "cake-check": (0, "6cd11a7af7ad8c8eb26ee732394c875be1b8741719bcc637faf86f4c0f249fdf"),
@@ -97,6 +104,8 @@ DIGESTS = {
     "bm-search-sampled": (0, "c7e3c5ffe8c6abc09279870bcf2df762026034a1b024b769db13a4f2e5a7984f"),
     "dinterval-cover": (0, "5cd6a5f1c85a8fc455e496160e33367da78e4b55b2b77bb18192f4e6fe493929"),
     "dinterval-rainbow": (0, "ce17cb060d4a47a675eac8015f46eac869b2e24ec2d2673b1b218ee81447f43b"),
+    "dinterval-cover-none": (1, "0d0b1aa228ac1af2b7d602cec96c0ada9ef08e42daff780c82323d834c735d80"),
+    "dinterval-rainbow-none": (1, "f0066aa0607ff6653c18e560487246c9b8acb6ce061b93e1463644150c41e14c"),
     "verify-all": (0, "faeb91eb5b95f9051d9d2b51c6bab7db9c765b9c5a9ee984dce5bf9c6f7310cb"),
 }
 
@@ -114,3 +123,9 @@ def run_command(tmp_path, capsys, argv, data):
 @pytest.mark.parametrize("name,argv,data", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_cli_output_bytes(tmp_path, capsys, name, argv, data):
     assert run_command(tmp_path, capsys, argv, data) == DIGESTS[name]
+
+
+def test_every_subcommand_is_pinned():
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) <= {a for _, argv, _ in COMMANDS for a in argv}

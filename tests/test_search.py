@@ -1,8 +1,8 @@
 import pytest
 
 from balmat.hypergraph import PartiteHypergraph, is_balanced
-from balmat.search import (bm_search, bm_search_exhaustive, bm_search_sampled,
-                           canonical_form, random_graph, random_knn_balanced,
+from balmat.search import (bm_search_exhaustive, bm_search_sampled, canonical_form,
+                           random_graph, random_knn_balanced,
                            random_two_interval_family,
                            random_weighted_multigraph)
 from balmat.dinterval import coverable
@@ -59,11 +59,6 @@ def test_sampled_never_below_exhaustive():
     exact = bm_search_exhaustive((2, 2, 2)).min_nu
     sampled = bm_search_sampled((2, 2, 2), seed=1, trials=500).min_nu
     assert sampled is None or sampled >= exact
-
-
-def test_bm_search_mode_dispatch():
-    with pytest.raises(ValueError):
-        bm_search((2, 2), mode="nope")
 
 
 def test_random_graph_seeded():
