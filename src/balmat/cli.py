@@ -58,8 +58,10 @@ def main(argv=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The `balmat` parser: every JSON document argument is decoded while the
-    arguments are parsed, so a bad document is a usage error (exit 2)."""
+    """The `balmat` parser.  Each action has a parser of its own that holds
+    exactly the flags the action reads, so any other flag is a usage error
+    (exit 2), and every JSON document argument is decoded while the
+    arguments are parsed, so a bad document is one too."""
     hypergraph = _document(jsonio.hypergraph_from_json)
     parser = argparse.ArgumentParser(
         prog="balmat",
@@ -67,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "hypergraphs: matchings, connectivity, and the "
                     "verification suite.")
     parser.add_argument("--out", help="also write the JSON result here")
-    parser.add_argument("--seed", default="0", help="seed for sampled modes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nu", help="maximum matching size of a hypergraph")
@@ -90,38 +91,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hypergraph", type=hypergraph)
     p.add_argument("--deficiency", type=int, default=0)
 
+    # every parameter of a family is required but conj_nn's --variant
+    types = {"n": int, "k": int, "r": _rational, "q": int, "variant": int}
     p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument("name", choices=list(CONSTRUCTIONS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=_rational)
-    p.add_argument("--q", type=int)
-    p.add_argument("--variant", type=int, default=1)
+    actions = p.add_subparsers(dest="name", required=True)
+    for name, (_, flags) in CONSTRUCTIONS.items():
+        p = actions.add_parser(name)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=types[flag],
+                           **({"default": 1} if flag == "variant" else {"required": True}))
 
     p = sub.add_parser("hilbert", help="generators of the balanced cone")
     p.add_argument("--sides", type=_sides, required=True, help="e.g. 2,2")
     p.add_argument("--cap", type=int, required=True)
 
     p = sub.add_parser("dinterval", help="d-interval covers and matchings")
-    p.add_argument("action", choices=["cover", "rainbow"])
-    p.add_argument("families", type=_document(jsonio.families_from_json))
-    p.add_argument("--budgets", type=_sides, help="e.g. 1,1 (cover)")
-    p.add_argument("--target", type=int, help="matching size (rainbow)")
+    actions = p.add_subparsers(dest="action", required=True)
+    cover, rainbow = actions.add_parser("cover"), actions.add_parser("rainbow")
+    for p in (cover, rainbow):
+        p.add_argument("families", type=_document(jsonio.families_from_json))
+    cover.add_argument("--budgets", type=_sides, required=True, help="e.g. 1,1")
+    rainbow.add_argument("--target", type=int, required=True, help="matching size")
 
     p = sub.add_parser("cake", help="cake-division counterexample checks")
-    p.add_argument("action", choices=["check", "search"])
-    p.add_argument("--instance", choices=["2n2nn", "nn2n2"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--partition", type=_document(jsonio.partition_from_json),
-                   help="partition JSON path (check)")
-    p.add_argument("--q", type=int, default=6, help="grid resolution (search)")
+    actions = p.add_subparsers(dest="action", required=True)
+    check, search = actions.add_parser("check"), actions.add_parser("search")
+    for p in (check, search):
+        p.add_argument("--instance", choices=["2n2nn", "nn2n2"], required=True)
+        p.add_argument("--n", type=int, required=True)
+    check.add_argument("--partition", type=_document(jsonio.partition_from_json),
+                       required=True, help="partition JSON path")
+    search.add_argument("--q", type=int, default=6, help="grid resolution")
 
     p = sub.add_parser("bm-search", help="minimum nu over balanced hypergraphs")
-    p.add_argument("--sides", type=_sides, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"],
-                   default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--edge-cap", type=int)
+    modes = p.add_subparsers(dest="mode", required=True)
+    exhaustive, sampled = modes.add_parser("exhaustive"), modes.add_parser("sampled")
+    for p in (exhaustive, sampled):
+        p.add_argument("--sides", type=_sides, required=True)
+    sampled.add_argument("--trials", type=int, default=1000)
+    sampled.add_argument("--edge-cap", type=int)
+    sampled.add_argument("--seed", default="0")
 
     p = sub.add_parser("verify-all", help="run the verification suite")
     p.add_argument("--only", nargs="*", help="subset of check names")
@@ -176,7 +185,7 @@ def _dispatch(args):
         return {"pass": False, "failing_K": list(report.failing_K)}, False
     if cmd == "construct":
         builder, flags = CONSTRUCTIONS[args.name]
-        built = builder(*(_require(getattr(args, flag), f"--{flag}") for flag in flags))
+        built = builder(*(getattr(args, flag) for flag in flags))
         h, f = built if isinstance(built, tuple) else (built, None)
         weights = {} if f is None else jsonio.weights_to_json(f)
         return {**jsonio.hypergraph_to_json(h), **weights}, True
@@ -189,8 +198,6 @@ def _dispatch(args):
     if cmd == "dinterval":
         fams = args.families
         if args.action == "cover":
-            if args.budgets is None:
-                raise ValueError("cover requires --budgets")
             if len(args.budgets) != fams.d:
                 raise ValueError(f"cover requires {fams.d} budgets, one per component")
             cover = coverable([iv for fam in fams.families for iv in fam], args.budgets)
@@ -198,8 +205,6 @@ def _dispatch(args):
                 return {"coverable": False}, False
             return {"coverable": True,
                     "points": [[format_rational(x) for x in line] for line in cover]}, True
-        if args.target is None:
-            raise ValueError("rainbow requires --target")
         found = rainbow_matching(fams, args.target)
         if found is None:
             return {"matching": None}, False
@@ -208,8 +213,6 @@ def _dispatch(args):
     if cmd == "cake":
         inst = (instance_2n2_nn if args.instance == "2n2nn" else instance_nn_2n2)(args.n)
         if args.action == "check":
-            if args.partition is None:
-                raise ValueError("check requires --partition")
             return {"nu_D": nu_D(inst, args.partition)}, True
         best, arg = grid_max(inst, args.q)
         return {"q": args.q, "max_nu_D": best,
@@ -229,12 +232,6 @@ def _dispatch(args):
     results = run_all(args.only)  # verify-all
     passed = all(r.passed for r in results)
     return {"checks": [r.to_json() for r in results], "pass": passed}, passed
-
-
-def _require(value, flag):
-    if value is None:
-        raise ValueError(f"{flag} is required for this construction")
-    return value
 
 
 if __name__ == "__main__":

@@ -22,19 +22,18 @@ class IntegralBalanced:
     weights: Tuple[Tuple[Edge, int], ...]
 
     def __init__(self, side_sizes, weights):
-        sizes = tuple(int(a) for a in side_sizes)
         items = tuple(sorted((tuple(e), int(w)) for e, w in
                              (weights.items() if isinstance(weights, dict) else weights)
                              if w))
         if not items:
             raise ValueError("must not be identically zero")
+        # side sizes, edge arity and range
+        sizes = PartiteHypergraph(side_sizes, [e for e, _ in items]).side_sizes
         deg: Dict[Tuple[int, int], int] = {}
         for e, w in items:
             if w < 0:
                 raise ValueError("weights must be nonnegative")
             for t, j in enumerate(e, start=1):
-                if not 1 <= j <= sizes[t - 1]:
-                    raise ValueError(f"edge {e} out of range")
                 deg[(t, j)] = deg.get((t, j), 0) + w
         for t, a in enumerate(sizes, start=1):
             col = [deg.get((t, j), 0) for j in range(1, a + 1)]

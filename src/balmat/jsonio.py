@@ -1,4 +1,7 @@
-"""JSON encoding/decoding for the core objects.
+"""The JSON documents of the CLI: a decoder for each document some command
+reads (hypergraph, complex, graph, d-interval families, cake partition) and
+an encoder for each one some command writes (hypergraph, weights,
+d-interval, cake partition).
 
 Rationals travel as strings "p/q" (or "p"); all dumps are key-sorted and
 newline-terminated so outputs are byte-deterministic.
@@ -11,7 +14,7 @@ from typing import Any
 
 from .cakecheck import Partition
 from .dinterval import DInterval, DIntervalFamilies
-from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction
+from .hypergraph import PartiteHypergraph, WeightFunction
 from .rational import format_rational, parse_rational
 from .topology import Graph, SimplicialComplex
 
@@ -63,39 +66,12 @@ def weights_to_json(f: WeightFunction) -> dict:
                         for e, w in f.weights]}
 
 
-def weights_from_json(data: dict) -> WeightFunction:
-    items = _checked(_checked(data, dict, "weighting")["weights"], list, "weights")
-    return WeightFunction({_ints(item["edge"], "edge"): _rational(item["w"], "weight")
-                           for item in (_checked(i, dict, "weight") for i in items)})
-
-
-def multigraph_to_json(mg: Multigraph) -> dict:
-    return {"b": mg.b_size, "c": mg.c_size,
-            "edges": [[b, c, lab] for b, c, lab in mg.edges]}
-
-
-def multigraph_from_json(data: dict) -> Multigraph:
-    data = _checked(data, dict, "multigraph")
-    return Multigraph(_checked(data["b"], int, "b"), _checked(data["c"], int, "c"),
-                      _int_rows(data["edges"], "edge"))
-
-
 # --- graphs and complexes ---------------------------------------------------
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"vertices": g.vertex_count,
-            "edges": sorted(sorted(e) for e in g.edges)}
 
 
 def graph_from_json(data: dict) -> Graph:
     data = _checked(data, dict, "graph")
     return Graph(_checked(data["vertices"], int, "vertices"), _int_rows(data["edges"], "edge"))
-
-
-def complex_to_json(c: SimplicialComplex) -> dict:
-    return {"vertices": c.vertex_count,
-            "facets": sorted(sorted(f) for f in c.facets)}
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
@@ -116,12 +92,6 @@ def dinterval_from_json(data: dict) -> DInterval:
     parts = _checked(_checked(data, dict, "d-interval")["parts"], list, "parts")
     return DInterval([[_rational(x, "endpoint") for x in _checked(part, list, "part")]
                       for part in parts])
-
-
-def families_to_json(fams: DIntervalFamilies) -> dict:
-    return {"d": fams.d,
-            "families": [[dinterval_to_json(iv) for iv in fam]
-                         for fam in fams.families]}
 
 
 def families_from_json(data: dict) -> DIntervalFamilies:

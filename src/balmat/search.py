@@ -85,13 +85,17 @@ def bm_search_sampled(side_sizes, seed, trials: int,
                       edge_cap: Optional[int] = None) -> SearchReport:
     """Seeded random search; reports an upper bound on the true minimum.
 
-    Each trial draws its randomness from a seed derived from (seed, trial).
+    Each trial draws its randomness from a seed derived from (seed, trial),
+    and a candidate holds between max(side_sizes) and edge_cap edges, so an
+    edge cap below the largest side is a ValueError.
     """
     sizes = check_side_sizes(side_sizes)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if edge_cap is None:
         edge_cap = min(len(_all_edges(sizes)), 3 * max(sizes))
+    if edge_cap < max(sizes):
+        raise ValueError(f"edge cap must be >= the largest side {max(sizes)}, got {edge_cap}")
     outcomes = [_sample_trial(sizes, seed, t, edge_cap) for t in range(trials)]
     hits = [o for o in outcomes if o is not None]
     if not hits:

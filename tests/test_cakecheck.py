@@ -19,6 +19,11 @@ def test_partition_validation():
         Partition([[Fraction(3, 2), Fraction(-1, 2)]])
 
 
+def test_2n2_nn_needs_n_at_least_two():
+    with pytest.raises(ValueError, match="n >= 2"):
+        instance_2n2_nn(1)
+
+
 def test_2n2_nn_even_split_lists():
     inst = instance_2n2_nn(2)
     p = Partition([[HALF, HALF], [HALF, HALF]])

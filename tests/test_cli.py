@@ -1,3 +1,4 @@
+import argparse
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from balmat import jsonio
 from balmat.cakecheck import Partition
-from balmat.cli import CONSTRUCTIONS, main
+from balmat.cli import CONSTRUCTIONS, build_parser, main
 from balmat.dinterval import DInterval, DIntervalFamilies
-from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction
+from balmat.hypergraph import PartiteHypergraph, WeightFunction
 from balmat.topology import Graph, SimplicialComplex
 
 PASCH = {"sides": [2, 2, 2],
@@ -29,7 +30,23 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-# --- JSON round trips -------------------------------------------------------
+def leaves(parser, words=()):
+    """{words: parser} for every leaf parser under `parser`, keyed by the
+    subcommand words that reach it, like ("construct", "pasch")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: parser}
+    return {leaf: p for name, child in subs[0].choices.items()
+            for leaf, p in leaves(child, (*words, name)).items()}
+
+
+def flags(parser, required=False):
+    """The option strings of a leaf parser but -h, or only its required ones."""
+    return {a.option_strings[-1] for a in parser._actions
+            if a.option_strings and a.dest != "help" and (a.required or not required)}
+
+
+# --- JSON codecs: a document a command reads decodes, one it writes encodes --
 
 
 def test_hypergraph_roundtrip():
@@ -39,24 +56,21 @@ def test_hypergraph_roundtrip():
 
 def test_weights_roundtrip():
     f = WeightFunction({(1, 1): Fraction(1, 3), (2, 2): 2})
-    assert jsonio.weights_from_json(jsonio.weights_to_json(f)) == f
+    assert jsonio.weights_to_json(f) == {"weights": [{"edge": [1, 1], "w": "1/3"},
+                                                     {"edge": [2, 2], "w": "2"}]}
 
 
 def test_complex_and_graph_roundtrip():
-    c = SimplicialComplex(3, [{1, 2}, {3}])
-    assert jsonio.complex_from_json(jsonio.complex_to_json(c)) == c
-    g = Graph(3, [(1, 2)])
-    assert jsonio.graph_from_json(jsonio.graph_to_json(g)) == g
-
-
-def test_multigraph_roundtrip():
-    mg = Multigraph(2, 2, [(1, 1, 0), (1, 1, 1)])
-    assert jsonio.multigraph_from_json(jsonio.multigraph_to_json(mg)) == mg
+    c = jsonio.complex_from_json({"vertices": 3, "facets": [[1, 2], [3]]})
+    assert c == SimplicialComplex(3, [{1, 2}, {3}])
+    g = jsonio.graph_from_json({"vertices": 3, "edges": [[1, 2]]})
+    assert g == Graph(3, [(1, 2)])
 
 
 def test_families_roundtrip():
-    fams = DIntervalFamilies(2, [[DInterval([("1/4", "1/2"), ("0", "1/8")])]])
-    assert jsonio.families_from_json(jsonio.families_to_json(fams)) == fams
+    fams = jsonio.families_from_json(
+        {"d": 2, "families": [[{"parts": [["1/4", "1/2"], ["0", "1/8"]]}]]})
+    assert fams == DIntervalFamilies(2, [[DInterval([("1/4", "1/2"), ("0", "1/8")])]])
 
 
 def test_partition_roundtrip():
@@ -154,12 +168,11 @@ def test_cake_commands(tmp_path, capsys):
 
 
 def test_bm_search_command_deterministic(capsys):
-    argv = ["bm-search", "--sides", "2,2,2", "--mode", "sampled",
-            "--trials", "50", "--seed", "9"]
-    _, out1 = run(capsys, *argv)
-    _, out2 = run(capsys, *argv)
-    assert out1 == out2
-    code, out = run(capsys, "bm-search", "--sides", "2,2,2")
+    argv = ["bm-search", "sampled", "--sides", "2,2,2", "--trials", "50", "--seed", "9"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert json.loads(first[1])["examined"] == 50
+    code, out = run(capsys, "bm-search", "exhaustive", "--sides", "2,2,2")
     assert code == 0 and json.loads(out)["min_nu"] == 1
 
 
@@ -214,9 +227,10 @@ def test_usage_errors(tmp_path, capsys):
         assert main(["construct", *argv]) == 2
     # negative or zero counts are usage errors, not empty results
     families = write(tmp_path, "fams.json", {"d": 1, "families": [[{"parts": [["0", "1"]]}]]})
-    for argv in (["bm-search", "--sides", "2,2", "--mode", "sampled", "--trials", "-3"],
-                 ["bm-search", "--sides", "0"], ["bm-search", "--sides", "2,0"],
-                 ["bm-search", "--sides", "0,2", "--mode", "sampled"],
+    for argv in (["bm-search", "sampled", "--sides", "2,2", "--trials", "-3"],
+                 ["bm-search", "exhaustive", "--sides", "0"],
+                 ["bm-search", "exhaustive", "--sides", "2,0"],
+                 ["bm-search", "sampled", "--sides", "0,2"],
                  ["dinterval", "rainbow", families, "--target", "-1"],
                  ["hilbert", "--sides", "2,2", "--cap", "-1"],
                  ["hall-check", write(tmp_path, "h.json", {"sides": [2, 2, 2],
@@ -236,19 +250,95 @@ def test_usage_errors(tmp_path, capsys):
         assert main(["hilbert", "--sides", "2,2", "--cap", cap]) == 1
 
 
-# --- fuzzing ----------------------------------------------------------------
-# Each case is a well-formed command with in-range values, used as it is or
-# with one fault: a document node replaced by a value of the wrong type,
-# shape or range, or removed, or one argument value replaced by one that is
-# not a count or is below the range.  Sizes stay small (at most 6 vertices, 4 edges, facets or
-# d-intervals, --cap <= 8, --q <= 3, --trials <= 5), so one run takes well
-# under a second.
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys):
+    """Each action parses exactly the flags it reads, so the 46 (command,
+    flag) pairs that once parsed and were then ignored are usage errors."""
+    h = write(tmp_path, "h.json", PASCH)
+    c = write(tmp_path, "c.json", {"vertices": 2, "facets": [[1], [2]]})
+    g = write(tmp_path, "g.json", {"vertices": 2, "edges": [[1, 2]]})
+    fams = write(tmp_path, "f.json", {"d": 1, "families": [[{"parts": [["0", "1"]]}]]})
+    part = write(tmp_path, "p.json", [["1/2", "1/2"], ["1/2", "1/2"]])
+    cover = ["dinterval", "cover", fams, "--budgets=1"]
+    rainbow = ["dinterval", "rainbow", fams, "--target=1"]
+    check = ["cake", "check", "--instance=2n2nn", "--n=2", f"--partition={part}"]
+    search = ["cake", "search", "--instance=2n2nn", "--n=2", "--q=2"]
+    exhaustive = ["bm-search", "exhaustive", "--sides=2,2"]
+    commands = [["nu", h], ["nustar", h], ["balance", h], ["eta", c], ["psi", g],
+                ["hall-check", h], ["construct", "pasch"], ["hilbert", "--sides=2,2", "--cap=4"],
+                cover, search, ["verify-all", "--only", "pasch"]]
+    cases = [(argv, ["--seed=1", *argv]) for argv in commands]
+    cases += [(argv, [*argv, flag]) for argv, flag in [
+        (exhaustive, "--seed=1"), (exhaustive, "--trials=5"), (exhaustive, "--edge-cap=4"),
+        (cover, "--target=1"), (rainbow, "--budgets=1"),
+        (check, "--q=2"), (search, f"--partition={part}")]]
+    construct = {"pasch": [], "nnn_tight": ["--n=3"], "drisko": ["--n=3"],
+                 "mlessn": ["--k=4", "--n=5"], "mlessn2": ["--k=3", "--n=4"],
+                 "main_negative": ["--n=5", "--r=2", "--k=9"],
+                 "truncated_projective": ["--q=3"], "conj_nn": ["--n=3"]}
+    cases += [(["construct", name, *argv], ["construct", name, *argv, f"--{flag}=1"])
+              for name, argv in construct.items()
+              for flag in ("n", "k", "r", "q", "variant") if flag not in CONSTRUCTIONS[name][1]]
+    cases += [(exhaustive, ["bm-search", "--mode=sampled", "--sides=2,2"]),
+              (exhaustive, ["bm-search", "sampled", "--sides=2,2", "--mode=sampled"])]
+    assert len(cases) == 46 + 2
+    for argv, faulty in cases:
+        assert run(capsys, *argv)[0] in (0, 1), argv
+        assert run(capsys, *faulty) == (2, ""), faulty
 
+
+def test_input_checks_exit_2(tmp_path, capsys):
+    """Input checks behind the parser, reached through the CLI: exit 2 with
+    the check's own message on stderr and nothing on stdout."""
+    cases = [
+        (["psi", "{}"], {"vertices": 2, "edges": [[1, 1]]}, "loops are not allowed"),
+        (["hall-check", "{}"], {"sides": [2, 2], "edges": [[1, 1]]}, "d = 3 only"),
+        (["hall-check", "{}"], {"sides": [13, 1, 1], "edges": []}, "side 1 too large"),
+        (["dinterval", "rainbow", "{}", "--target=1"],
+         {"d": 2, "families": [[{"parts": [["0", "1"]]}]]}, "the same d"),
+        (["cake", "search", "--instance=2n2nn", "--n=1"], None, "n >= 2"),
+        (["construct", "nnn_tight", "--n=0"], None, "n must be >= 1"),
+        (["bm-search", "sampled", "--sides=3,3", "--trials=2", "--edge-cap=2"], None,
+         "edge cap must be >= the largest side 3, got 2"),
+        (["bm-search", "sampled", "--sides=3,3", "--trials=0", "--edge-cap=-5"], None,
+         "edge cap must be >= the largest side 3, got -5")]
+    path = write(tmp_path, "in.json", None)
+    for argv, data, message in cases:
+        write(tmp_path, "in.json", data)
+        code = main([path if a == "{}" else a for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert message in captured.err, (argv, captured.err)
+
+
+# --- fuzzing ----------------------------------------------------------------
+# Each case is a well-formed command with in-range values and exactly the
+# flags its action reads, used as it is or with one fault: a document node
+# replaced by a value of the wrong type, shape or range, or removed; one
+# argument value replaced by one that is not a count or is below the range;
+# or one more flag that only a sibling action reads.  Sizes stay small (at
+# most 6 vertices, 4 edges, facets or d-intervals, --cap <= 8, --q <= 3,
+# --trials <= 5), so one run takes well under a second.
+
+LEAVES = leaves(build_parser())
+# the flags read by the other actions of the same command, but not by this one
+SIBLING_FLAGS = {leaf: sorted(set().union(*(flags(p) for other, p in LEAVES.items()
+                                             if other[:-1] == leaf[:-1]))
+                              - flags(parser))
+                 for leaf, parser in LEAVES.items()}
 COUNTS = st.integers(-3, 8)
 MISSING = object()
 FAULTS = st.one_of(COUNTS, st.sampled_from([None, True, 1.5, "1/0", "x", [], {}, MISSING]))
 BAD_ARGS = st.sampled_from(["x", "1.5", "1/0", "", "2,", "0", "-1", "-3"])
 GRID = ["0", "1/4", "1/3", "1/2", "2/3", "1"]
+
+
+def leaf_of(argv):
+    """The words of the leaf parser that `argv` reaches."""
+    return next(w for w in LEAVES if tuple(argv[:len(w)]) == w)
+
+
+def given_flags(argv):
+    return {a.split("=")[0] for a in argv if a.startswith("--")}
 
 
 def _paths(node, path=()):
@@ -260,9 +350,13 @@ def _paths(node, path=()):
 
 @st.composite
 def with_fault(draw, cases):
-    """A case of `cases` as it is, or with one fault in its document or argv."""
+    """A case of `cases` as it is, or with one fault in its document or argv,
+    and whether that fault is a flag that only a sibling action reads."""
     argv, data = draw(cases)
-    where = draw(st.sampled_from(["nowhere", "document", "argument"]))
+    leaf = leaf_of(argv)
+    if not flags(LEAVES[leaf], required=True) <= given_flags(argv) <= flags(LEAVES[leaf]):
+        raise AssertionError(f"{argv} does not give exactly flags that {leaf} reads")
+    where = draw(st.sampled_from(["nowhere", "document", "argument", "sibling"]))
     if where == "document" and data is not None:
         path, fault = draw(st.sampled_from(list(_paths(data)))), draw(FAULTS)
         if not path:
@@ -275,11 +369,14 @@ def with_fault(draw, cases):
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = fault
-    flags = [i for i, a in enumerate(argv) if a.startswith("--") and "=" in a]
-    if where == "argument" and flags:
-        i = draw(st.sampled_from(flags))
+    flag_args = [i for i, a in enumerate(argv) if a.startswith("--") and "=" in a]
+    if where == "argument" and flag_args:
+        i = draw(st.sampled_from(flag_args))
         argv = [*argv[:i], argv[i].split("=")[0] + "=" + draw(BAD_ARGS), *argv[i + 1:]]
-    return argv, data
+    sibling = where == "sibling" and bool(SIBLING_FLAGS[leaf])
+    if sibling:  # 1 parses as a count, a rational, side sizes or a path
+        argv = [*argv, draw(st.sampled_from(SIBLING_FLAGS[leaf])) + "=1"]
+    return argv, data, sibling
 
 
 def csv(values, size):
@@ -327,11 +424,10 @@ def command(words, document=st.none(), optional=(), **values):
 
 
 def construct(name):
-    flags = CONSTRUCTIONS[name][1]
     values = dict(n=COUNTS, k=COUNTS, q=st.integers(-3, 3), variant=st.integers(1, 4),
                   r=st.sampled_from(GRID + ["3/2", "2", "-1/2"]))
-    return command(["construct", name], optional=[f for f in values if f not in flags],
-                   **values)
+    return command(["construct", name], optional=["variant"],
+                   **{flag: values[flag] for flag in CONSTRUCTIONS[name][1]})
 
 
 def cake(instance, n):
@@ -343,6 +439,7 @@ def cake(instance, n):
 
 
 DIMENSIONS = st.integers(1, 3)
+SIDES = DIMENSIONS.flatmap(lambda d: csv(st.integers(1, 3), d))
 CASES = with_fault(st.one_of(
     *(DIMENSIONS.flatmap(lambda d, name=name: command([name, "{}"], hypergraph(d)))
       for name in ("nu", "nustar", "balance")),
@@ -350,34 +447,37 @@ CASES = with_fault(st.one_of(
             deficiency=st.integers(0, 2)),
     command(["eta", "{}"], simplices("facets", 1, 3), optional=["cap"], cap=st.integers(0, 8)),
     command(["psi", "{}"], simplices("edges", 2, 2)),
-    st.sampled_from(list(CONSTRUCTIONS)).flatmap(construct),
-    DIMENSIONS.flatmap(lambda d: command(["hilbert"], sides=csv(st.integers(1, 3), d),
-                                         cap=st.integers(0, 8))),
+    *(construct(name) for name in CONSTRUCTIONS),
+    command(["hilbert"], sides=SIDES, cap=st.integers(0, 8)),
     DIMENSIONS.flatmap(lambda d: command(["dinterval", "cover", "{}"], families(d),
                                          budgets=csv(st.integers(0, 2), d))),
     DIMENSIONS.flatmap(lambda d: command(["dinterval", "rainbow", "{}"], families(d),
                                          target=st.integers(0, 3))),
     st.tuples(st.sampled_from(["2n2nn", "nn2n2"]), st.integers(-3, 3)).flatmap(
         lambda t: cake(*t)),
-    st.tuples(DIMENSIONS, st.sampled_from(["exhaustive", "sampled"])).flatmap(
-        lambda t: command(["--seed=0", "bm-search", "--mode", t[1]],
-                          sides=csv(st.integers(1, 3), t[0]), trials=st.integers(0, 5),
-                          edge_cap=st.integers(1, 8), optional=["edge_cap"])),
+    command(["bm-search", "exhaustive"], sides=SIDES),
+    command(["bm-search", "sampled"], sides=SIDES, trials=st.integers(0, 5),
+            edge_cap=st.integers(1, 8), seed=st.integers(0, 9), optional=["edge_cap", "seed"]),
 ))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=CASES)
 @example(case=(["hall-check", "{}", "--deficiency=-1"],
-               {"sides": [2, 2, 2], "edges": [[1, 1, 1], [2, 2, 2]]}))
-@example(case=(["hilbert", "--sides=2,-2", "--cap=4"], None))
-@example(case=(["hilbert", "--sides=0,2", "--cap=4"], None))
-@example(case=(["dinterval", "cover", "{}", "--budgets=1,1,1"], {"d": 2, "families": []}))
-@example(case=(["dinterval", "cover", "{}", "--budgets=-1,1"], {"d": 2, "families": []}))
+               {"sides": [2, 2, 2], "edges": [[1, 1, 1], [2, 2, 2]]}, False))
+@example(case=(["hilbert", "--sides=2,-2", "--cap=4"], None, False))
+@example(case=(["hilbert", "--sides=0,2", "--cap=4"], None, False))
+@example(case=(["dinterval", "cover", "{}", "--budgets=1,1,1"], {"d": 2, "families": []},
+               False))
+@example(case=(["dinterval", "cover", "{}", "--budgets=-1,1"], {"d": 2, "families": []},
+               False))
+@example(case=(["construct", "pasch", "--n=3"], None, True))
+@example(case=(["bm-search", "exhaustive", "--sides=2,2", "--trials=-3"], None, True))
 def test_cli_fuzz(tmp_path_factory, case):
     """Every subcommand but verify-all exits 0 or 1 with a JSON result on
-    stdout, or 2 with nothing there; an uncaught exception fails."""
-    argv, data = case
+    stdout, or 2 with nothing there; an uncaught exception fails.  A flag
+    that only a sibling action reads always exits 2."""
+    argv, data, sibling = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(data))
     out = StringIO()
@@ -388,3 +488,5 @@ def test_cli_fuzz(tmp_path_factory, case):
         assert out.getvalue() == ""
     else:
         json.loads(out.getvalue())
+    if sibling:
+        assert code == 2

@@ -23,6 +23,11 @@ def test_nnn_tight(n):
     assert nu(h) == (n + 1) // 2
 
 
+def test_nnn_tight_needs_n_at_least_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cons.nnn_tight(0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_drisko(n):
     h, f = cons.drisko(n)

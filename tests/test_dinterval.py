@@ -17,6 +17,8 @@ def test_dinterval_validation():
         di(("1/2", "1/2"), (0, 1))
     with pytest.raises(ValueError):
         di((0, "3/2"), (0, 1))
+    with pytest.raises(ValueError, match="the same d"):
+        DIntervalFamilies(2, [[di((0, 1), (0, 1)), di((0, 1))]])
 
 
 def test_intersects_open_endpoints():
@@ -38,6 +40,8 @@ def test_coverable_trivial_cases():
     for family in ([], [iv]):
         with pytest.raises(ValueError, match="budgets must be >= 0"):
             coverable(family, (-1, 1))
+    with pytest.raises(ValueError, match="one budget per component"):
+        coverable([iv], (1,))
 
 
 def test_coverable_two_disjoint():

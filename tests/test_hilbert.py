@@ -19,6 +19,13 @@ def test_integral_balanced_validation():
         ib((2, 2), {})
     with pytest.raises(ValueError):
         ib((2, 2), {(1, 1): 1})  # row 2 has degree 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        ib((2, 2), {(1, 1): -1, (2, 2): -1})
+    with pytest.raises(ValueError, match="out of range"):
+        ib((2, 2), {(1, 3): 1, (2, 1): 1})
+    for short_or_long in ({(1,): 1, (2,): 1}, {(1, 1, 1): 1, (2, 2, 2): 1}):
+        with pytest.raises(ValueError, match="wrong arity"):
+            ib((2, 2), short_or_long)
     ok = ib((2, 2), {(1, 1): 1, (2, 2): 1})
     assert ok.norm() == 2
 
@@ -116,6 +123,15 @@ def test_hall_extend_ignores_fractional_fibers():
     extended, violators = hall_extend(h, [(1, 1)], w)
     assert violators is None
     assert extended == ((1, 1, 2),)
+
+
+def test_hall_extend_rejects_bad_matching_edges():
+    h = PartiteHypergraph((2, 2, 2), [(1, 1, 1), (2, 2, 1)])
+    w = WeightFunction({e: 1 for e in h.edges})
+    with pytest.raises(ValueError, match="d coordinates"):
+        hall_extend(h, [(1,)], w)
+    with pytest.raises(ValueError, match="not in the projected support"):
+        hall_extend(h, [(1, 2)], w)
 
 
 def test_hall_extend_violators_are_the_alternating_closure():

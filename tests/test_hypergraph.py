@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
-                               balanced_certificate, degrees, is_balanced,
+                               balanced_certificate, check_hosted, degrees, is_balanced,
                                max_matching, neighborhood, nu, nu_oracle,
                                nu_star, random_balanced)
 from balmat.rational import ceil_frac
@@ -40,6 +40,13 @@ def test_unbalanced_weighting_detected():
     h = PartiteHypergraph((2, 2), [(1, 1), (2, 2), (1, 2)])
     f = WeightFunction({(1, 1): 1, (2, 2): 1, (1, 2): 1})
     assert not is_balanced(h, f)
+
+
+def test_check_hosted():
+    h = PartiteHypergraph((2, 2), [(1, 1)])
+    check_hosted(h, WeightFunction({(1, 1): 1}))
+    with pytest.raises(ValueError, match="not in hypergraph"):
+        check_hosted(h, WeightFunction({(1, 1): 1, (2, 2): 1}))
 
 
 def test_weight_function_rejects_negative():
@@ -97,11 +104,15 @@ def test_neighborhood_keeps_multiplicity():
 def test_neighborhood_rejects_bad_side():
     with pytest.raises(ValueError):
         neighborhood(PartiteHypergraph((2, 2), [(1, 1)]), [1])
+    with pytest.raises(ValueError, match="subset of side 1"):
+        neighborhood(pasch(), [3])
 
 
 def test_multigraph_distinct_labels():
     with pytest.raises(ValueError):
         Multigraph(2, 2, [(1, 1, 0), (1, 1, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        Multigraph(2, 2, [(3, 1, 0)])
 
 
 @pytest.mark.parametrize("sizes", [(3, 3), (2, 4), (3, 3, 3), (2, 2, 4)])
@@ -109,6 +120,13 @@ def test_random_balanced_is_balanced(sizes):
     h, f = random_balanced(sizes, seed=7, layers=2)
     assert is_balanced(h, f)
     assert f.total() > 0
+
+
+def test_random_balanced_input_checks():
+    with pytest.raises(ValueError, match="layers must be >= 1"):
+        random_balanced((2, 2), seed=0, layers=0)
+    with pytest.raises(ValueError, match="unsupported size pattern"):
+        random_balanced((2, 3), seed=0, layers=1)
 
 
 def test_random_balanced_deterministic():

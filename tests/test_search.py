@@ -55,6 +55,13 @@ def test_sampled_deterministic_and_thread_independent():
     assert a == b
 
 
+def test_sampled_rejects_edge_cap_below_largest_side():
+    for trials, cap in ((2, 2), (0, -5)):
+        with pytest.raises(ValueError, match=f"edge cap must be >= the largest side 3, got {cap}"):
+            bm_search_sampled((3, 3), seed=0, trials=trials, edge_cap=cap)
+    assert bm_search_sampled((3, 3), seed=0, trials=2, edge_cap=3).examined == 2
+
+
 def test_sampled_never_below_exhaustive():
     exact = bm_search_exhaustive((2, 2, 2)).min_nu
     sampled = bm_search_sampled((2, 2, 2), seed=1, trials=500).min_nu

@@ -35,6 +35,16 @@ def test_betti_full_simplex_vanishes():
         assert betti(c, j) == 0
 
 
+def test_graph_rejects_loops():
+    with pytest.raises(ValueError, match="loops"):
+        Graph(2, [(1, 1)])
+
+
+def test_betti_rejects_dimension_below_minus_one():
+    with pytest.raises(ValueError, match="j must be >= -1"):
+        betti(circle(), -2)
+
+
 def test_betti_empty_complex():
     # the complex whose only face is the empty set: H~_{-1} is nontrivial
     c = SimplicialComplex(0, [frozenset()])
@@ -230,6 +240,13 @@ def test_hall_check_pasch_deficiency():
     assert report0.failing_K == (1, 2)
 
 
+def test_hall_check_input_checks():
+    with pytest.raises(ValueError, match="d = 3 only"):
+        hall_check(PartiteHypergraph((2, 2), [(1, 1)]), 0)
+    with pytest.raises(ValueError, match="side 1 too large"):
+        hall_check(PartiteHypergraph((13, 1, 1), []), 0)
+
+
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 4)])
 @pytest.mark.parametrize("seed", range(4))
 def test_hall_check_random_knn_matching(k, n, seed):
@@ -252,6 +269,12 @@ def test_con_certificate_bound_and_errors():
         con_certificate(g, WeightFunction({(1, 1, 0): 3}), 2)
     with pytest.raises(ValueError):
         con_certificate(g, f, Fraction(1, 2))
+    row = Multigraph(1, 3, [(1, c, 0) for c in (1, 2, 3)])
+    with pytest.raises(ValueError, match="row degree exceeds 2s"):
+        con_certificate(row, WeightFunction({e: 1 for e in row.edges}), 1)
+    column = Multigraph(2, 1, [(1, 1, 0), (2, 1, 0)])
+    with pytest.raises(ValueError, match="column degree exceeds 2"):
+        con_certificate(column, WeightFunction({e: 2 for e in column.edges}), 1)
 
 
 def test_con_certificate_single_heavy_cell():
