@@ -9,13 +9,13 @@ and a batch verification suite — all in exact rational arithmetic.
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                          balanced_certificate, degrees, is_balanced,
                          neighborhood, nu, nu_star, random_balanced)
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .topology import (Eta, Graph, SimplicialComplex, betti, con_certificate,
                        eta, hall_check, independence_complex, line_graph,
                        matching_complex, psi)
 
 __all__ = [
-    "Eta", "Graph", "Multigraph", "PartiteHypergraph", "Rational",
+    "Eta", "Graph", "Multigraph", "PartiteHypergraph",
     "SimplicialComplex", "WeightFunction", "balanced_certificate", "betti",
     "con_certificate", "degrees", "eta", "format_rational", "hall_check",
     "independence_complex", "is_balanced", "line_graph", "matching_complex",

@@ -22,7 +22,7 @@ from .hypergraph import balanced_certificate, nu, nu_star
 from .rational import format_rational
 from .topology import INFINITE, eta, hall_check, psi
 from .search import bm_search_exhaustive, bm_search_sampled
-from .verify import run_all
+from .verify import CHECKS, run_all
 
 
 # name -> (builder, the flags it takes, in order); a builder returns the
@@ -57,13 +57,20 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a flag only when spelled in full; its subparsers share its class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The `balmat` parser.  Each action has a parser of its own that holds
-    exactly the flags the action reads, so any other flag is a usage error
-    (exit 2), and every JSON document argument is decoded while the
-    arguments are parsed, so a bad document is one too."""
+    exactly the flags the action reads, so any other flag, or an abbreviated
+    one, is a usage error (exit 2), and every JSON document argument is
+    decoded while the arguments are parsed, so a bad document is one too."""
     hypergraph = _document(jsonio.hypergraph_from_json)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="balmat",
         description="Exact invariants of fractionally balanced partite "
                     "hypergraphs: matchings, connectivity, and the "
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampled.add_argument("--seed", default="0")
 
     p = sub.add_parser("verify-all", help="run the verification suite")
-    p.add_argument("--only", nargs="*", help="subset of check names")
+    p.add_argument("--only", nargs="+", choices=list(CHECKS), help="subset of check names")
     return parser
 
 

@@ -70,7 +70,8 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     """Pierce every d-interval with at most budgets[t] points on component t.
 
     Returns the per-component cover point lists, or None when no cover within
-    budget exists.
+    budget exists.  A line with fewer candidates than its budget takes them
+    all: an extra point never unpierces a member.
     """
     if min(budgets, default=0) < 0:
         raise ValueError(f"budgets must be >= 0, got {tuple(budgets)}")
@@ -82,7 +83,8 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
         raise ValueError("one budget per component required")
     candidates = [_candidate_points(family, t) for t in range(d)]
     choices_per_side = [
-        list(itertools.combinations(candidates[t], budgets[t])) for t in range(d)]
+        list(itertools.combinations(candidates[t], min(budgets[t], len(candidates[t]))))
+        for t in range(d)]
     for pick in itertools.product(*choices_per_side):
         if all(any(iv.contains(t, x) for t in range(d) for x in pick[t])
                for iv in family):
@@ -98,27 +100,24 @@ def rainbow_matching(fams: DIntervalFamilies, target: int):
     """
     if target < 0:
         raise ValueError(f"target must be >= 0, got {target}")
-    n = len(fams.families)
-    if target > n:
+    return _rainbow(fams.families, 0, [], target)
+
+
+def _rainbow(families, i, chosen, target):
+    """`chosen` extended by pairwise-disjoint members of families i, i+1, ...,
+    at most one from each, to `target` members; or None if it cannot be.
+
+    Not a closure, for the reason `topology._bron_kerbosch` gives."""
+    if len(chosen) >= target:
+        return chosen
+    if len(chosen) + len(families) - i < target:
         return None
-    best: List[Tuple[int, DInterval]] = []
-
-    def rec(i, chosen):
-        nonlocal best
-        if len(chosen) >= target:
-            best = list(chosen)
-            return True
-        if len(chosen) + (n - i) < target:
-            return False
-        for iv in fams.families[i]:
-            if all(not intersects(iv, prev) for _, prev in chosen):
-                chosen.append((i, iv))
-                if rec(i + 1, chosen):
-                    return True
-                chosen.pop()
-        return rec(i + 1, chosen)
-
-    return best if target == 0 or rec(0, []) else None
+    for iv in families[i]:
+        if all(not intersects(iv, prev) for _, prev in chosen):
+            found = _rainbow(families, i + 1, chosen + [(i, iv)], target)
+            if found is not None:
+                return found
+    return _rainbow(families, i + 1, chosen, target)
 
 
 def im_premise_check(fams: DIntervalFamilies, a) -> bool:

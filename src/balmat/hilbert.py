@@ -22,9 +22,10 @@ class IntegralBalanced:
     weights: Tuple[Tuple[Edge, int], ...]
 
     def __init__(self, side_sizes, weights):
-        items = tuple(sorted((tuple(e), int(w)) for e, w in
-                             (weights.items() if isinstance(weights, dict) else weights)
-                             if w))
+        for e, w in weights.items():
+            if w != int(w):
+                raise ValueError(f"weight {w} on {e} is not an integer")
+        items = tuple(sorted((tuple(e), int(w)) for e, w in weights.items() if w))
         if not items:
             raise ValueError("must not be identically zero")
         # side sizes, edge arity and range

@@ -66,7 +66,7 @@ class WeightFunction:
 
     def __init__(self, weights):
         items = []
-        for e, w in (weights.items() if isinstance(weights, dict) else weights):
+        for e, w in weights.items():
             w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight on {e}")

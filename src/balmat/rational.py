@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -108,10 +108,10 @@ def bm_search_sampled(side_sizes, seed, trials: int,
 # --- Seeded generators for the verification suites ---------------------------
 
 
-def random_graph(seed, lo: int = 6, hi: int = 8) -> Graph:
-    """Seeded Erdos-Renyi-style graph with a randomly drawn density."""
+def random_graph(seed) -> Graph:
+    """Seeded Erdos-Renyi-style graph on 6-8 vertices, of random density."""
     rng = random.Random(f"graph:{seed}")
-    n = rng.randint(lo, hi)
+    n = rng.randint(6, 8)
     p = rng.choice([Fraction(1, 5), Fraction(7, 20), Fraction(1, 2)])
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if Fraction(rng.randint(0, 19), 20) < p]
@@ -136,12 +136,13 @@ def random_knn_balanced(k: int, n: int, seed):
     return h, WeightFunction(weights)
 
 
-def random_weighted_multigraph(seed, max_rows: int = 3, max_cols: int = 4):
-    """A bipartite (multi)graph with f-values in {1, 2}, column degrees <= 2,
-    plus the smallest admissible s (row degrees <= 2s).  Returns (g, f, s)."""
+def random_weighted_multigraph(seed):
+    """A bipartite (multi)graph on 2-3 rows and 2-4 columns with f-values in
+    {1, 2}, column degrees <= 2, plus the smallest admissible s (row degrees
+    <= 2s).  Returns (g, f, s)."""
     rng = random.Random(f"conf:{seed}")
-    rows = rng.randint(2, max_rows)
-    cols = rng.randint(2, max_cols)
+    rows = rng.randint(2, 3)
+    cols = rng.randint(2, 4)
     weights: Dict[Tuple[int, int, int], int] = {}
     for c in range(1, cols + 1):
         style = rng.choice(["one", "one", "two_cells", "double"])
@@ -150,10 +151,9 @@ def random_weighted_multigraph(seed, max_rows: int = 3, max_cols: int = 4):
         elif style == "double":
             weights[(rng.randint(1, rows), c, 0)] = 2
         else:
-            r1, r2 = rng.sample(range(1, rows + 1), 2) if rows >= 2 else (1, 1)
+            r1, r2 = rng.sample(range(1, rows + 1), 2)
             weights[(r1, c, 0)] = 1
-            if r2 != r1:
-                weights[(r2, c, 0)] = 1
+            weights[(r2, c, 0)] = 1
     g = Multigraph(rows, cols, list(weights))
     f = WeightFunction({e: Fraction(w) for e, w in weights.items()})
     row_deg: Dict[int, int] = {}
@@ -163,13 +163,16 @@ def random_weighted_multigraph(seed, max_rows: int = 3, max_cols: int = 4):
     return g, f, s
 
 
-def random_two_interval_family(seed, m: int, max_size: int = 8):
-    """A family of <= max_size two-intervals not pierceable by m points per
-    line (found by seeded rejection sampling; endpoints on a 1/12 grid)."""
+def random_two_interval_family(seed, m: int):
+    """A family of <= 8 two-intervals not pierceable by m points per line
+    (found by seeded rejection sampling; endpoints on a 1/12 grid).  There is
+    none for m >= 4, as one point per member pierces it: a ValueError."""
+    if m >= 4:
+        raise ValueError(f"m must be <= 3, got {m}: 4 points per line pierce any 8 two-intervals")
     rng = random.Random(f"tardos:{m}:{seed}")
     q = 12
     while True:
-        size = rng.randint(4 if m == 1 else 6, max_size)
+        size = rng.randint(4 if m == 1 else 6, 8)
         family = []
         for _ in range(size):
             parts = []

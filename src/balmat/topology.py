@@ -81,11 +81,11 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def faces(self, max_dim: Optional[int] = None) -> Dict[int, List[Tuple[int, ...]]]:
+    def faces(self) -> Dict[int, List[Tuple[int, ...]]]:
         """Faces by dimension (empty face has dimension -1), sorted."""
         if self.is_void:
             return {}
-        top = max_dim if max_dim is not None else max(len(f) for f in self.facets) - 1
+        top = max(len(f) for f in self.facets) - 1
         return {j: self.faces_of_dim(j) for j in range(-1, top + 1)}
 
     def faces_of_dim(self, j: int) -> List[Tuple[int, ...]]:
@@ -153,9 +153,6 @@ class Eta:
 
     def at_least(self, k: int) -> bool:
         return self.value >= k
-
-    def __str__(self):
-        return str(self.value) if self.exact else f">={self.value}"
 
 
 def eta(c: SimplicialComplex, cap: int) -> Eta:

@@ -78,8 +78,9 @@ def check_nnn() -> CheckResult:
 
 
 @_check("furedi")
-def check_furedi(instances: int = 500) -> CheckResult:
+def check_furedi() -> CheckResult:
     """nu >= ceil(nu*/(d-1)) on seeded random balanced instances."""
+    instances = 500
     shapes = [(2, 2), (3, 3), (2, 4), (4, 4), (5, 5), (2, 2, 2), (3, 3, 3),
               (4, 4, 4), (5, 5, 5), (2, 2, 4)]
     failures = []
@@ -94,9 +95,10 @@ def check_furedi(instances: int = 500) -> CheckResult:
 
 
 @_check("ind-psi")
-def check_ind_psi(sampled: int = 200, cap: int = 6) -> CheckResult:
+def check_ind_psi() -> CheckResult:
     """eta(I(G)) >= Psi(G): exhaustive <= 5 vertices, then seeded 6-8 vertex
     graphs, with eta truncated at the cap."""
+    sampled, cap = 200, 6
     failures = []
 
     def verdict(g: Graph):
@@ -118,8 +120,9 @@ def check_ind_psi(sampled: int = 200, cap: int = 6) -> CheckResult:
 
 
 @_check("matching-bound")
-def check_matching_bound(instances: int = 100) -> CheckResult:
+def check_matching_bound() -> CheckResult:
     """Psi(L(G)) and the explicit strategy both reach ceil(|f|/(2s+2))."""
+    instances = 100
     failures = []
     for i in range(instances):
         g, f, s = random_weighted_multigraph(seed=i)
@@ -136,8 +139,9 @@ def check_matching_bound(instances: int = 100) -> CheckResult:
 
 
 @_check("hall")
-def check_hall(per_shape: int = 50) -> CheckResult:
+def check_hall() -> CheckResult:
     """Topological Hall deficiency check on balanced (k,n,n) instances."""
+    per_shape = 50
     failures = []
     for k, n in [(2, 3), (3, 4), (3, 5), (4, 5)]:
         deficiency = k - min(k, -(-n // 2))
@@ -151,8 +155,9 @@ def check_hall(per_shape: int = 50) -> CheckResult:
 
 
 @_check("upper-bounds")
-def check_upper_bounds(edge_cap: int = 40) -> CheckResult:
+def check_upper_bounds() -> CheckResult:
     """The explicit upper-bound families have exactly their claimed nu."""
+    edge_cap = 40
     cases = []
     for n in range(2, 9):
         for k in range(3 * n // 4 + 1, n):
@@ -199,8 +204,9 @@ def check_upper_bounds(edge_cap: int = 40) -> CheckResult:
 
 
 @_check("zeta")
-def check_zeta(n: int = 3) -> CheckResult:
+def check_zeta() -> CheckResult:
     """The bipartite zeta witness: stated degrees and H_1(M(G)) nonzero."""
+    n = 3
     g, f = cons.zeta_counterexample(n)
     wdict = f.as_dict()
     deg_a: Dict[int, Fraction] = {}
@@ -258,8 +264,9 @@ def check_gordan() -> CheckResult:
 
 
 @_check("cake")
-def check_cake(q: int = 6) -> CheckResult:
+def check_cake() -> CheckResult:
     """Neither counterexample instance placates all agents on the 1/q grid."""
+    q = 6
     got = {}
     expected = {}
     for n in (2, 3):
@@ -274,9 +281,10 @@ def check_cake(q: int = 6) -> CheckResult:
 
 
 @_check("tardos")
-def check_tardos(per_m: int = 50) -> CheckResult:
+def check_tardos() -> CheckResult:
     """Families of two-intervals with no m-per-line cover contain m+1
     pairwise disjoint members (via a rainbow matching on identical copies)."""
+    per_m = 50
     failures = []
     for m in (1, 2):
         for i in range(per_m):

@@ -16,9 +16,9 @@ def _report(tag, result, elapsed, budget):
     assert elapsed < budget
 
 
-def _run(tag, name, budget, **kwargs):
+def _run(tag, name, budget):
     t0 = time.monotonic()
-    result = CHECKS[name](**kwargs)
+    result = CHECKS[name]()
     _report(tag, result, time.monotonic() - t0, budget)
 
 
@@ -36,39 +36,39 @@ def test_criterion_02_nnn_tight_and_exhaustive_search():
 def test_criterion_03_furedi_bound():
     """nu >= ceil(nu*/(d-1)) on 500 seeded balanced instances, d in {2,3},
     sizes up to (5,5,5)."""
-    _run("criterion 3", "furedi", budget=60, instances=500)
+    _run("criterion 3", "furedi", budget=60)
 
 
 def test_criterion_04_independence_complex_vs_game():
     """eta(I(G)) >= Psi(G), exhaustively on <= 5 vertices plus 200 seeded
     graphs on 6-8 vertices, homology capped at 6."""
-    _run("criterion 4", "ind-psi", budget=300, sampled=200, cap=6)
+    _run("criterion 4", "ind-psi", budget=300)
 
 
 def test_criterion_05_matching_complex_lower_bound():
     """Psi(L(G)) and the explicit strategy both reach ceil(|f|/(2s+2)) on 100
     seeded weighted instances with <= 10 line-graph vertices."""
-    _run("criterion 5", "matching-bound", budget=120, instances=100)
+    _run("criterion 5", "matching-bound", budget=120)
 
 
 def test_criterion_06_topological_hall():
     """hall_check passes with deficiency k - min(k, ceil(n/2)) on 50 seeded
     balanced (k,n,n) instances for each (k,n) in {(2,3),(3,4),(3,5),(4,5)},
     producing a matching of the claimed size."""
-    _run("criterion 6", "hall", budget=300, per_shape=50)
+    _run("criterion 6", "hall", budget=300)
 
 
 def test_criterion_07_upper_bound_constructions():
     """Every generated upper-bound family with <= 40 edges is exactly
     balanced and has exactly its claimed nu (cross-checked by an independent
     exhaustive oracle)."""
-    _run("criterion 7", "upper-bounds", budget=120, edge_cap=40)
+    _run("criterion 7", "upper-bounds", budget=120)
 
 
 def test_criterion_08_zeta_counterexample():
     """The n = 3 bipartite witness has degrees (2, 3/2) and nonvanishing
     first homology of its matching complex."""
-    _run("criterion 8", "zeta", budget=60, n=3)
+    _run("criterion 8", "zeta", budget=60)
 
 
 def test_criterion_09_gordan_bases():
@@ -79,10 +79,10 @@ def test_criterion_09_gordan_bases():
 
 def test_criterion_10_cake_counterexamples():
     """grid_max at q = 6 stays <= n - 1 for both instances, n in {2, 3}."""
-    _run("criterion 10", "cake", budget=600, q=6)
+    _run("criterion 10", "cake", budget=600)
 
 
 def test_criterion_11_two_interval_piercing():
     """100 seeded families of <= 8 two-intervals with no (m,m)-cover each
     contain m + 1 pairwise disjoint members, m in {1, 2}."""
-    _run("criterion 11", "tardos", budget=120, per_m=50)
+    _run("criterion 11", "tardos", budget=120)

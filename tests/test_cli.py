@@ -154,6 +154,12 @@ def test_dinterval_commands(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["matching"]) == 2
     code, out = run(capsys, "dinterval", "rainbow", path, "--target", "3")
     assert code == 1
+    # a budget is an upper bound: (0,1)x(0,1) has one candidate point per line
+    whole = write(tmp_path, "w.json", {"d": 2, "families": [[{"parts": [["0", "1"], ["0", "1"]]}]]})
+    for budgets in ("1,1", "2,2"):
+        code, out = run(capsys, "dinterval", "cover", whole, "--budgets", budgets)
+        assert (code, json.loads(out)) == (0, {"coverable": True,
+                                              "points": [["1/2"], ["1/2"]]}), budgets
 
 
 def test_cake_commands(tmp_path, capsys):
@@ -183,6 +189,29 @@ def test_verify_all_subset(tmp_path, capsys):
     saved = json.loads(open(report).read())
     assert saved == json.loads(out)
     assert saved["pass"] is True
+
+
+def test_verify_all_only_takes_check_names(capsys):
+    """--only takes one or more names of checks, and nothing else."""
+    for names in ([], ["bogus"], ["pasch", "Pasch"]):
+        assert run(capsys, "verify-all", "--only", *names) == (2, ""), names
+    code, out = run(capsys, "verify-all", "--only", "pasch", "zeta")
+    assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == ["pasch", "zeta"]
+
+
+def test_abbreviated_flags_exit_2(tmp_path, capsys):
+    """A flag is read only when spelled out in full, on every parser."""
+    for argv in (["bm-search", "sampled", "--sides", "2,2", "--t", "3", "--see", "4"],
+                 ["bm-search", "sampled", "--sid=2,2"],
+                 ["verify-all", "--o", "pasch"],
+                 ["--ou", str(tmp_path / "out.json"), "verify-all", "--only", "pasch"],
+                 ["construct", "conj_nn", "--n=3", "--var=2"],
+                 ["cake", "search", "--inst=2n2nn", "--n=2"]):
+        assert run(capsys, *argv) == (2, ""), argv
+    assert not (tmp_path / "out.json").exists()
+    code, out = run(capsys, "bm-search", "sampled", "--sides", "2,2", "--trials", "3",
+                    "--seed", "4")
+    assert code == 0 and json.loads(out)["examined"] == 3
 
 
 def test_malformed_hypergraph_exits_2(tmp_path, capsys):
@@ -314,10 +343,12 @@ def test_input_checks_exit_2(tmp_path, capsys):
 # Each case is a well-formed command with in-range values and exactly the
 # flags its action reads, used as it is or with one fault: a document node
 # replaced by a value of the wrong type, shape or range, or removed; one
-# argument value replaced by one that is not a count or is below the range;
-# or one more flag that only a sibling action reads.  Sizes stay small (at
-# most 6 vertices, 4 edges, facets or d-intervals, --cap <= 8, --q <= 3,
-# --trials <= 5), so one run takes well under a second.
+# argument value replaced by one that is not a count or is below the range
+# (for verify-all: no name after --only, or a name that is no check); one
+# more flag that only a sibling action reads; or a long flag cut to a proper
+# prefix.  Sizes stay small (at most 6 vertices, 4 edges, facets or
+# d-intervals, --cap <= 8, --q <= 3, --trials <= 5, and verify-all runs only
+# the checks in FAST_CHECKS), so one run takes well under a second.
 
 LEAVES = leaves(build_parser())
 # the flags read by the other actions of the same command, but not by this one
@@ -329,6 +360,8 @@ COUNTS = st.integers(-3, 8)
 MISSING = object()
 FAULTS = st.one_of(COUNTS, st.sampled_from([None, True, 1.5, "1/0", "x", [], {}, MISSING]))
 BAD_ARGS = st.sampled_from(["x", "1.5", "1/0", "", "2,", "0", "-1", "-3"])
+BAD_NAMES = st.lists(st.sampled_from(["", "x", "Pasch", "ind_psi", "all"]), max_size=1)
+FAST_CHECKS = ["pasch", "zeta", "nnn", "gordan"]  # each runs in under 0.1 s
 GRID = ["0", "1/4", "1/3", "1/2", "2/3", "1"]
 
 
@@ -351,12 +384,12 @@ def _paths(node, path=()):
 @st.composite
 def with_fault(draw, cases):
     """A case of `cases` as it is, or with one fault in its document or argv,
-    and whether that fault is a flag that only a sibling action reads."""
+    and whether that fault must be a usage error."""
     argv, data = draw(cases)
     leaf = leaf_of(argv)
     if not flags(LEAVES[leaf], required=True) <= given_flags(argv) <= flags(LEAVES[leaf]):
         raise AssertionError(f"{argv} does not give exactly flags that {leaf} reads")
-    where = draw(st.sampled_from(["nowhere", "document", "argument", "sibling"]))
+    where = draw(st.sampled_from(["nowhere", "document", "argument", "sibling", "prefix"]))
     if where == "document" and data is not None:
         path, fault = draw(st.sampled_from(list(_paths(data)))), draw(FAULTS)
         if not path:
@@ -370,13 +403,23 @@ def with_fault(draw, cases):
             else:
                 parent[path[-1]] = fault
     flag_args = [i for i, a in enumerate(argv) if a.startswith("--") and "=" in a]
-    if where == "argument" and flag_args:
+    names = leaf == ("verify-all",) and where == "argument"
+    if names:  # the names after --only
+        argv = [*argv[:2], *draw(BAD_NAMES)]
+    elif where == "argument" and flag_args:
         i = draw(st.sampled_from(flag_args))
         argv = [*argv[:i], argv[i].split("=")[0] + "=" + draw(BAD_ARGS), *argv[i + 1:]]
     sibling = where == "sibling" and bool(SIBLING_FLAGS[leaf])
     if sibling:  # 1 parses as a count, a rational, side sizes or a path
         argv = [*argv, draw(st.sampled_from(SIBLING_FLAGS[leaf])) + "=1"]
-    return argv, data, sibling
+    long_flags = [i for i, a in enumerate(argv) if a.startswith("--") and len(a.split("=")[0]) > 3]
+    prefix = where == "prefix" and bool(long_flags)
+    if prefix:  # "--" and at least one letter, but not the whole name
+        i = draw(st.sampled_from(long_flags))
+        flag, eq, value = argv[i].partition("=")
+        argv = [*argv[:i], flag[:draw(st.integers(3, len(flag) - 1))] + eq + value,
+                *argv[i + 1:]]
+    return argv, data, names or sibling or prefix
 
 
 def csv(values, size):
@@ -458,6 +501,8 @@ CASES = with_fault(st.one_of(
     command(["bm-search", "exhaustive"], sides=SIDES),
     command(["bm-search", "sampled"], sides=SIDES, trials=st.integers(0, 5),
             edge_cap=st.integers(1, 8), seed=st.integers(0, 9), optional=["edge_cap", "seed"]),
+    st.tuples(st.lists(st.sampled_from(FAST_CHECKS), min_size=1, max_size=4, unique=True).map(
+        lambda names: ["verify-all", "--only", *names]), st.none()),
 ))
 
 
@@ -473,11 +518,15 @@ CASES = with_fault(st.one_of(
                False))
 @example(case=(["construct", "pasch", "--n=3"], None, True))
 @example(case=(["bm-search", "exhaustive", "--sides=2,2", "--trials=-3"], None, True))
+@example(case=(["bm-search", "sampled", "--sides=2,2", "--t=3", "--see=4"], None, True))
+@example(case=(["verify-all", "--o", "pasch"], None, True))
+@example(case=(["verify-all", "--only"], None, True))
 def test_cli_fuzz(tmp_path_factory, case):
-    """Every subcommand but verify-all exits 0 or 1 with a JSON result on
-    stdout, or 2 with nothing there; an uncaught exception fails.  A flag
-    that only a sibling action reads always exits 2."""
-    argv, data, sibling = case
+    """Every subcommand exits 0 or 1 with a JSON result on stdout, or 2 with
+    nothing there; an uncaught exception fails.  A flag that only a sibling
+    action reads, a long flag cut to a proper prefix, and --only without a
+    check name or with an unknown one always exit 2."""
+    argv, data, must_fail = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(data))
     out = StringIO()
@@ -488,5 +537,5 @@ def test_cli_fuzz(tmp_path_factory, case):
         assert out.getvalue() == ""
     else:
         json.loads(out.getvalue())
-    if sibling:
-        assert code == 2
+    if must_fail:
+        assert code == 2, argv

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balmat.dinterval import (DInterval, DIntervalFamilies, coverable,
@@ -63,18 +63,46 @@ def test_cover_points_actually_pierce():
         assert any(iv.contains(t, x) for t in range(2) for x in cover[t])
 
 
+def test_budget_above_the_candidates_is_an_upper_bound():
+    """A line with fewer candidate points than its budget takes them all."""
+    whole = di((0, 1), (0, 1))  # one candidate point per line: 1/2
+    half = Fraction(1, 2)
+    for budgets, cover in (((1, 1), [[half], [half]]), ((2, 2), [[half], [half]]),
+                           ((5, 0), [[half], []]), ((0, 3), [[], [half]])):
+        assert coverable([whole], budgets) == cover, budgets
+    assert not im_premise_check(DIntervalFamilies(2, [[whole]]), (3, 3))
+
+
+# 1-4 two-intervals with endpoints on the 1/12 grid
+TWO_INTERVALS = st.lists(st.tuples(st.integers(0, 10), st.integers(1, 4),
+                                   st.integers(0, 10), st.integers(1, 4)),
+                         min_size=1, max_size=4).map(
+    lambda raw: [DInterval([(Fraction(a, 12), min(Fraction(1), Fraction(a + la, 12))),
+                            (Fraction(b, 12), min(Fraction(1), Fraction(b + lb, 12)))])
+                 for a, la, b, lb in raw])
+BUDGETS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(TWO_INTERVALS, BUDGETS, BUDGETS)
+@example([di((0, 1), (0, 1))], (1, 1), (1, 1))
+def test_cover_survives_a_larger_budget(family, budgets, extra):
+    """A family coverable at budgets b is coverable at every b' >= b, by a
+    cover within b' that pierces every member."""
+    larger = tuple(b + x for b, x in zip(budgets, extra))
+    if coverable(family, budgets) is None:
+        return
+    cover = coverable(family, larger)
+    assert cover is not None
+    assert all(len(points) <= b for points, b in zip(cover, larger))
+    for iv in family:
+        assert any(iv.contains(t, x) for t in range(2) for x in cover[t])
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 4),
-                          st.integers(0, 10), st.integers(1, 4)),
-                min_size=1, max_size=4))
-def test_cover_decision_stable_under_finer_grid(raw):
+@given(TWO_INTERVALS)
+def test_cover_decision_stable_under_finer_grid(family):
     """Midpoint candidates decide the same as a finer probe grid."""
-    family = []
-    for a, la, b, lb in raw:
-        lo1 = Fraction(a, 12)
-        lo2 = Fraction(b, 12)
-        family.append(DInterval([(lo1, min(Fraction(1), lo1 + Fraction(la, 12))),
-                                 (lo2, min(Fraction(1), lo2 + Fraction(lb, 12)))]))
     decided = coverable(family, (1, 1))
     # probe: any single point per line from a fine uniform grid
     grid = [Fraction(i, 48) for i in range(1, 48)]

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,14 @@ def test_integral_balanced_validation():
     for short_or_long in ({(1,): 1, (2,): 1}, {(1, 1, 1): 1, (2, 2, 2): 1}):
         with pytest.raises(ValueError, match="wrong arity"):
             ib((2, 2), short_or_long)
+    # truncated, these would be a zero weighting and weights 1 and 1
+    for fractional in ({(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)},
+                       {(1, 1): Fraction(3, 2), (2, 2): 1.9}):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ib((2, 2), fractional)
     ok = ib((2, 2), {(1, 1): 1, (2, 2): 1})
     assert ok.norm() == 2
+    assert ib((2, 2), {(1, 1): Fraction(2), (2, 2): 2.0}).weights == (((1, 1), 2), ((2, 2), 2))
 
 
 def test_hilbert_basis_22_is_permutations():

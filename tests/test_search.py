@@ -99,6 +99,14 @@ def test_random_two_interval_family_premise():
     assert coverable(fam, (1, 1)) is None
 
 
+def test_random_two_interval_family_rejects_unreachable_m():
+    """Four points per line pierce any 8 two-intervals, one per member, so
+    for m >= 4 the rejection sampling could never return."""
+    for m in (4, 5):
+        with pytest.raises(ValueError, match=f"m must be <= 3, got {m}"):
+            random_two_interval_family(0, m=m)
+
+
 def test_run_all_subset_and_unknown():
     results = run_all(["pasch"])
     assert len(results) == 1 and results[0].passed
