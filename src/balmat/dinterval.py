@@ -119,8 +119,3 @@ def _rainbow(families, i, chosen, target):
                 return found
     return _rainbow(families, i + 1, chosen, target)
 
-
-def im_premise_check(fams: DIntervalFamilies, a) -> bool:
-    """True iff no family is coverable with a_t - 1 points per component."""
-    budgets = [x - 1 for x in a]
-    return all(coverable(fam, budgets) is None for fam in fams.families)

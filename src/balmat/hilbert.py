@@ -1,15 +1,15 @@
-"""Integral generators of the balanced-weight cone, Birkhoff-style
-decomposition, and the Hall matching-extension step.
+"""Integral generators of the balanced-weight cone and decomposition of an
+integral balanced weighting over them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm, prod
 from typing import Dict, List, Optional, Tuple
 
-from .hypergraph import PartiteHypergraph, WeightFunction, _all_edges, check_side_sizes
+from .hypergraph import (PartiteHypergraph, WeightFunction, _all_edges, check_side_sizes,
+                         is_balanced)
 
 Edge = Tuple[int, ...]
 
@@ -25,22 +25,16 @@ class IntegralBalanced:
         for e, w in weights.items():
             if w != int(w):
                 raise ValueError(f"weight {w} on {e} is not an integer")
+            if w < 0:
+                raise ValueError("weights must be nonnegative")
         items = tuple(sorted((tuple(e), int(w)) for e, w in weights.items() if w))
         if not items:
             raise ValueError("must not be identically zero")
         # side sizes, edge arity and range
-        sizes = PartiteHypergraph(side_sizes, [e for e, _ in items]).side_sizes
-        deg: Dict[Tuple[int, int], int] = {}
-        for e, w in items:
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            for t, j in enumerate(e, start=1):
-                deg[(t, j)] = deg.get((t, j), 0) + w
-        for t, a in enumerate(sizes, start=1):
-            col = [deg.get((t, j), 0) for j in range(1, a + 1)]
-            if any(x != col[0] for x in col):
-                raise ValueError(f"degrees not constant on side {t}")
-        object.__setattr__(self, "side_sizes", sizes)
+        h = PartiteHypergraph(side_sizes, [e for e, _ in items])
+        if not is_balanced(h, WeightFunction(dict(items))):
+            raise ValueError("degrees not constant on some side")
+        object.__setattr__(self, "side_sizes", h.side_sizes)
         object.__setattr__(self, "weights", items)
 
     def as_dict(self) -> Dict[Edge, int]:
@@ -157,109 +151,3 @@ def decompose(w: IntegralBalanced, basis) -> Optional[List[IntegralBalanced]]:
         return None
 
     return rec(0, [])
-
-
-# --- Birkhoff decomposition -------------------------------------------------
-
-
-def birkhoff_decompose(w: IntegralBalanced) -> List[Tuple[Edge, ...]]:
-    """Write a balanced integral bipartite weighting as a sum of perfect
-    matching indicators (greedy extraction; Hall guarantees each step).
-
-    Returns a list of matchings with multiplicity; each matching is a sorted
-    tuple of (row, col) edges.
-    """
-    if len(w.side_sizes) != 2 or w.side_sizes[0] != w.side_sizes[1]:
-        raise ValueError("requires square bipartite side sizes (n, n)")
-    n = w.side_sizes[0]
-    rest = w.as_dict()
-    out: List[Tuple[Edge, ...]] = []
-    while any(rest.values()):
-        support = {(i, j) for (i, j), x in rest.items() if x > 0}
-        match = _perfect_matching(n, support)
-        if match is None:
-            raise ValueError("input is not balanced: support has no perfect matching")
-        delta = min(rest[e] for e in match)
-        for e in match:
-            rest[e] -= delta
-        out.extend([match] * delta)
-    return out
-
-
-def _perfect_matching(n: int, support) -> Optional[Tuple[Edge, ...]]:
-    adj: Dict[int, List[int]] = {i: [] for i in range(1, n + 1)}
-    for i, j in sorted(support):
-        adj[i].append(j)
-    match_col, stuck = _kuhn(range(1, n + 1), adj)
-    if stuck is not None:
-        return None
-    return tuple(sorted((i, j) for j, i in match_col.items()))
-
-
-def _kuhn(keys, options):
-    """Kuhn's augmenting paths: give each key, in order, a distinct one of its
-    options (tried in list order).  Returns (option -> key, None), or stops at
-    the first key that cannot be served: (partial assignment, that key)."""
-    match: Dict[object, object] = {}
-    for key in keys:
-        if not _augment(key, options, match, set()):
-            return match, key
-    return match, None
-
-
-def _augment(key, options, match, seen) -> bool:
-    for x in options[key]:
-        if x in seen:
-            continue
-        seen.add(x)
-        if x not in match or _augment(match[x], options, match, seen):
-            match[x] = key
-            return True
-    return False
-
-
-# --- Hall extension step ----------------------------------------------------
-
-
-def hall_extend(h_prime: PartiteHypergraph, matching, w_prime: WeightFunction):
-    """Extend a d-partite matching by one coordinate using distinct
-    representatives among side-(d+1) vertices of weight >= 1 fibers.
-
-    Returns (extended matching, None), or (None, violators) when Hall's
-    condition fails: violators is a set of matching edges whose fibers
-    together hold exactly one side-(d+1) vertex fewer than there are edges.
-    """
-    d = h_prime.d - 1
-    matching = [tuple(e) for e in matching]
-    wdict = w_prime.as_dict()
-    proj_support = {e[:d] for e, x in wdict.items() if x > 0}
-    for e in matching:
-        if len(e) != d:
-            raise ValueError("matching edges must have d coordinates")
-        if e not in proj_support:
-            raise ValueError(f"matching edge {e} not in the projected support")
-    fibers: Dict[Edge, List[int]] = {
-        e: sorted({ep[d] for ep, x in wdict.items() if x >= 1 and ep[:d] == e})
-        for e in matching}
-
-    match_rep, stuck = _kuhn(matching, fibers)  # representative j -> matching edge
-    if stuck is not None:
-        return None, _hall_violators(stuck, match_rep, fibers)
-    assigned = {e: j for j, e in match_rep.items()}
-    extended = tuple(sorted(e + (assigned[e],) for e in matching))
-    for e1, e2 in itertools.combinations(extended, 2):
-        if any(a == b for a, b in zip(e1, e2)):
-            raise RuntimeError(f"extension is not a matching: {e1} meets {e2}")
-    return extended, None
-
-
-def _hall_violators(stuck, match_rep, fibers):
-    """The edges that alternating paths over Kuhn's assignment reach from the
-    stuck edge.  Every vertex in their fibers is assigned to one of them (else
-    Kuhn would have served the stuck edge), and the stuck edge has none."""
-    reached = [stuck]
-    for e in reached:
-        for j in fibers[e]:
-            if match_rep[j] not in reached:
-                reached.append(match_rep[j])
-    return tuple(sorted(reached))

@@ -165,10 +165,14 @@ def random_weighted_multigraph(seed):
 
 def random_two_interval_family(seed, m: int):
     """A family of <= 8 two-intervals not pierceable by m points per line
-    (found by seeded rejection sampling; endpoints on a 1/12 grid).  There is
-    none for m >= 4, as one point per member pierces it: a ValueError."""
+    (found by seeded rejection sampling; endpoints on a 1/12 grid).  For
+    m >= 3 a ValueError: there is no such family for m >= 4, as one point per
+    member pierces it, and for m = 3 the sampling almost never draws one."""
     if m >= 4:
-        raise ValueError(f"m must be <= 3, got {m}: 4 points per line pierce any 8 two-intervals")
+        raise ValueError(f"m must be <= 2, got {m}: 4 points per line pierce any 8 two-intervals")
+    if m == 3:
+        raise ValueError("m must be <= 2, got 3: families of 8 two-intervals with no "
+                         "(3,3)-cover exist, but rejection sampling does not reach them")
     rng = random.Random(f"tardos:{m}:{seed}")
     q = 12
     while True:

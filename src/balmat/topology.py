@@ -81,13 +81,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def faces(self) -> Dict[int, List[Tuple[int, ...]]]:
-        """Faces by dimension (empty face has dimension -1), sorted."""
-        if self.is_void:
-            return {}
-        top = max(len(f) for f in self.facets) - 1
-        return {j: self.faces_of_dim(j) for j in range(-1, top + 1)}
-
     def faces_of_dim(self, j: int) -> List[Tuple[int, ...]]:
         """The j-dimensional faces, sorted; [()] for j = -1 unless void."""
         if self.is_void or j < -1:
@@ -96,10 +89,6 @@ class SimplicialComplex:
             return [()]
         return sorted({face for f in self.facets
                        for face in itertools.combinations(sorted(f), j + 1)})
-
-    def euler_characteristic_reduced(self) -> int:
-        faces = self.faces()
-        return sum((-1) ** j * len(fs) for j, fs in faces.items())
 
 
 def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]]) -> int:

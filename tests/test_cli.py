@@ -192,8 +192,8 @@ def test_verify_all_subset(tmp_path, capsys):
 
 
 def test_verify_all_only_takes_check_names(capsys):
-    """--only takes one or more names of checks, and nothing else."""
-    for names in ([], ["bogus"], ["pasch", "Pasch"]):
+    """--only takes one or more distinct names of checks, and nothing else."""
+    for names in ([], ["bogus"], ["pasch", "Pasch"], ["pasch", "pasch"]):
         assert run(capsys, "verify-all", "--only", *names) == (2, ""), names
     code, out = run(capsys, "verify-all", "--only", "pasch", "zeta")
     assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == ["pasch", "zeta"]

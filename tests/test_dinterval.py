@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balmat.dinterval import (DInterval, DIntervalFamilies, coverable,
-                              im_premise_check, intersects, rainbow_matching)
+from balmat.dinterval import (DInterval, DIntervalFamilies, coverable, intersects,
+                              rainbow_matching)
 
 
 def di(*pairs):
@@ -70,7 +70,6 @@ def test_budget_above_the_candidates_is_an_upper_bound():
     for budgets, cover in (((1, 1), [[half], [half]]), ((2, 2), [[half], [half]]),
                            ((5, 0), [[half], []]), ((0, 3), [[], [half]])):
         assert coverable([whole], budgets) == cover, budgets
-    assert not im_premise_check(DIntervalFamilies(2, [[whole]]), (3, 3))
 
 
 # 1-4 two-intervals with endpoints on the 1/12 grid
@@ -138,11 +137,3 @@ def test_rainbow_matching_skips_families():
     assert rainbow_matching(fams, 2) is not None
     assert rainbow_matching(fams, 3) is None
 
-
-def test_im_premise_check():
-    assert im_premise_check(DIntervalFamilies(2, []), (1, 1))
-    easy = DIntervalFamilies(2, [[di((0, "1/2"), (0, "1/2"))]])
-    assert not im_premise_check(easy, (2, 2))  # coverable with 1 point
-    hard = DIntervalFamilies(2, [[di((0, "1/2"), (0, "1/2")),
-                                  di(("1/2", 1), ("1/2", 1))]])
-    assert im_premise_check(hard, (1, 1))  # budgets (0,0) cover nothing

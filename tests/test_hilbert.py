@@ -1,14 +1,9 @@
-import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from balmat.hilbert import (CapExceeded, IntegralBalanced, birkhoff_decompose,
-                            decompose, hall_extend, hilbert_basis,
+from balmat.hilbert import (CapExceeded, IntegralBalanced, decompose, hilbert_basis,
                             _integral_balanced_with_degrees)
-from balmat.hypergraph import PartiteHypergraph, WeightFunction
 
 
 def ib(sides, weights):
@@ -88,83 +83,3 @@ def test_decompose_completeness_22():
 def test_decompose_failure():
     basis = [ib((2, 2), {(1, 1): 1, (2, 2): 1})]
     assert decompose(ib((2, 2), {(1, 2): 1, (2, 1): 1}), basis) is None
-
-
-def test_birkhoff_square_example():
-    w = ib((2, 2), {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 2})
-    matchings = birkhoff_decompose(w)
-    assert len(matchings) == 3
-    assert sorted(matchings).count(((1, 1), (2, 2))) == 2
-    assert ((1, 2), (2, 1)) in matchings
-
-
-def test_birkhoff_rejects_rectangular():
-    with pytest.raises(ValueError):
-        birkhoff_decompose(ib((2, 4), {(1, 1): 1, (1, 2): 1, (2, 3): 1, (2, 4): 1}))
-
-
-def test_hall_extend_success():
-    h = PartiteHypergraph((2, 2, 2), [(1, 1, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2)])
-    w = WeightFunction({e: 1 for e in h.edges})
-    matching = [(1, 1), (2, 2)]
-    extended, violators = hall_extend(h, matching, w)
-    assert violators is None
-    assert len(extended) == 2
-    for e1, e2 in itertools.combinations(extended, 2):
-        assert all(a != b for a, b in zip(e1, e2))
-
-
-def test_hall_extend_reports_violators():
-    # both matching edges can only pick third coordinate 1
-    h = PartiteHypergraph((2, 2, 2), [(1, 1, 1), (2, 2, 1)])
-    w = WeightFunction({e: 1 for e in h.edges})
-    extended, violators = hall_extend(h, [(1, 1), (2, 2)], w)
-    assert extended is None
-    assert set(violators) == {(1, 1), (2, 2)}
-
-
-def test_hall_extend_ignores_fractional_fibers():
-    # weight below 1 does not count toward a fiber
-    h = PartiteHypergraph((1, 1, 2), [(1, 1, 1), (1, 1, 2)])
-    w = WeightFunction({(1, 1, 1): "1/2", (1, 1, 2): 1})
-    extended, violators = hall_extend(h, [(1, 1)], w)
-    assert violators is None
-    assert extended == ((1, 1, 2),)
-
-
-def test_hall_extend_rejects_bad_matching_edges():
-    h = PartiteHypergraph((2, 2, 2), [(1, 1, 1), (2, 2, 1)])
-    w = WeightFunction({e: 1 for e in h.edges})
-    with pytest.raises(ValueError, match="d coordinates"):
-        hall_extend(h, [(1,)], w)
-    with pytest.raises(ValueError, match="not in the projected support"):
-        hall_extend(h, [(1, 2)], w)
-
-
-def test_hall_extend_violators_are_the_alternating_closure():
-    # Hall fails on all four edges (three values); the pair (2,), (4,) has
-    # fibers {2} and {1, 2}, two values for two edges, and is no violator.
-    edges = [(1, 1), (1, 3), (2, 2), (3, 3), (4, 1), (4, 2)]
-    h = PartiteHypergraph((4, 3), edges)
-    extended, violators = hall_extend(h, [(1,), (2,), (3,), (4,)],
-                                      WeightFunction({e: 1 for e in edges}))
-    assert extended is None
-    assert violators == ((1,), (2,), (3,), (4,))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(1, 5), st.integers(1, 4)),
-                       st.sampled_from(["1/2", "1", "2"]), min_size=1))
-def test_hall_extend_violators_have_too_few_values(weights):
-    h = PartiteHypergraph((5, 4), list(weights))
-    matching = sorted({e[:1] for e in weights})
-    fibers = {e: {j for (i, j), w in weights.items() if (i,) == e and w != "1/2"}
-              for e in matching}
-    hall_holds = all(len(set().union(*(fibers[e] for e in sub))) >= r
-                     for r in range(1, len(matching) + 1)
-                     for sub in itertools.combinations(matching, r))
-    extended, violators = hall_extend(h, matching, WeightFunction(weights))
-    assert (extended is not None) == hall_holds
-    if violators is not None:
-        assert set(violators) <= set(matching)
-        assert len(set().union(*(fibers[e] for e in violators))) < len(violators)

@@ -101,9 +101,10 @@ def test_random_two_interval_family_premise():
 
 def test_random_two_interval_family_rejects_unreachable_m():
     """Four points per line pierce any 8 two-intervals, one per member, so
-    for m >= 4 the rejection sampling could never return."""
-    for m in (4, 5):
-        with pytest.raises(ValueError, match=f"m must be <= 3, got {m}"):
+    for m >= 4 the rejection sampling could never return; for m = 3 it
+    almost never draws a family with no (3,3)-cover."""
+    for m in (3, 4, 5):
+        with pytest.raises(ValueError, match=f"m must be <= 2, got {m}"):
             random_two_interval_family(0, m=m)
 
 

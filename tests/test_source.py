@@ -14,3 +14,39 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def _referenced(tree, path):
+    """(path, line, name) for every name the module refers to: a Name, an
+    Attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield path, node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield path, node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield path, node.lineno, alias.name
+
+
+def test_every_definition_is_used():
+    """Each function and class is reached from `balmat` itself, not only from
+    tests: some code outside its own body refers to it by name.  Dunders, and
+    functions a decorator call registers (as `verify._check` does), are
+    reached without one."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    refs = [ref for path, tree in trees.items() for ref in _referenced(tree, path)]
+    unused = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if any(isinstance(d, ast.Call) for d in node.decorator_list):
+                continue
+            body = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (where != path or line not in body)
+                       for where, line, name in refs):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"defined but never used in balmat: {unused}"
