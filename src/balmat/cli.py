@@ -58,10 +58,32 @@ def main(argv=None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a flag only when spelled in full; its subparsers share its class."""
+    """Reads a flag only when spelled in full, and only once: a repeated flag
+    is a usage error, where argparse's default keeps the last value.  Its
+    subparsers share its class."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        vars(parsed).pop(_StoreOnce.GIVEN, None)
+        return parsed
+
+
+class _StoreOnce(argparse.Action):
+    """argparse's `store`, but a flag already read on this parser's namespace
+    (each subparser parses into a fresh one) is a usage error."""
+    GIVEN = "_flags_given"
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if option_string is not None:
+            given = vars(namespace).setdefault(self.GIVEN, set())
+            if self.dest in given:
+                parser.error(f"argument {option_string}: given more than once")
+            given.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,12 +4,18 @@ rainbow matchings, decided exactly on rational endpoints.
 A d-interval is a union of d open intervals, one on each of d parallel
 copies of [0, 1].  Covers are decided exhaustively over one candidate point
 per atomic segment of the endpoint arrangement; because the intervals are
-open this candidate set is complete.
+open this candidate set is complete.  A line's endpoints are scaled to
+integers over their common denominator, and each candidate is held as the
+bitmask of the members it pierces, read off the indices of the members'
+endpoints among the sorted cuts.  The scan over point choices ORs those
+bitmasks, compares no rationals, and returns the first cover in product
+order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -34,10 +40,6 @@ class DInterval:
     def d(self) -> int:
         return len(self.parts)
 
-    def contains(self, t: int, x: Fraction) -> bool:
-        lo, hi = self.parts[t]
-        return lo < x < hi
-
 
 def intersects(a: DInterval, b: DInterval) -> bool:
     """Do two d-intervals meet on some component?  (Open-interval overlap.)"""
@@ -60,18 +62,34 @@ class DIntervalFamilies:
         object.__setattr__(self, "families", fams)
 
 
-def _candidate_points(family: Sequence[DInterval], t: int) -> List[Fraction]:
-    """One midpoint per atomic segment of component t's endpoint arrangement."""
-    cuts = sorted({x for iv in family for x in iv.parts[t]} | {Fraction(0), Fraction(1)})
-    return [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+def _segments(family: Sequence[DInterval], t: int):
+    """Component t's endpoint arrangement in integers: the common denominator
+    `scale` of its endpoints, the cuts (0 and 1 included) times `scale` in
+    order, and for each atomic segment between consecutive cuts the bitmask
+    of the members whose part on t contains it (bit i for family[i])."""
+    parts = [iv.parts[t] for iv in family]
+    scale = math.lcm(*(x.denominator for part in parts for x in part))
+    ends = [(lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
+            for lo, hi in parts]
+    cuts = sorted({x for end in ends for x in end} | {0, scale})
+    index = {x: k for k, x in enumerate(cuts)}
+    masks = [0] * (len(cuts) - 1)
+    for i, (lo, hi) in enumerate(ends):
+        for k in range(index[lo], index[hi]):
+            masks[k] |= 1 << i
+    return scale, cuts, masks
 
 
 def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fraction]]]:
     """Pierce every d-interval with at most budgets[t] points on component t.
 
     Returns the per-component cover point lists, or None when no cover within
-    budget exists.  A line with fewer candidates than its budget takes them
-    all: an extra point never unpierces a member.
+    budget exists.  The candidates on a line are the midpoints of its atomic
+    segments, and a line with fewer candidates than its budget takes them
+    all: an extra point never unpierces a member.  The scan runs over the
+    product of each line's candidate combinations, in `itertools` order, and
+    a pick covers when the OR of its combinations' member bitmasks has every
+    member's bit; the first such pick is returned.
     """
     if min(budgets, default=0) < 0:
         raise ValueError(f"budgets must be >= 0, got {tuple(budgets)}")
@@ -81,14 +99,25 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     d = family[0].d
     if len(budgets) != d:
         raise ValueError("one budget per component required")
-    candidates = [_candidate_points(family, t) for t in range(d)]
-    choices_per_side = [
-        list(itertools.combinations(candidates[t], min(budgets[t], len(candidates[t]))))
-        for t in range(d)]
+    lines = [_segments(family, t) for t in range(d)]
+    # per line: (OR of the members the segments pierce, segment indices)
+    choices_per_side = []
+    for (_, _, masks), budget in zip(lines, budgets):
+        choices = []
+        for combo in itertools.combinations(range(len(masks)), min(budget, len(masks))):
+            pierced = 0
+            for k in combo:
+                pierced |= masks[k]
+            choices.append((pierced, combo))
+        choices_per_side.append(choices)
+    everyone = (1 << len(family)) - 1
     for pick in itertools.product(*choices_per_side):
-        if all(any(iv.contains(t, x) for t in range(d) for x in pick[t])
-               for iv in family):
-            return [list(p) for p in pick]
+        pierced = 0
+        for mask, _ in pick:
+            pierced |= mask
+        if pierced == everyone:
+            return [[Fraction(cuts[k] + cuts[k + 1], 2 * scale) for k in combo]
+                    for (scale, cuts, _), (_, combo) in zip(lines, pick)]
     return None
 
 

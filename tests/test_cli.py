@@ -199,6 +199,23 @@ def test_verify_all_only_takes_check_names(capsys):
     assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == ["pasch", "zeta"]
 
 
+def test_repeated_flags_exit_2(tmp_path, capsys):
+    """A flag given twice is a usage error on every parser, not a silent
+    replacement of its first value, even when both values agree."""
+    c = write(tmp_path, "c.json", {"vertices": 2, "facets": [[1], [2]]})
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for argv in (["verify-all", "--only", "pasch", "--only", "zeta"],
+                 ["eta", c, "--cap", "3", "--cap", "4"],
+                 ["eta", c, "--cap=6", "--cap=6"],
+                 ["--out", a, "--out", b, "verify-all", "--only", "pasch"],
+                 ["bm-search", "sampled", "--sides=2,2", "--seed=1", "--seed=1"],
+                 ["construct", "conj_nn", "--n=3", "--variant=2", "--variant=2"]):
+        assert run(capsys, *argv) == (2, ""), argv
+    assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
+    code, out = run(capsys, "eta", c, "--cap", "3")
+    assert code == 0 and json.loads(out)["eta"] >= 0
+
+
 def test_abbreviated_flags_exit_2(tmp_path, capsys):
     """A flag is read only when spelled out in full, on every parser."""
     for argv in (["bm-search", "sampled", "--sides", "2,2", "--t", "3", "--see", "4"],
@@ -345,10 +362,11 @@ def test_input_checks_exit_2(tmp_path, capsys):
 # replaced by a value of the wrong type, shape or range, or removed; one
 # argument value replaced by one that is not a count or is below the range
 # (for verify-all: no name after --only, or a name that is no check); one
-# more flag that only a sibling action reads; or a long flag cut to a proper
-# prefix.  Sizes stay small (at most 6 vertices, 4 edges, facets or
-# d-intervals, --cap <= 8, --q <= 3, --trials <= 5, and verify-all runs only
-# the checks in FAST_CHECKS), so one run takes well under a second.
+# more flag that only a sibling action reads; a long flag cut to a proper
+# prefix; or a flag given a second time.  Sizes stay small (at most 6
+# vertices, 4 edges, facets or d-intervals, --cap <= 8, --q <= 3,
+# --trials <= 5, and verify-all runs only the checks in FAST_CHECKS), so one
+# run takes well under a second.
 
 LEAVES = leaves(build_parser())
 # the flags read by the other actions of the same command, but not by this one
@@ -389,7 +407,8 @@ def with_fault(draw, cases):
     leaf = leaf_of(argv)
     if not flags(LEAVES[leaf], required=True) <= given_flags(argv) <= flags(LEAVES[leaf]):
         raise AssertionError(f"{argv} does not give exactly flags that {leaf} reads")
-    where = draw(st.sampled_from(["nowhere", "document", "argument", "sibling", "prefix"]))
+    where = draw(st.sampled_from(["nowhere", "document", "argument", "sibling", "prefix",
+                                  "repeat"]))
     if where == "document" and data is not None:
         path, fault = draw(st.sampled_from(list(_paths(data)))), draw(FAULTS)
         if not path:
@@ -419,7 +438,12 @@ def with_fault(draw, cases):
         flag, eq, value = argv[i].partition("=")
         argv = [*argv[:i], flag[:draw(st.integers(3, len(flag) - 1))] + eq + value,
                 *argv[i + 1:]]
-    return argv, data, names or sibling or prefix
+    given = [i for i, a in enumerate(argv) if a.startswith("--")]
+    repeat = where == "repeat" and bool(given)
+    if repeat:  # one flag and its value once more, at the end
+        i = draw(st.sampled_from(given))
+        argv = [*argv, *argv[i:i + (1 if "=" in argv[i] else 2)]]
+    return argv, data, names or sibling or prefix or repeat
 
 
 def csv(values, size):
@@ -524,8 +548,8 @@ CASES = with_fault(st.one_of(
 def test_cli_fuzz(tmp_path_factory, case):
     """Every subcommand exits 0 or 1 with a JSON result on stdout, or 2 with
     nothing there; an uncaught exception fails.  A flag that only a sibling
-    action reads, a long flag cut to a proper prefix, and --only without a
-    check name or with an unknown one always exit 2."""
+    action reads, a long flag cut to a proper prefix, a repeated flag, and
+    --only without a check name or with an unknown one always exit 2."""
     argv, data, must_fail = case
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(data))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,34 @@ from balmat.dinterval import (DInterval, DIntervalFamilies, coverable, intersect
 
 def di(*pairs):
     return DInterval([(Fraction(a), Fraction(b)) for a, b in pairs])
+
+
+def contains(iv, t, x):
+    """Does the open part of `iv` on component t contain x?"""
+    lo, hi = iv.parts[t]
+    return lo < x < hi
+
+
+def oracle_coverable(family, budgets):
+    """The brute force `coverable` must agree with: every product of
+    per-component combinations of segment midpoints, in `itertools` order,
+    each member tested against each point by rational comparison."""
+    family = list(family)
+    if not family:
+        return [[] for _ in budgets]
+    d = family[0].d
+    candidates = []
+    for t in range(d):
+        cuts = sorted({x for iv in family for x in iv.parts[t]} | {Fraction(0), Fraction(1)})
+        candidates.append([(a + b) / 2 for a, b in zip(cuts, cuts[1:])])
+    choices_per_side = [
+        list(itertools.combinations(candidates[t], min(budgets[t], len(candidates[t]))))
+        for t in range(d)]
+    for pick in itertools.product(*choices_per_side):
+        if all(any(contains(iv, t, x) for t in range(d) for x in pick[t])
+               for iv in family):
+            return [list(p) for p in pick]
+    return None
 
 
 def test_dinterval_validation():
@@ -35,7 +64,7 @@ def test_coverable_trivial_cases():
     assert coverable([iv], (0, 0)) is None
     cover = coverable([iv], (1, 0))
     assert cover is not None
-    assert any(iv.contains(0, x) for x in cover[0])
+    assert any(contains(iv, 0, x) for x in cover[0])
     assert coverable([], (0, 0)) == [[], []]
     for family in ([], [iv]):
         with pytest.raises(ValueError, match="budgets must be >= 0"):
@@ -50,7 +79,7 @@ def test_coverable_two_disjoint():
     cover = coverable([a, b], (1, 1))
     assert cover is not None
     for iv in (a, b):
-        assert any(iv.contains(t, x) for t in range(2) for x in cover[t])
+        assert any(contains(iv, t, x) for t in range(2) for x in cover[t])
 
 
 def test_cover_points_actually_pierce():
@@ -60,7 +89,7 @@ def test_cover_points_actually_pierce():
     cover = coverable(family, (2, 1))
     assert cover is not None
     for iv in family:
-        assert any(iv.contains(t, x) for t in range(2) for x in cover[t])
+        assert any(contains(iv, t, x) for t in range(2) for x in cover[t])
 
 
 def test_budget_above_the_candidates_is_an_upper_bound():
@@ -95,7 +124,7 @@ def test_cover_survives_a_larger_budget(family, budgets, extra):
     assert cover is not None
     assert all(len(points) <= b for points, b in zip(cover, larger))
     for iv in family:
-        assert any(iv.contains(t, x) for t in range(2) for x in cover[t])
+        assert any(contains(iv, t, x) for t in range(2) for x in cover[t])
 
 
 @settings(max_examples=25, deadline=None)
@@ -106,9 +135,34 @@ def test_cover_decision_stable_under_finer_grid(family):
     # probe: any single point per line from a fine uniform grid
     grid = [Fraction(i, 48) for i in range(1, 48)]
     brute = any(
-        all(iv.contains(0, x) or iv.contains(1, y) for iv in family)
+        all(contains(iv, 0, x) or contains(iv, 1, y) for iv in family)
         for x in grid for y in grid)
     assert (decided is not None) == brute
+
+
+# 0-6 d-intervals, d = 1, 2 or 3, whose endpoints come from a few points of
+# the 1/12 grid, so that members share endpoints and abut; budgets 0-3
+GRID_FAMILIES = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True).flatmap(
+        lambda ends: st.lists(st.lists(
+            st.lists(st.sampled_from(ends), min_size=2, max_size=2, unique=True),
+            min_size=d, max_size=d), max_size=6)),
+    st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRID_FAMILIES)
+@example(([], (0,)))
+@example(([], (3, 0, 2)))
+@example(([[[0, 12], [0, 12]]], (0, 0)))
+@example(([[[0, 6], [6, 12]], [[6, 12], [0, 6]], [[3, 6], [6, 9]]], (1, 1)))
+def test_coverable_matches_the_product_order_oracle(case):
+    """`coverable` returns exactly the oracle's first cover in product order,
+    the same points on each line in the same order, or None with it."""
+    raw, budgets = case
+    family = [DInterval([(Fraction(min(a, b), 12), Fraction(max(a, b), 12)) for a, b in parts])
+              for parts in raw]
+    assert coverable(family, budgets) == oracle_coverable(family, budgets)
 
 
 def test_rainbow_matching_singletons():
