@@ -62,9 +62,9 @@ def instance_2n2_nn(n: int) -> DivisionInstance:
     def oracle(i: int, p: Partition) -> Set[IndexVector]:
         v, w = p.cakes
         ai = a1 if i <= n - 1 else a2
-        b = {(j, k) for j in range(1, n + 1) for k in range(1, n + 1)
-             if v[j - 1] >= thr and w[k - 1] >= thr}
-        return b | _max_sum_pairs(ai, v, w)
+        long_w = [k for k in range(1, n + 1) if w[k - 1] >= thr]
+        return ({(j, k) for j in range(1, n + 1) if v[j - 1] >= thr for k in long_w}
+                | _max_sum_pairs(ai, v, w))
 
     return DivisionInstance(2 * n - 2, (n, n), oracle)
 
@@ -74,8 +74,8 @@ def instance_nn_2n2(n: int) -> DivisionInstance:
 
     Agent i's system pairs slice i of cake 1 with the first n-1 slices of
     cake 2 and slice i+1 (cyclically) with the last n-1 slices; acceptable
-    pairs are the system's max-sum pairs, plus pairs with a long cake-1
-    slice that simultaneously maximize both coordinates over all such pairs.
+    pairs are the system's max-sum pairs, plus, when some cake-1 slice is
+    long, the pairs of a longest cake-1 slice and a longest cake-2 slice.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -88,13 +88,10 @@ def instance_nn_2n2(n: int) -> DivisionInstance:
     def oracle(i: int, p: Partition) -> Set[IndexVector]:
         v, w = p.cakes
         out = _max_sum_pairs(systems[i], v, w)
-        b = {(j, k) for j in range(1, n + 1) for k in range(1, 2 * n - 1)
-             if v[j - 1] >= thr}
-        if b:
-            vmax = max(v[j - 1] for j, _ in b)
-            wmax = max(w[k - 1] for _, k in b)
-            out = out | {(j, k) for j, k in b
-                         if v[j - 1] == vmax and w[k - 1] == wmax}
+        vmax, wmax = max(v), max(w)
+        if vmax >= thr:
+            out |= {(j, k) for j in range(1, n + 1) if v[j - 1] == vmax
+                    for k in range(1, 2 * n - 1) if w[k - 1] == wmax}
         return out
 
     return DivisionInstance(n, (n, 2 * n - 2), oracle)

@@ -87,8 +87,6 @@ def mlessn(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
     else:
         w2 = Fraction(1, n - 1) - Fraction(k, n * (n - 1) * (k - m))
         w3 = Fraction(k, n * (k - m))
-        if w2 < 0 or w3 < 0:
-            raise ValueError("stated weights are negative for these parameters")
         for e in h2:
             weights[e] = w2
         for e in h3:
@@ -135,8 +133,6 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
     else:
         w3 = Fraction(k, n * kp)
         w4 = Fraction(kp, n - 1) - Fraction(k, n * (n - 1))
-        if w4 < 0:
-            raise ValueError("stated weights are negative for these parameters")
         for e in h3:
             weights[e] = w3
         for e in h4:
@@ -272,9 +268,8 @@ def _block_ij(n: int):
 
 
 def _block_jnk(n: int, k: int):
-    """J_n(k): union of the column-count blocks J^i_n on an n-by-k grid."""
-    if 2 ** (k - 1) - 1 >= Fraction(n, 2):
-        raise ValueError("requires 2^(k-1) - 1 < n/2")
+    """J_n(k): union of the column-count blocks J^i_n on an n-by-k grid,
+    for 2^(k-1) - 1 < n/2."""
     edges = []
     for i in range(1, k + 1):
         counts = [2 ** (t - 1) for t in range(1, i)]
@@ -302,9 +297,7 @@ def _grid_assignments(rows, counts, col=1):
 
 def _combine(block1, block2) -> PartiteHypergraph:
     (s1, n1), e1 = block1
-    (s2, n2), e2 = block2
-    if n1 != n2:
-        raise ValueError("blocks must have the same number of sides")
+    (s2, _), e2 = block2
     edges = list(e1) + [tuple(j + s1 for j in e) for e in e2]
     return PartiteHypergraph((s1 + s2,) * n1, edges)
 

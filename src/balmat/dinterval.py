@@ -89,7 +89,9 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     all: an extra point never unpierces a member.  The scan runs over the
     product of each line's candidate combinations, in `itertools` order, and
     a pick covers when the OR of its combinations' member bitmasks has every
-    member's bit; the first such pick is returned.
+    member's bit; the first such pick is returned.  A line keeps only the
+    first combination of each bitmask: the first cover uses no later one, as
+    swapping in the first gives a cover earlier in product order.
     """
     if min(budgets, default=0) < 0:
         raise ValueError(f"budgets must be >= 0, got {tuple(budgets)}")
@@ -100,16 +102,16 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     if len(budgets) != d:
         raise ValueError("one budget per component required")
     lines = [_segments(family, t) for t in range(d)]
-    # per line: (OR of the members the segments pierce, segment indices)
+    # per line: OR of the members the segments pierce -> first segment combo
     choices_per_side = []
     for (_, _, masks), budget in zip(lines, budgets):
-        choices = []
+        choices = {}
         for combo in itertools.combinations(range(len(masks)), min(budget, len(masks))):
             pierced = 0
             for k in combo:
                 pierced |= masks[k]
-            choices.append((pierced, combo))
-        choices_per_side.append(choices)
+            choices.setdefault(pierced, combo)
+        choices_per_side.append(list(choices.items()))
     everyone = (1 << len(family)) - 1
     for pick in itertools.product(*choices_per_side):
         pierced = 0

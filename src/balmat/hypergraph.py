@@ -152,9 +152,7 @@ def _disjoint(e: Edge, f: Edge) -> bool:
 
 
 def _cheap_bound(edges) -> int:
-    """Upper bound on the matching number of the remaining edge set."""
-    if not edges:
-        return 0
+    """Upper bound on the matching number of a nonempty edge set."""
     d = len(edges[0])
     return min(len({e[t] for e in edges}) for t in range(d))
 

@@ -1,10 +1,9 @@
 """Exact rational scalars, matrices, rank, and a two-phase simplex LP solver.
 
-Rank over the rationals is exact fraction-free integer elimination: each row
-is scaled to integers and rows are combined by integer multiples, so
-homology ranks never build a `Fraction`.  The LP (balance certificates,
-fractional matching numbers) runs on `fractions.Fraction`.  No floats
-anywhere.
+Rank over the rationals is exact fraction-free integer elimination: sparse
+integer rows are combined by integer multiples, so homology ranks never build
+a `Fraction`.  The LP (balance certificates, fractional matching numbers)
+runs on `fractions.Fraction`.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,19 +39,17 @@ def ceil_frac(q) -> int:
     return ceil_div(q.numerator, q.denominator)
 
 
-def rank_of_rows(rows: Sequence[Sequence]) -> int:
+def rank_of_rows(rows: Iterable[Dict[int, int]]) -> int:
     """Rank over the rationals by sparse, fraction-free integer elimination.
 
-    Rows are given as dense sequences; sparse callers may pass dicts
-    {col: value} instead, which avoids shuffling zeros around.  Entries may
-    be ints, Fractions, or anything `Fraction()` accepts.
+    Each row is a dict {col: nonzero int}; the rows are left unmodified.
     """
     rank = 0
     # pivots: col -> primitive integer row whose lowest column is col, with a
     # positive entry there, so that a pivot led by 1 never scales a row
     pivots: dict = {}
     for row in rows:
-        r = _integer_row(row.items() if isinstance(row, dict) else enumerate(row))
+        r = dict(row)
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -86,24 +83,6 @@ def rank_of_rows(rows: Sequence[Sequence]) -> int:
                     for c in r:
                         r[c] //= content
     return rank
-
-
-def _integer_row(items) -> dict:
-    """{col: int} for the nonzero entries, scaled by the lcm of their
-    denominators, which leaves the rank unchanged.  All-int rows skip
-    `Fraction` entirely."""
-    r = {}
-    converted = False
-    for c, v in items:
-        if type(v) is not int:
-            v = Fraction(v)
-            converted = True
-        if v:
-            r[c] = v
-    if converted and r:
-        scale = math.lcm(*(v.denominator for v in r.values()))
-        r = {c: v.numerator * (scale // v.denominator) for c, v in r.items()}
-    return r
 
 
 # --- Linear programming -----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmat.cakecheck import (DivisionInstance, Partition, grid_max,
+from balmat.cakecheck import (DivisionInstance, Partition, _max_sum_pairs, grid_max,
                               grid_partitions, instance_2n2_nn,
                               instance_nn_2n2, nu_D)
 
@@ -171,3 +171,65 @@ def test_nu_D_never_exceeds_min_side():
     inst = instance_nn_2n2(2)
     for p in grid_partitions(inst.slice_counts, 3):
         assert nu_D(inst, p) <= min(inst.agent_count, min(inst.slice_counts))
+
+
+# --- the oracles as first written, over every pair of slices -----------------
+
+
+def reference_2n2_nn(n, i, p):
+    """Agent i's list: every pair of long slices, plus the max-sum pairs of
+    its diagonal or shifted-diagonal system."""
+    v, w = p.cakes
+    thr = Fraction(1, n - 1)
+    system = ({(j, j) for j in range(1, n + 1)} if i <= n - 1
+              else {(j, j % n + 1) for j in range(1, n + 1)})
+    b = {(j, k) for j in range(1, n + 1) for k in range(1, n + 1)
+         if v[j - 1] >= thr and w[k - 1] >= thr}
+    return b | _max_sum_pairs(system, v, w)
+
+
+def reference_nn_2n2(n, i, p):
+    """Agent i's list: its system's max-sum pairs, plus the pairs of B, the
+    pairs with a long cake-1 slice, that maximise both coordinates over B."""
+    v, w = p.cakes
+    thr = Fraction(1, n - 1)
+    system = ({(i, k) for k in range(1, n)}
+              | {(i % n + 1, k) for k in range(n, 2 * n - 1)})
+    out = _max_sum_pairs(system, v, w)
+    b = {(j, k) for j in range(1, n + 1) for k in range(1, 2 * n - 1)
+         if v[j - 1] >= thr}
+    if b:
+        vmax = max(v[j - 1] for j, _ in b)
+        wmax = max(w[k - 1] for _, k in b)
+        out = out | {(j, k) for j, k in b if v[j - 1] == vmax and w[k - 1] == wmax}
+    return out
+
+
+REFERENCES = [(instance_2n2_nn, reference_2n2_nn), (instance_nn_2n2, reference_nn_2n2)]
+
+
+@st.composite
+def tied_partitions(draw):
+    """(n, an instance and its reference oracle, a partition of its cakes).
+    Each cake's slices draw their sizes from at most three values, zero
+    allowed, so slices tie with each other and often with 1/(n-1)."""
+    n = draw(st.integers(2, 4))
+    builder, reference = draw(st.sampled_from(REFERENCES))
+    inst = builder(n)
+    cakes = []
+    for a in inst.slice_counts:
+        sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+        raw = draw(st.lists(st.sampled_from(sizes), min_size=a, max_size=a))
+        if not any(raw):
+            raw[draw(st.integers(0, a - 1))] = 1
+        cakes.append([Fraction(x, sum(raw)) for x in raw])
+    return n, inst, reference, Partition(cakes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_partitions())
+def test_oracles_match_their_first_form(case):
+    n, inst, reference, p = case
+    for i in range(1, inst.agent_count + 1):
+        assert inst.oracle(i, p) == reference(n, i, p), i
+

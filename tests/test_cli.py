@@ -337,12 +337,17 @@ def test_input_checks_exit_2(tmp_path, capsys):
     the check's own message on stderr and nothing on stdout."""
     cases = [
         (["psi", "{}"], {"vertices": 2, "edges": [[1, 1]]}, "loops are not allowed"),
+        (["psi", "{}"], {"vertices": 3, "edges": [[1, 5]]}, "edge (1, 5) out of range"),
         (["hall-check", "{}"], {"sides": [2, 2], "edges": [[1, 1]]}, "d = 3 only"),
         (["hall-check", "{}"], {"sides": [13, 1, 1], "edges": []}, "side 1 too large"),
         (["dinterval", "rainbow", "{}", "--target=1"],
          {"d": 2, "families": [[{"parts": [["0", "1"]]}]]}, "the same d"),
         (["cake", "search", "--instance=2n2nn", "--n=1"], None, "n >= 2"),
+        (["cake", "search", "--instance=2n2nn", "--n=2", "--q=0"], None,
+         "resolution must be >= 1"),
         (["construct", "nnn_tight", "--n=0"], None, "n must be >= 1"),
+        (["construct", "drisko", "--n=1"], None, "n must be >= 2"),
+        (["hilbert", "--sides=3,5", "--cap=4"], None, "cone too large"),
         (["bm-search", "sampled", "--sides=3,3", "--trials=2", "--edge-cap=2"], None,
          "edge cap must be >= the largest side 3, got 2"),
         (["bm-search", "sampled", "--sides=3,3", "--trials=0", "--edge-cap=-5"], None,

@@ -75,6 +75,22 @@ def test_mlessn2_divisibility_required():
             cons.mlessn2(k, n)
 
 
+def test_mlessn_weights_nonnegative_in_range():
+    """The stated weights of mlessn and mlessn2 are >= 0 wherever their
+    parameter checks pass: for odd n both w_2 and w_4 >= 0 reduce to
+    n(k - floor(n/2)) >= k, which k < n and k > floor(n/2) give."""
+    built = 0
+    for n in range(2, 61):
+        m = n // 2
+        cases = [(cons.mlessn, k) for k in range(3 * n // 4 + 1, n)]
+        cases += [(cons.mlessn2, k) for k in range(m + 1, n + 1) if m % (k - m) == 0]
+        for construct, k in cases:
+            _, f = construct(k, n)
+            assert min(w for _, w in f.weights) >= 0, (construct.__name__, k, n)
+            built += 1
+    assert built == 634
+
+
 @pytest.mark.parametrize("n,r,k", [(3, 1, 2), (3, 1, 3), (4, Fraction(3, 2), 4),
                                    (6, 1, 6), (5, 2, 10)])
 def test_main_negative(n, r, k):

@@ -92,6 +92,15 @@ def test_cover_points_actually_pierce():
         assert any(contains(iv, t, x) for t in range(2) for x in cover[t])
 
 
+def test_no_cover_of_members_with_disjoint_parts():
+    """16 two-intervals whose parts are pairwise disjoint, with gaps, on both
+    lines: 3 + 3 points pierce at most 6 members, so no (3,3)-cover exists,
+    though each line has C(33, 3) = 5,456 point combinations."""
+    part = [(Fraction(2 * i + 1, 34), Fraction(2 * i + 2, 34)) for i in range(16)]
+    family = [di(p, p) for p in part]
+    assert coverable(family, (3, 3)) is None
+
+
 def test_budget_above_the_candidates_is_an_upper_bound():
     """A line with fewer candidate points than its budget takes them all."""
     whole = di((0, 1), (0, 1))  # one candidate point per line: 1/2

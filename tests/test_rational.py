@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,20 +29,35 @@ def test_ceil_floor():
     assert ceil_frac(3) == 3
 
 
+def rank_leaving_rows(rows):
+    """rank_of_rows(rows), asserting that it hands the rows back unmodified."""
+    before = [dict(row) for row in rows]
+    rank = rank_of_rows(rows)
+    assert rows == before
+    return rank
+
+
+def sparse(dense):
+    """{col: int} rows holding the nonzero entries of integer rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in dense]
+
+
 def test_rank_simple():
-    assert rank_of_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
-    assert rank_of_rows([[int(i == j) for j in range(4)] for i in range(4)]) == 4
+    assert rank_leaving_rows([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]) == 2
+    assert rank_leaving_rows([{i: 1} for i in range(4)]) == 4
+    assert rank_leaving_rows([{}, {}]) == 0
 
 
 def test_rank_sparse_rows():
-    rows = [{0: Fraction(1), 2: Fraction(-1)}, {0: Fraction(2), 2: Fraction(-2)}]
-    assert rank_of_rows(rows) == 1
+    assert rank_leaving_rows([{0: 1, 2: -1}, {0: 2, 2: -2}]) == 1
+    assert rank_leaving_rows([{2: 3, 0: -6}, {0: 4, 2: -2}, {1: 5}]) == 2
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
                 min_size=1, max_size=5))
 def test_rank_equals_transpose_rank(entries):
-    assert rank_of_rows(entries) == rank_of_rows([list(c) for c in zip(*entries)])
+    assert (rank_leaving_rows(sparse(entries))
+            == rank_leaving_rows(sparse(zip(*entries))))
 
 
 def dense_fraction_rank(rows, ncols):
@@ -68,28 +84,28 @@ scalars = st.one_of(st.integers(-3, 3), st.integers(-10 ** 15, 10 ** 15),
 
 @st.composite
 def rank_inputs(draw):
-    """Rows that are combinations of a few base rows, so rank deficiency is
-    common, each entry an int or a Fraction (a whole one as either) and each
-    row dense or a dict that keeps its zeros."""
+    """Dense `Fraction` rows that are combinations of a few base rows, so
+    rank deficiency is common."""
     ncols = draw(st.integers(1, 6))
     base = draw(st.lists(st.lists(scalars, min_size=ncols, max_size=ncols), max_size=4))
     coefs = draw(st.lists(st.lists(scalars, min_size=len(base), max_size=len(base)),
                           max_size=6))
-    dense, rows = [], []
-    for cs in coefs:
-        row = [sum((Fraction(c) * b[j] for c, b in zip(cs, base)), Fraction(0))
-               for j in range(ncols)]
-        dense.append(row)
-        row = [int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in row]
-        rows.append(dict(enumerate(row)) if draw(st.booleans()) else row)
-    return dense, ncols, rows
+    dense = [[sum((Fraction(c) * b[j] for c, b in zip(cs, base)), Fraction(0))
+              for j in range(ncols)]
+             for cs in coefs]
+    return dense, ncols
 
 
 @settings(max_examples=300, deadline=None)
 @given(rank_inputs())
 def test_rank_matches_dense_fraction_gauss_jordan(case):
-    dense, ncols, rows = case
-    assert rank_of_rows(rows) == dense_fraction_rank(dense, ncols)
+    """Each row scaled by the lcm of its denominators, which keeps the rank,
+    gives the integer rows that rank_of_rows takes."""
+    dense, ncols = case
+    scales = [math.lcm(*(x.denominator for x in row)) for row in dense]
+    rows = sparse([x.numerator * (scale // x.denominator) for x in row]
+                  for row, scale in zip(dense, scales))
+    assert rank_leaving_rows(rows) == dense_fraction_rank(dense, ncols)
 
 
 def test_lp_basic_max():
