@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .rational import EQ, LE, INFEASIBLE, LPProblem, Optimal, ONE, ZERO, lp_solve
+from .rational import LPProblem, Optimal, ONE, ZERO, lp_solve
 
 Edge = Tuple[int, ...]
 Vertex = Tuple[int, int]  # (side, index), both 1-based
@@ -109,42 +109,35 @@ def is_balanced(h: PartiteHypergraph, f: WeightFunction) -> bool:
 def balanced_certificate(h: PartiteHypergraph) -> Optional[WeightFunction]:
     """A nonzero balanced weighting normalized to |f| = 1, or None.
 
-    Degree on side t is pinned to 1/a_t; double counting forces exactly that
-    value once |f| = 1, so feasibility of this system is equivalent to the
-    existence of any nonzero balanced weighting.
+    Side t's degrees sum to |f|, so under the caps deg_f(t, j) <= 1/a_t the
+    total |f| is at most 1, and |f| = 1 exactly when every degree on side t
+    equals 1/a_t.  Any nonzero balanced weighting scales to such an f, so one
+    exists exactly when the capped fractional matching reaches 1.
     """
-    edges = h.edges
-    if not edges:
-        return None
-    deg = degrees(h, WeightFunction({e: 1 for e in edges}))
+    deg = degrees(h, WeightFunction({e: 1 for e in h.edges}))
     if any(d == 0 for d in deg.values()):
         return None  # isolated vertex: its degree can never reach 1/a_t
-    constraints = [(row, EQ, Fraction(1, a)) for a, row in _vertex_rows(h)]
-    res = lp_solve(LPProblem(len(edges), constraints, [ZERO] * len(edges)))
-    if res is INFEASIBLE:
+    res = _capped_matching(h, lambda a: Fraction(1, a))
+    if res.value < 1:
         return None
-    return WeightFunction({e: x for e, x in zip(edges, res.point) if x > 0})
+    return WeightFunction({e: x for e, x in zip(h.edges, res.point) if x > 0})
 
 
 def nu_star(h: PartiteHypergraph) -> Fraction:
     """Fractional matching number: max |f| s.t. deg_f <= 1, f >= 0."""
-    edges = h.edges
-    if not edges:
-        return ZERO
-    constraints = [(row, LE, ONE) for _, row in _vertex_rows(h)]
-    res = lp_solve(LPProblem(len(edges), constraints, [ONE] * len(edges)))
-    if not isinstance(res, Optimal):
-        raise RuntimeError(f"fractional matching LP returned {res!r}; it is "
-                           f"feasible (f = 0) and bounded (deg_f <= 1)")
-    return res.value
+    return _capped_matching(h, lambda a: ONE).value
 
 
-def _vertex_rows(h: PartiteHypergraph) -> List[Tuple[int, List[Fraction]]]:
-    """(a_t, 0/1 incidence row over h.edges) for each vertex (t, j), sides in
-    order, then indices: the degree constraints of the balance and
-    fractional-matching LPs."""
-    return [(a, [ONE if e[t - 1] == j else ZERO for e in h.edges])
+def _capped_matching(h: PartiteHypergraph, cap) -> Optimal:
+    """max |f| over f >= 0 on h.edges with deg_f(t, j) <= cap(a_t) at each
+    vertex (t, j), sides in order, then indices."""
+    rows = [([ONE if e[t - 1] == j else ZERO for e in h.edges], cap(a))
             for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
+    res = lp_solve(LPProblem(len(h.edges), rows, [ONE] * len(h.edges)))
+    if not isinstance(res, Optimal):
+        raise RuntimeError(f"capped fractional matching LP returned {res!r}; it is "
+                           f"feasible (f = 0) and bounded (deg_f <= cap)")
+    return res
 
 
 def _disjoint(e: Edge, f: Edge) -> bool:

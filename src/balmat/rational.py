@@ -1,9 +1,12 @@
-"""Exact rational scalars, matrices, rank, and a two-phase simplex LP solver.
+"""Exact rational scalars, matrix rank, and a simplex LP solver.
 
 Rank over the rationals is exact fraction-free integer elimination: sparse
 integer rows are combined by integer multiples, so homology ranks never build
-a `Fraction`.  The LP (balance certificates, fractional matching numbers)
-runs on `fractions.Fraction`.  No floats anywhere.
+a `Fraction`.  The LP has one form: maximise c . x over rows coeffs . x <= rhs
+with rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  It
+runs on `fractions.Fraction` and serves the capped fractional matchings of
+`hypergraph` (balance certificates, fractional matching numbers).  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -87,26 +90,22 @@ def rank_of_rows(rows: Iterable[Dict[int, int]]) -> int:
 
 # --- Linear programming -----------------------------------------------------
 
-LE, EQ = "<=", "="
-
 
 @dataclass
 class LPProblem:
-    """Maximise objective . x subject to (coeffs, LE or EQ, rhs) rows with
-    rhs >= 0, and x >= 0."""
+    """Maximise objective . x subject to (coeffs, rhs) rows meaning
+    coeffs . x <= rhs, with rhs >= 0, and x >= 0."""
 
     variables: int
-    constraints: List[Tuple[Sequence, str, object]]  # (coeffs, relation, rhs)
+    constraints: List[Tuple[Sequence, object]]  # (coeffs, rhs)
     objective: Sequence
 
     def check(self):
         if len(self.objective) != self.variables:
             raise ValueError("objective length mismatch")
-        for coeffs, rel, rhs in self.constraints:
+        for coeffs, rhs in self.constraints:
             if len(coeffs) != self.variables:
                 raise ValueError("constraint length mismatch")
-            if rel not in (LE, EQ):
-                raise ValueError(f"bad relation {rel!r}")
             if Fraction(rhs) < 0:
                 raise ValueError(f"negative right-hand side {rhs}")
 
@@ -125,81 +124,42 @@ class _Tag:
         return self.name
 
 
-INFEASIBLE = _Tag("Infeasible")
 UNBOUNDED = _Tag("Unbounded")
 
 
 def lp_solve(p: LPProblem):
-    """Exact two-phase simplex with Bland's anti-cycling rule on one tableau.
+    """Exact simplex with Bland's anti-cycling rule on one tableau.
 
-    Returns Optimal(value, point), INFEASIBLE, or UNBOUNDED.  Row i starts on
-    its slack (`LE`) or artificial (`EQ`) at column n + i.  The objective row
-    sits below the constraint rows for the whole solve, and in phase 1 the
-    phase-1 row (maximise minus the sum of artificials) sits below it.
-    Artificials still basic after phase 1 are at zero: they stay basic, are
-    never entered, and leave on the first pivot whose column touches them.
+    Returns Optimal(value, point) or UNBOUNDED.  Row i starts on its slack at
+    column n + i, so the start is the feasible point x = 0; the objective row
+    sits below the constraint rows.
     """
     p.check()
     n = p.variables
     m = len(p.constraints)
     total = n + m
     tableau: List[List[Fraction]] = []
-    arts = set()
-    for i, (coeffs, rel, rhs) in enumerate(p.constraints):
+    for i, (coeffs, rhs) in enumerate(p.constraints):
         row = [Fraction(c) for c in coeffs] + [ZERO] * m + [Fraction(rhs)]
         row[n + i] = ONE
-        if rel == EQ:
-            arts.add(n + i)
         tableau.append(row)
     tableau.append([Fraction(c) for c in p.objective] + [ZERO] * (m + 1))
     basis = list(range(n, total))
-
-    if arts:
-        # Phase 1 row, priced out over the nonzero entries of the EQ rows.
-        cost = [ZERO] * (total + 1)
-        for a in arts:
-            for j, x in enumerate(tableau[a - n]):
-                if x and j != a:
-                    cost[j] += x
-        tableau.append(cost)
-        _pivot_until_optimal(tableau, basis, total, ())
-        if tableau.pop()[total]:  # leftover artificial infeasibility
-            return INFEASIBLE
-
-    if not _pivot_until_optimal(tableau, basis, total, arts):
-        return UNBOUNDED
-    point = [ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] = tableau[i][total]
-    return Optimal(-tableau[m][total], point)
-
-
-def _pivot_until_optimal(tableau, basis, total, blocked):
-    """Bland's rule on the reduced costs in the last row, updating every row.
-
-    Blocked columns never enter, and a row whose basic column is blocked
-    leaves on any nonzero entry of the entering column.  Returns False on
-    unboundedness.
-    """
     while True:
-        cost = tableau[-1]
-        enter = next((j for j in range(total) if cost[j] > 0 and j not in blocked), -1)
+        cost = tableau[m]
+        enter = next((j for j in range(total) if cost[j] > 0), -1)
         if enter < 0:
-            return True
+            break
         leave = -1
         best = None
         for i, b in enumerate(basis):
             a = tableau[i][enter]
-            if a and b in blocked:
-                leave = i
-                break
             if a > 0:
                 ratio = tableau[i][total] / a
                 if best is None or ratio < best or (ratio == best and b < basis[leave]):
                     best, leave = ratio, i
         if leave < 0:
-            return False
+            return UNBOUNDED
         piv = tableau[leave][enter]
         row = tableau[leave] = [x / piv for x in tableau[leave]]
         for i, other in enumerate(tableau):
@@ -207,3 +167,8 @@ def _pivot_until_optimal(tableau, basis, total, blocked):
             if coef and i != leave:
                 tableau[i] = [o - coef * r for o, r in zip(other, row)]
         basis[leave] = enter
+    point = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tableau[i][total]
+    return Optimal(-tableau[m][total], point)

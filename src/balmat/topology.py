@@ -110,18 +110,15 @@ def betti(c: SimplicialComplex, j: int) -> int:
     """dim of the j-th reduced rational homology group (j >= -1)."""
     if j < -1:
         raise ValueError("j must be >= -1")
-    fj = c.faces_of_dim(j)
-    if not fj:
-        return 0
-    return (len(fj) - _boundary_rank(c.faces_of_dim(j - 1), fj)
-            - _boundary_rank(fj, c.faces_of_dim(j + 1)))
+    return next((b for i, b in _betti_scan(c, j) if i == j), 0)
 
 
 def _betti_scan(c: SimplicialComplex, top: int):
-    """Yield (j, betti(c, j)) for j = -1, 0, ..., top while faces of
-    dimension j exist.  Each face list is built once and each boundary rank
-    computed once, since the rank of the boundary into dimension j enters
-    both betti(c, j) and betti(c, j + 1).  Two face lists are held at a time."""
+    """Yield (j, b_j), b_j the j-th reduced Betti number, for j = -1, 0, ...,
+    top while faces of dimension j exist.  Each face list is built once and
+    each boundary rank computed once, since the rank of the boundary into
+    dimension j enters both b_j and b_{j+1}.  Two face lists are held at a
+    time."""
     fj = c.faces_of_dim(-1)
     rank_in = 0  # rank of the boundary out of dimension j
     for j in range(-1, top + 1):

@@ -3,9 +3,27 @@ line each.  Every numeric claim is exact (rational arithmetic throughout);
 the wall-clock budgets are generous upper bounds, checked all the same.
 """
 
+import hashlib
 import time
 
+from balmat import jsonio
 from balmat.verify import CHECKS
+
+# sha256 of each check's `verify-all` record, `jsonio.dumps(result.to_json())`:
+# a refactor that claims unchanged output must keep every one of these.
+DIGESTS = {
+    "pasch": "0111b9cdf6e2306ba9af8c685deb5572c4c100e0ce56a37eed1cf2a643fa613e",
+    "nnn": "1d50f6edba51609198779ce8abe6334ce53b899cb0de15344e965a6159362087",
+    "furedi": "40bd6510ef43a8bce05daa457a36dc3f2fc64f6386454abda1995faa0fcb5bb0",
+    "ind-psi": "553bcfcbb6307ae1369d35b4538ce19ddb5db5f78a447c0bbadb213a2fa76e04",
+    "matching-bound": "b62c2578a1646cda5ce6d83863f6cab9be36b65c38e6bf2178df3b6c40897de2",
+    "hall": "7817c5ceb8ff5882eccbfdfefbe535cba37b2f7e76ff8caf0cffbba201a09d98",
+    "upper-bounds": "1142368d17bcbe81d97d8f874be923ea6f2882cd95da85d1484f7970e5c7d980",
+    "zeta": "189b2071e23219e1a415e3a6e6742eed8952311207ee61901c11a7a1795c73de",
+    "gordan": "5de16629cdac886d880654fcb7f13bf5118c7d057563460dbf09ca3abba6de68",
+    "cake": "3a3b7b498a066ecc9bc29f3bb5da6aa6f46516691ea7f6410515cbc368154035",
+    "tardos": "aab8ca9b0d8eef569add3a7a5be73edecc144401fa451bbd83fb63433d4a4817",
+}
 
 
 def _report(tag, result, elapsed, budget):
@@ -20,6 +38,8 @@ def _run(tag, name, budget):
     t0 = time.monotonic()
     result = CHECKS[name]()
     _report(tag, result, time.monotonic() - t0, budget)
+    record = jsonio.dumps(result.to_json()).encode()
+    assert hashlib.sha256(record).hexdigest() == DIGESTS[name], record
 
 
 def test_criterion_01_pasch():

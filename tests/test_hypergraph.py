@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
-                               balanced_certificate, check_hosted, degrees, is_balanced,
-                               max_matching, neighborhood, nu, nu_oracle,
-                               nu_star, random_balanced)
+                               _capped_matching, balanced_certificate, check_hosted,
+                               degrees, is_balanced, max_matching, neighborhood, nu,
+                               nu_oracle, nu_star, random_balanced)
 from balmat.rational import ceil_frac
+from test_rational import _vertices
 
 PASCH_EDGES = [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
 
@@ -65,6 +66,33 @@ def test_balanced_certificate_isolated_vertex():
     # vertex (1,2) has no edge, so no balanced weighting exists
     h = PartiteHypergraph((2, 2), [(1, 1), (1, 2)])
     assert balanced_certificate(h) is None
+
+
+def test_balanced_certificate_below_one_without_isolated_vertex():
+    # every vertex has an edge, yet the capped LP stops at 5/6 < 1
+    h = PartiteHypergraph((2, 3), [(1, 1), (1, 2), (1, 3), (2, 1)])
+    assert _capped_matching(h, lambda a: Fraction(1, a)).value == Fraction(5, 6)
+    assert balanced_certificate(h) is None
+
+
+@st.composite
+def small_hypergraphs(draw):
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)]))
+    edge = st.tuples(*(st.integers(1, a) for a in sizes))
+    return PartiteHypergraph(sizes, draw(st.lists(edge, max_size=5, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hypergraphs())
+def test_balanced_certificate_matches_vertex_enumeration(h):
+    """A certificate exists exactly when {f >= 0, deg_f(t, j) = 1/a_t} has a
+    vertex, found by enumerating tight constraint sets."""
+    eqs = [([int(e[t - 1] == j) for e in h.edges], Fraction(1, a))
+           for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
+    f = balanced_certificate(h)
+    assert (f is None) == (not _vertices(len(h.edges), eqs, []))
+    if f is not None:
+        assert is_balanced(h, f) and f.total() == 1
 
 
 def test_nu_and_nustar_pasch():
