@@ -9,11 +9,11 @@ side-local 1-based indices in definition order.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction
-from .rational import ceil_frac
 
 Half = Fraction(1, 2)
 
@@ -143,7 +143,7 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
 
 
 def mlessn2_bound(k: int, n: int) -> int:
-    return min(k, ceil_frac(Fraction(n, 2)))
+    return min(k, math.ceil(Fraction(n, 2)))
 
 
 def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]:
@@ -170,7 +170,7 @@ def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]
     y = Fraction(2 * r + 1, k)
     weights: Dict[tuple, Fraction] = {}
     for i in range(1, M + 1):
-        shift = ceil_frac(Fraction(i, two_r))
+        shift = math.ceil(Fraction(i, two_r))
         for j in range(1, N + 1):
             weights[(i, i, j)] = y
         weights[(i, M + shift, N + i)] = Fraction(1)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .rational import checked
+
 Interval = Tuple[Fraction, Fraction]  # open (lo, hi)
 
 
@@ -34,6 +36,8 @@ class DInterval:
             if not (0 <= lo < hi <= 1):
                 raise ValueError(f"bad open interval ({lo}, {hi})")
             ps.append((lo, hi))
+        if not ps:
+            raise ValueError("a d-interval needs d >= 1 parts")
         object.__setattr__(self, "parts", tuple(ps))
 
     @property
@@ -53,12 +57,14 @@ class DIntervalFamilies:
     families: Tuple[Tuple[DInterval, ...], ...]
 
     def __init__(self, d, families):
+        if checked(d, int, "d") < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
         fams = tuple(tuple(f) for f in families)
         for fam in fams:
             for iv in fam:
                 if iv.d != d:
                     raise ValueError("all members must have the same d")
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "families", fams)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .rational import LPProblem, Optimal, ONE, ZERO, lp_solve
+from .rational import LPProblem, Optimal, ONE, ZERO, checked, lp_solve
 
 Edge = Tuple[int, ...]
 Vertex = Tuple[int, int]  # (side, index), both 1-based
@@ -25,7 +25,7 @@ class PartiteHypergraph:
 
     def __init__(self, side_sizes, edges):
         sizes = check_side_sizes(side_sizes)
-        es = sorted({tuple(int(j) for j in e) for e in edges})
+        es = sorted({tuple(checked(j, int, "edge coordinate") for j in e) for e in edges})
         for e in es:
             if len(e) != len(sizes):
                 raise ValueError(f"edge {e} has wrong arity")
@@ -45,9 +45,9 @@ class PartiteHypergraph:
 
 
 def check_side_sizes(side_sizes) -> Tuple[int, ...]:
-    """The side sizes as a tuple of ints, when they are a non-empty list of
-    naturals >= 1; else a ValueError."""
-    sizes = tuple(int(a) for a in side_sizes)
+    """The side sizes as a tuple, when they are a non-empty list of ints
+    >= 1; else a ValueError."""
+    sizes = tuple(checked(a, int, "side size") for a in side_sizes)
     if not sizes or min(sizes) < 1:
         raise ValueError(f"side sizes must be naturals >= 1, got {sizes}")
     return sizes
@@ -190,17 +190,32 @@ def _matching_branch(edges: List[Edge], chosen: List[Edge], best: List[Edge]):
 
 
 def nu_oracle(h: PartiteHypergraph) -> int:
-    """Independent exhaustive oracle: plain take/skip recursion, no pruning."""
+    """Exact matching number by a memoised DP that shares no code with
+    `max_matching`: each vertex of a largest side s, in turn, stays unmatched
+    or takes one of its edges.  An edge is held as the bitmask of its
+    vertices off side s, and a state is (position on s, bitmask of the
+    vertices used off s); a largest s keeps that bitmask short."""
+    s = h.side_sizes.index(max(h.side_sizes))
+    offsets = list(itertools.accumulate(h.side_sizes, initial=0))
+    masks: List[List[int]] = [[] for _ in range(h.side_sizes[s])]
+    for e in h.edges:
+        masks[e[s] - 1].append(sum(1 << (offsets[t] + j - 1)
+                                   for t, j in enumerate(e) if t != s))
+    return _oracle_state(masks, 0, 0, {})
 
-    def rec(edges):
-        if not edges:
-            return 0
-        e, rest = edges[0], edges[1:]
-        skip = rec(rest)
-        take = 1 + rec([f for f in rest if _disjoint(e, f)])
-        return max(skip, take)
 
-    return rec(list(h.edges))
+def _oracle_state(masks, i, used, memo) -> int:
+    """The most disjoint edges at positions i, i+1, ... of the DP side whose
+    masks miss `used`; `memo` maps (i, used) to that number.
+
+    Not a closure, for the reason `topology._bron_kerbosch` gives."""
+    if i == len(masks):
+        return 0
+    if (i, used) not in memo:
+        memo[i, used] = max([_oracle_state(masks, i + 1, used, memo)]
+                            + [1 + _oracle_state(masks, i + 1, used | m, memo)
+                               for m in masks[i] if not m & used])
+    return memo[i, used]
 
 
 # --- Neighborhood multigraphs ----------------------------------------------
@@ -215,14 +230,16 @@ class Multigraph:
     edges: Tuple[Tuple[int, int, object], ...]  # (b, c, label), labels distinct
 
     def __init__(self, b_size, c_size, edges):
-        es = tuple(sorted((int(b), int(c), lab) for b, c, lab in edges))
+        b_size, c_size = checked(b_size, int, "side size"), checked(c_size, int, "side size")
+        es = tuple(sorted((checked(b, int, "endpoint"), checked(c, int, "endpoint"), lab)
+                          for b, c, lab in edges))
         if len({e for e in es}) != len(es):
             raise ValueError("labeled edges must be distinct")
         for b, c, _ in es:
             if not (1 <= b <= b_size and 1 <= c <= c_size):
                 raise ValueError(f"edge endpoint out of range: {(b, c)}")
-        object.__setattr__(self, "b_size", int(b_size))
-        object.__setattr__(self, "c_size", int(c_size))
+        object.__setattr__(self, "b_size", b_size)
+        object.__setattr__(self, "c_size", c_size)
         object.__setattr__(self, "edges", es)
 
 
@@ -245,52 +262,33 @@ def neighborhood(h: PartiteHypergraph, K) -> Multigraph:
 
 
 def random_balanced(side_sizes, seed, layers: int):
-    """Deterministic random balanced instance built from balanced templates.
+    """Deterministic random balanced instance: the sum of `layers` templates.
 
-    Supported size patterns: all sides equal (random permutation-matchings),
-    (n, rn) with integer r (unions of n disjoint stars K_{1,r}), and
-    (n, n, rn) (permutation on sides 1-2 crossed with a star-union on side 3).
-    The returned weight function is the sum of the template indicators.
+    Supported shapes: d >= 2 sides, sides 1..d-1 of one size n and side d of
+    size rn for a natural r.  A template has n disjoint stars: the i-th has
+    an edge through vertex i of side 1, vertex p_t(i) of each middle side t
+    (p_t a random permutation) and each vertex of the i-th block of r on a
+    shuffled side d.  So all sides equal gives permutation-matchings, and
+    (n, rn) unions of n disjoint K_{1,r}.  The returned weight function
+    counts each edge's templates.
     """
-    sizes = tuple(int(a) for a in side_sizes)
+    sizes = check_side_sizes(side_sizes)
     if layers < 1:
         raise ValueError("layers must be >= 1")
+    n = sizes[0]
+    if len(sizes) < 2 or any(a != n for a in sizes[:-1]) or sizes[-1] % n:
+        raise ValueError(f"unsupported size pattern {sizes}")
+    r = sizes[-1] // n
     rng = random.Random(seed)
     weights: Dict[Edge, int] = {}
-
-    def add(e):
-        weights[e] = weights.get(e, 0) + 1
-
-    n = sizes[0]
-    if all(a == n for a in sizes):
-        for _ in range(layers):
-            perms = [list(range(1, n + 1))]
-            for _ in range(len(sizes) - 1):
-                p = list(range(1, n + 1))
-                rng.shuffle(p)
-                perms.append(p)
-            for i in range(n):
-                add(tuple(p[i] for p in perms))
-    elif len(sizes) == 2 and sizes[1] % n == 0:
-        r = sizes[1] // n
-        for _ in range(layers):
-            cols = list(range(1, sizes[1] + 1))
-            rng.shuffle(cols)
-            for i in range(n):
-                for c in cols[i * r:(i + 1) * r]:
-                    add((i + 1, c))
-    elif len(sizes) == 3 and sizes[1] == n and sizes[2] % n == 0:
-        r = sizes[2] // n
-        for _ in range(layers):
-            p = list(range(1, n + 1))
+    for _ in range(layers):
+        perms = [list(range(1, a + 1)) for a in sizes[1:]]
+        for p in perms:
             rng.shuffle(p)
-            cols = list(range(1, sizes[2] + 1))
-            rng.shuffle(cols)
-            for i in range(n):
-                for c in cols[i * r:(i + 1) * r]:
-                    add((i + 1, p[i], c))
-    else:
-        raise ValueError(f"unsupported size pattern {sizes}")
-
+        *middle, last = perms
+        for i in range(n):
+            for c in last[i * r:(i + 1) * r]:
+                e = (i + 1, *(p[i] for p in middle), c)
+                weights[e] = weights.get(e, 0) + 1
     h = PartiteHypergraph(sizes, list(weights))
     return h, WeightFunction({e: Fraction(w) for e, w in weights.items()})

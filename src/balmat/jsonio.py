@@ -15,7 +15,7 @@ from typing import Any
 from .cakecheck import Partition
 from .dinterval import DInterval, DIntervalFamilies
 from .hypergraph import PartiteHypergraph, WeightFunction
-from .rational import format_rational, parse_rational
+from .rational import checked, format_rational, parse_rational
 from .topology import Graph, SimplicialComplex
 
 
@@ -30,24 +30,17 @@ def hypergraph_to_json(h: PartiteHypergraph) -> dict:
     return {"sides": list(h.side_sizes), "edges": [list(e) for e in h.edges]}
 
 
-def _checked(x, kind, what):
-    """x itself when its type is exactly `kind`, so a bool is no int; else a ValueError."""
-    if type(x) is not kind:
-        raise ValueError(f"{what} must be {kind.__name__}, not {type(x).__name__}")
-    return x
-
-
 def _ints(row, what) -> tuple:
-    return tuple(_checked(x, int, what) for x in _checked(row, list, what))
+    return tuple(checked(x, int, what) for x in checked(row, list, what))
 
 
 def _int_rows(rows, what) -> list:
-    return [_ints(row, what) for row in _checked(rows, list, what + "s")]
+    return [_ints(row, what) for row in checked(rows, list, what + "s")]
 
 
 def _rational(x, what):
     try:
-        return parse_rational(_checked(x, str, what))
+        return parse_rational(checked(x, str, what))
     except ZeroDivisionError:
         raise ValueError(f"{what} {x!r} has a zero denominator") from None
 
@@ -56,7 +49,7 @@ def hypergraph_from_json(data: dict) -> PartiteHypergraph:
     """Strict decoding, like every decoder here: objects and lists where they
     belong, every coordinate an int (not a bool, not a float) and every
     rational a string; anything else is a ValueError."""
-    data = _checked(data, dict, "hypergraph")
+    data = checked(data, dict, "hypergraph")
     return PartiteHypergraph(_ints(data["sides"], "side size"),
                              _int_rows(data["edges"], "edge"))
 
@@ -70,13 +63,13 @@ def weights_to_json(f: WeightFunction) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    data = _checked(data, dict, "graph")
-    return Graph(_checked(data["vertices"], int, "vertices"), _int_rows(data["edges"], "edge"))
+    data = checked(data, dict, "graph")
+    return Graph(checked(data["vertices"], int, "vertices"), _int_rows(data["edges"], "edge"))
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
-    data = _checked(data, dict, "complex")
-    return SimplicialComplex(_checked(data["vertices"], int, "vertices"),
+    data = checked(data, dict, "complex")
+    return SimplicialComplex(checked(data["vertices"], int, "vertices"),
                              [frozenset(f) for f in _int_rows(data["facets"], "facet")])
 
 
@@ -89,17 +82,17 @@ def dinterval_to_json(iv: DInterval) -> dict:
 
 
 def dinterval_from_json(data: dict) -> DInterval:
-    parts = _checked(_checked(data, dict, "d-interval")["parts"], list, "parts")
-    return DInterval([[_rational(x, "endpoint") for x in _checked(part, list, "part")]
+    parts = checked(checked(data, dict, "d-interval")["parts"], list, "parts")
+    return DInterval([[_rational(x, "endpoint") for x in checked(part, list, "part")]
                       for part in parts])
 
 
 def families_from_json(data: dict) -> DIntervalFamilies:
-    data = _checked(data, dict, "d-interval families")
+    data = checked(data, dict, "d-interval families")
     return DIntervalFamilies(
-        _checked(data["d"], int, "d"),
-        [[dinterval_from_json(item) for item in _checked(fam, list, "family")]
-         for fam in _checked(data["families"], list, "families")])
+        checked(data["d"], int, "d"),
+        [[dinterval_from_json(item) for item in checked(fam, list, "family")]
+         for fam in checked(data["families"], list, "families")])
 
 
 # --- cake partitions --------------------------------------------------------
@@ -110,5 +103,5 @@ def partition_to_json(p: Partition) -> list:
 
 
 def partition_from_json(data: list) -> Partition:
-    return Partition([[_rational(x, "slice length") for x in _checked(cake, list, "cake")]
-                      for cake in _checked(data, list, "partition")])
+    return Partition([[_rational(x, "slice length") for x in checked(cake, list, "cake")]
+                      for cake in checked(data, list, "partition")])

@@ -6,7 +6,7 @@ a `Fraction`.  The LP has one form: maximise c . x over rows coeffs . x <= rhs
 with rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  It
 runs on `fractions.Fraction` and serves the capped fractional matchings of
 `hypergraph` (balance certificates, fractional matching numbers).  No floats
-anywhere.
+anywhere, and `checked` keeps a float or bool from passing for an int.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def ceil_frac(q) -> int:
-    q = Fraction(q)
-    return ceil_div(q.numerator, q.denominator)
+def checked(x, kind, what):
+    """x itself when its type is exactly `kind`, so a bool is no int and a
+    float is none; else a ValueError."""
+    if type(x) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, not {type(x).__name__}")
+    return x
 
 
 def rank_of_rows(rows: Iterable[Dict[int, int]]) -> int:

@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, max_matching,
                          neighborhood)
-from .rational import ZERO, ceil_frac, rank_of_rows
+from .rational import ZERO, checked, rank_of_rows
 
 INFINITE = math.inf  # game value for "an isolated vertex appeared"
 
@@ -28,7 +28,7 @@ class Graph:
     edges: FrozenSet[FrozenSet[int]]  # vertices are 1..vertex_count
 
     def __init__(self, vertex_count, edges):
-        if vertex_count < 0:
+        if checked(vertex_count, int, "vertex count") < 0:
             raise ValueError("vertex count must be >= 0")
         es = set()
         for e in edges:
@@ -38,7 +38,7 @@ class Graph:
             if not (1 <= u and v <= vertex_count):
                 raise ValueError(f"edge {(u, v)} out of range")
             es.add(frozenset((u, v)))
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", frozenset(es))
 
 
@@ -54,7 +54,7 @@ class SimplicialComplex:
     facets: Tuple[FrozenSet[int], ...]
 
     def __init__(self, vertex_count, facets):
-        if vertex_count < 0:
+        if checked(vertex_count, int, "vertex count") < 0:
             raise ValueError("vertex count must be >= 0")
         fs = list({frozenset(f) for f in facets})
         # Bit i of containing[v] is set when fs[i] contains v.  A facet is
@@ -74,7 +74,7 @@ class SimplicialComplex:
         for f in maximal:
             if any(not 1 <= v <= vertex_count for v in f):
                 raise ValueError("facet vertex out of range")
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "facets", tuple(sorted(maximal, key=sorted)))
 
     @property
@@ -451,4 +451,4 @@ def _con_value(verts, edges, order, memo) -> int:
 
 def con_lower_bound(f_total, s) -> int:
     """ceil(|f| / (2s + 2)), the certified connectivity bound."""
-    return ceil_frac(Fraction(f_total) / (2 * Fraction(s) + 2))
+    return math.ceil(Fraction(f_total) / (2 * Fraction(s) + 2))

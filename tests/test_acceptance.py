@@ -18,7 +18,7 @@ DIGESTS = {
     "ind-psi": "553bcfcbb6307ae1369d35b4538ce19ddb5db5f78a447c0bbadb213a2fa76e04",
     "matching-bound": "b62c2578a1646cda5ce6d83863f6cab9be36b65c38e6bf2178df3b6c40897de2",
     "hall": "7817c5ceb8ff5882eccbfdfefbe535cba37b2f7e76ff8caf0cffbba201a09d98",
-    "upper-bounds": "1142368d17bcbe81d97d8f874be923ea6f2882cd95da85d1484f7970e5c7d980",
+    "upper-bounds": "73d2c18049cc09e5c8b5aff570b51d98075ad4290d4f849fec86b77180f63626",
     "zeta": "189b2071e23219e1a415e3a6e6742eed8952311207ee61901c11a7a1795c73de",
     "gordan": "5de16629cdac886d880654fcb7f13bf5118c7d057563460dbf09ca3abba6de68",
     "cake": "3a3b7b498a066ecc9bc29f3bb5da6aa6f46516691ea7f6410515cbc368154035",

@@ -342,6 +342,10 @@ def test_input_checks_exit_2(tmp_path, capsys):
         (["hall-check", "{}"], {"sides": [13, 1, 1], "edges": []}, "side 1 too large"),
         (["dinterval", "rainbow", "{}", "--target=1"],
          {"d": 2, "families": [[{"parts": [["0", "1"]]}]]}, "the same d"),
+        (["dinterval", "rainbow", "{}", "--target=2"],
+         {"d": 0, "families": [[{"parts": []}], [{"parts": []}]]}, "d >= 1 parts"),
+        (["dinterval", "cover", "{}", "--budgets=1"], {"d": -1, "families": []},
+         "d must be >= 1, got -1"),
         (["cake", "search", "--instance=2n2nn", "--n=1"], None, "n >= 2"),
         (["cake", "search", "--instance=2n2nn", "--n=2", "--q=0"], None,
          "resolution must be >= 1"),

@@ -38,6 +38,12 @@ def test_drisko(n):
     assert nu_star(h) == min(h.side_sizes)
 
 
+def test_nu_oracle_decides_drisko_8():
+    # 112 edges on sides (14, 8, 8): out of reach of a take/skip recursion
+    h, _ = cons.drisko(8)
+    assert nu_oracle(h) == 7
+
+
 def test_drisko_2_is_pasch_shape():
     h, _ = cons.drisko(2)
     assert nu(h) == 1 and len(h.edges) == 4
@@ -48,9 +54,7 @@ def test_mlessn(k, n):
     h, f = cons.mlessn(k, n)
     assert is_balanced(h, f)
     v = nu(h)
-    assert v == cons.mlessn_bound(k, n)
-    if len(h.edges) <= 30:
-        assert v == nu_oracle(h)
+    assert v == cons.mlessn_bound(k, n) == nu_oracle(h)
 
 
 def test_mlessn_parameter_validation():

@@ -48,6 +48,13 @@ def test_dinterval_validation():
         di((0, "3/2"), (0, 1))
     with pytest.raises(ValueError, match="the same d"):
         DIntervalFamilies(2, [[di((0, 1), (0, 1)), di((0, 1))]])
+    with pytest.raises(ValueError, match="d >= 1 parts"):
+        DInterval([])
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            DIntervalFamilies(d, [])
+    with pytest.raises(ValueError, match="d must be int"):
+        DIntervalFamilies(1.0, [])
 
 
 def test_intersects_open_endpoints():

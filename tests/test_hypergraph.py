@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                _capped_matching, balanced_certificate, check_hosted,
+                               check_side_sizes,
                                degrees, is_balanced, max_matching, neighborhood, nu,
                                nu_oracle, nu_star, random_balanced)
-from balmat.rational import ceil_frac
 from test_rational import _vertices
 
 PASCH_EDGES = [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
@@ -27,6 +28,15 @@ def test_hypergraph_validation():
     # duplicates collapse
     h = PartiteHypergraph((2, 2), [(1, 1), (1, 1)])
     assert h.edges == ((1, 1),)
+    # non-integers are rejected, not truncated; a bool is no int
+    with pytest.raises(ValueError, match="side size must be int, not float"):
+        PartiteHypergraph((2.7, 2), [(1, 1)])
+    with pytest.raises(ValueError, match="edge coordinate must be int, not float"):
+        PartiteHypergraph((2, 2), [(1.9, 1), (2, 2)])
+    with pytest.raises(ValueError, match="edge coordinate must be int, not bool"):
+        PartiteHypergraph((2, 2), [(True, 1)])
+    with pytest.raises(ValueError, match="side size must be int, not Fraction"):
+        check_side_sizes([Fraction(2)])
 
 
 def test_degrees_pasch():
@@ -110,11 +120,19 @@ def test_nu_matches_oracle_small():
     assert nu(h) == nu_oracle(h) == 3
 
 
+@st.composite
+def oracle_hypergraphs(draw):
+    """(3,3,3) with up to 12 edges, or unequal sides, where the choice of the
+    oracle's DP side matters, with up to 20."""
+    sizes = draw(st.sampled_from([(3, 3, 3), (2, 3, 4), (4, 2, 3), (3, 4, 2), (2, 5)]))
+    edge = st.tuples(*(st.integers(1, a) for a in sizes))
+    return PartiteHypergraph(sizes, draw(st.lists(edge, min_size=1,
+                                                  max_size=12 if sizes == (3, 3, 3) else 20)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-                min_size=1, max_size=12))
-def test_nu_agrees_with_oracle(edges):
-    h = PartiteHypergraph((3, 3, 3), edges)
+@given(oracle_hypergraphs())
+def test_nu_agrees_with_oracle(h):
     witness = max_matching(h)
     assert nu(h) == len(witness) == nu_oracle(h)
     assert set(witness) <= set(h.edges)
@@ -141,9 +159,13 @@ def test_multigraph_distinct_labels():
         Multigraph(2, 2, [(1, 1, 0), (1, 1, 0)])
     with pytest.raises(ValueError, match="out of range"):
         Multigraph(2, 2, [(3, 1, 0)])
+    with pytest.raises(ValueError, match="endpoint must be int"):
+        Multigraph(2, 2, [(1.5, 1, 0)])
+    with pytest.raises(ValueError, match="side size must be int"):
+        Multigraph(2.5, 2, [])
 
 
-@pytest.mark.parametrize("sizes", [(3, 3), (2, 4), (3, 3, 3), (2, 2, 4)])
+@pytest.mark.parametrize("sizes", [(3, 3), (2, 4), (3, 3, 3), (2, 2, 4), (2, 2, 2, 6)])
 def test_random_balanced_is_balanced(sizes):
     h, f = random_balanced(sizes, seed=7, layers=2)
     assert is_balanced(h, f)
@@ -153,8 +175,9 @@ def test_random_balanced_is_balanced(sizes):
 def test_random_balanced_input_checks():
     with pytest.raises(ValueError, match="layers must be >= 1"):
         random_balanced((2, 2), seed=0, layers=0)
-    with pytest.raises(ValueError, match="unsupported size pattern"):
-        random_balanced((2, 3), seed=0, layers=1)
+    for sizes in [(2, 3), (3,), (2, 3, 6), (2, 2, 3)]:
+        with pytest.raises(ValueError, match="unsupported size pattern"):
+            random_balanced(sizes, seed=0, layers=1)
 
 
 def test_random_balanced_deterministic():
@@ -168,4 +191,4 @@ def test_random_balanced_deterministic():
 def test_furedi_bound_random(seed, layers):
     """nu >= ceil(nu* / (d-1)) on balanced instances."""
     h, _ = random_balanced((3, 3, 3), seed=seed, layers=layers)
-    assert nu(h) >= ceil_frac(nu_star(h) / (h.d - 1))
+    assert nu(h) >= math.ceil(nu_star(h) / (h.d - 1))

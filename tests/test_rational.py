@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balmat.rational import (LPProblem, Optimal, UNBOUNDED, ceil_frac, format_rational,
+from balmat.rational import (LPProblem, Optimal, UNBOUNDED, format_rational,
                              lp_solve, parse_rational, rank_of_rows)
 
 
@@ -23,9 +23,12 @@ def test_format_parse_identity(q):
 
 
 def test_ceil_floor():
-    assert ceil_frac(Fraction(7, 2)) == 4
-    assert ceil_frac(Fraction(-7, 2)) == -3
-    assert ceil_frac(3) == 3
+    # the library rounds Fractions with math.ceil: exact, and an int, where a
+    # float would round 1 + 10^-30 down to 1
+    assert math.ceil(Fraction(7, 2)) == 4
+    assert math.ceil(Fraction(-7, 2)) == -3
+    assert math.ceil(Fraction(10**30 + 1, 10**30)) == 2
+    assert type(math.ceil(Fraction(7, 2))) is int
 
 
 def rank_leaving_rows(rows):

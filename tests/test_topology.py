@@ -40,6 +40,13 @@ def test_graph_rejects_loops():
         Graph(2, [(1, 1)])
 
 
+def test_vertex_counts_must_be_ints():
+    for make in (Graph, SimplicialComplex):
+        for count in (2.0, True, Fraction(2)):
+            with pytest.raises(ValueError, match="vertex count must be int"):
+                make(count, [])
+
+
 def test_betti_rejects_dimension_below_minus_one():
     with pytest.raises(ValueError, match="j must be >= -1"):
         betti(circle(), -2)
