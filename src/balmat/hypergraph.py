@@ -130,14 +130,36 @@ def nu_star(h: PartiteHypergraph) -> Fraction:
 
 def _capped_matching(h: PartiteHypergraph, cap) -> Optimal:
     """max |f| over f >= 0 on h.edges with deg_f(t, j) <= cap(a_t) at each
-    vertex (t, j), sides in order, then indices."""
-    rows = [([ONE if e[t - 1] == j else ZERO for e in h.edges], cap(a))
+    vertex (t, j), sides in order, then indices; its certificate checked."""
+    rows = [([int(e[t - 1] == j) for e in h.edges], cap(a))
             for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
-    res = lp_solve(LPProblem(len(h.edges), rows, [ONE] * len(h.edges)))
+    res = lp_solve(LPProblem(len(h.edges), rows, [1] * len(h.edges)))
     if not isinstance(res, Optimal):
         raise RuntimeError(f"capped fractional matching LP returned {res!r}; it is "
                            f"feasible (f = 0) and bounded (deg_f <= cap)")
+    _check_cover(h, cap, res)
     return res
+
+
+def _check_cover(h: PartiteHypergraph, cap, res: Optimal):
+    """RuntimeError unless res.point is an f >= 0 within the caps and
+    res.dual a fractional vertex cover y (y >= 0, y summed over each edge's
+    vertices >= 1), both of total res.value: by weak duality both are then
+    optimal.  Shares no code with the simplex."""
+    f, vertices = res.point, list(h.vertices())
+    y = dict(zip(vertices, res.dual))
+    deg = dict.fromkeys(vertices, ZERO)
+    for e, x in zip(h.edges, f):
+        for v in enumerate(e, start=1):
+            deg[v] += x
+    if not (len(f) == len(h.edges) and len(res.dual) == len(vertices)
+            and min(f, default=ZERO) >= 0 and min(res.dual, default=ZERO) >= 0
+            and all(deg[t, j] <= cap(h.side_sizes[t - 1]) for t, j in vertices)
+            and all(sum(y[v] for v in enumerate(e, start=1)) >= 1 for e in h.edges)
+            and sum(f) == res.value
+            == sum(cap(h.side_sizes[t - 1]) * y[t, j] for t, j in vertices)):
+        raise RuntimeError("capped fractional matching LP answer fails its "
+                           "primal-dual certificate")
 
 
 def _disjoint(e: Edge, f: Edge) -> bool:

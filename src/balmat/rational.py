@@ -3,14 +3,18 @@
 Rank over the rationals is exact fraction-free integer elimination: sparse
 integer rows are combined by integer multiples, so homology ranks never build
 a `Fraction`.  The LP has one form: maximise c . x over rows coeffs . x <= rhs
-with rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  It
-runs on `fractions.Fraction` and serves the capped fractional matchings of
-`hypergraph` (balance certificates, fractional matching numbers).  No floats
-anywhere, and `checked` keeps a float or bool from passing for an int.
+with rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  Its
+entries are ints or Fractions; the LP is scaled to integers, and the simplex
+pivots a fraction-free integer tableau (Edmonds 1967), building a `Fraction`
+only for the answer: the value, the point and the dual that certifies them.
+It serves the capped fractional matchings of `hypergraph` (balance
+certificates, fractional matching numbers).  No floats anywhere, and
+`checked` keeps a float or bool from passing for an int.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,7 +97,8 @@ def rank_of_rows(rows: Iterable[Dict[int, int]]) -> int:
 @dataclass
 class LPProblem:
     """Maximise objective . x subject to (coeffs, rhs) rows meaning
-    coeffs . x <= rhs, with rhs >= 0, and x >= 0."""
+    coeffs . x <= rhs, with rhs >= 0, and x >= 0; every entry is an int or a
+    Fraction."""
 
     variables: int
     constraints: List[Tuple[Sequence, object]]  # (coeffs, rhs)
@@ -105,7 +110,13 @@ class LPProblem:
         for coeffs, rhs in self.constraints:
             if len(coeffs) != self.variables:
                 raise ValueError("constraint length mismatch")
-            if Fraction(rhs) < 0:
+        for x in itertools.chain(self.objective, *(
+                (*coeffs, rhs) for coeffs, rhs in self.constraints)):
+            if type(x) is not int and type(x) is not Fraction:
+                raise ValueError(f"LP entry {x!r} must be int or Fraction, "
+                                 f"not {type(x).__name__}")
+        for _, rhs in self.constraints:
+            if rhs < 0:
                 raise ValueError(f"negative right-hand side {rhs}")
 
 
@@ -113,6 +124,7 @@ class LPProblem:
 class Optimal:
     value: Fraction
     point: List[Fraction]
+    dual: List[Fraction]  # y, one entry per constraint row
 
 
 class _Tag:
@@ -126,48 +138,82 @@ class _Tag:
 UNBOUNDED = _Tag("Unbounded")
 
 
-def lp_solve(p: LPProblem):
-    """Exact simplex with Bland's anti-cycling rule on one tableau.
+def _integer_row(row) -> Tuple[List[int], int]:
+    """The row times its scale, the lcm of its denominators, as ints."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
-    Returns Optimal(value, point) or UNBOUNDED.  Row i starts on its slack at
-    column n + i, so the start is the feasible point x = 0; the objective row
-    sits below the constraint rows.
+
+def lp_solve(p: LPProblem):
+    """Exact simplex with Bland's anti-cycling rule on one integer tableau.
+
+    Returns Optimal(value, point, dual) or UNBOUNDED.  The tableau solves
+    for x in units of 1/R, R the lcm of the right sides' denominators, so
+    that every right side is an integer; each row's coefficients, and the
+    objective's, are then scaled by the lcm of their own denominators.
+    Neither scaling changes a pivot of the rational tableau: the ratios of
+    one ratio test all scale alike, and no reduced cost changes sign.  Row i
+    starts on its unit slack column n + i, so the start is the feasible
+    point x = 0 with the identity basis, det = 1.  Fraction-free (Edmonds
+    1967): the tableau is always det times the rational tableau of the same
+    basis, det being the last pivot, so every division in the update is
+    exact.  The dual y is read off the final objective row at the slack
+    columns; y >= 0, y . coeffs >= objective and y . rhs = value.
     """
     p.check()
     n = p.variables
     m = len(p.constraints)
     total = n + m
-    tableau: List[List[Fraction]] = []
+    rhs_scale = math.lcm(*(rhs.denominator for _, rhs in p.constraints))
+    tableau: List[List[int]] = []
+    scales: List[int] = []
     for i, (coeffs, rhs) in enumerate(p.constraints):
-        row = [Fraction(c) for c in coeffs] + [ZERO] * m + [Fraction(rhs)]
-        row[n + i] = ONE
+        row, scale = _integer_row(coeffs)
+        row += [0] * m + [rhs.numerator * scale * (rhs_scale // rhs.denominator)]
+        row[n + i] = 1
         tableau.append(row)
-    tableau.append([Fraction(c) for c in p.objective] + [ZERO] * (m + 1))
+        scales.append(scale)
+    obj, obj_scale = _integer_row(p.objective)
+    tableau.append(obj + [0] * (m + 1))
     basis = list(range(n, total))
+    det = 1
     while True:
         cost = tableau[m]
         enter = next((j for j in range(total) if cost[j] > 0), -1)
         if enter < 0:
             break
+        # Bland's ratio test: least rhs / entry over positive entries, ties to
+        # the lowest basic column; ratios compared by cross-multiplying.
         leave = -1
-        best = None
         for i, b in enumerate(basis):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][total] / a
-                if best is None or ratio < best or (ratio == best and b < basis[leave]):
-                    best, leave = ratio, i
+                r = tableau[i][total]
+                if leave < 0:
+                    leave, num, den = i, r, a
+                else:
+                    here, best = r * den, num * a
+                    if here < best or (here == best and b < basis[leave]):
+                        leave, num, den = i, r, a
         if leave < 0:
             return UNBOUNDED
-        piv = tableau[leave][enter]
-        row = tableau[leave] = [x / piv for x in tableau[leave]]
-        for i, other in enumerate(tableau):
-            coef = other[enter]
-            if coef and i != leave:
-                tableau[i] = [o - coef * r for o, r in zip(other, row)]
+        prow = tableau[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tableau):
+            if i == leave:
+                continue
+            coef = row[enter]
+            if coef:
+                tableau[i] = [(piv * x - coef * y) // det for x, y in zip(row, prow)]
+            elif piv != det:
+                tableau[i] = [piv * x // det if x else 0 for x in row]
+        det = piv
         basis[leave] = enter
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = tableau[i][total]
-    return Optimal(-tableau[m][total], point)
+            point[b] = Fraction(tableau[i][total], det * rhs_scale)
+    cost = tableau[m]
+    return Optimal(Fraction(-cost[total], det * obj_scale * rhs_scale), point,
+                   [Fraction(-cost[n + i] * scales[i], det * obj_scale)
+                    for i in range(m)])

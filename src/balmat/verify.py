@@ -193,6 +193,51 @@ def check_upper_bounds() -> CheckResult:
                        failures, not failures)
 
 
+def _block_nu(h: PartiteHypergraph) -> Optional[int]:
+    """nu(h) when h's edges split into blocks such that two edges meet
+    exactly when they share a block: a matching takes at most one edge of
+    each block, and the first edges of the blocks are a matching.  None when
+    the edges do not split so."""
+    def meet(e, f):
+        return any(x == y for x, y in zip(e, f))
+
+    blocks: List[list] = []
+    for e in h.edges:
+        block = next((b for b in blocks if meet(e, b[0])), None)
+        if block is None:
+            blocks.append([e])
+        else:
+            block.append(e)
+    if all(meet(e, f) == (b is c) for b in blocks for c in blocks
+           for e in b for f in c):
+        return len(blocks)
+    return None
+
+
+@_check("constructions")
+def check_constructions() -> CheckResult:
+    """H_q for q <= 8 (q - 1 prime) and every feasible conj_nn(n, variant),
+    n <= 8: a balanced certificate that is_balanced accepts, nu = nu_oracle,
+    and the stated nu (1 for H_q, 2 for conj_nn) by intersecting blocks."""
+    cases = [(f"truncated_projective({q})", cons.truncated_projective(q), 1)
+             for q in (3, 4, 6, 8)]
+    for n in range(3, 9):
+        for variant in range(1, 5):
+            try:
+                cases.append((f"conj_nn({n},{variant})", cons.conj_nn(n, variant), 2))
+            except ValueError:
+                pass
+    failures = []
+    for label, h, claimed in cases:
+        f = balanced_certificate(h)
+        got = (f is not None and is_balanced(h, f), nu(h), nu_oracle(h), _block_nu(h))
+        if got != (True, claimed, claimed, claimed):
+            failures.append((label, got))
+    return CheckResult("constructions",
+                       "H_q and conj_nn balanced with nu by intersecting blocks",
+                       {"checked": len(cases)}, [], failures, not failures)
+
+
 @_check("zeta")
 def check_zeta() -> CheckResult:
     """The bipartite zeta witness: stated degrees and H_1(M(G)) nonzero."""

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from balmat import constructions as cons
-from balmat.hypergraph import (balanced_certificate, is_balanced, nu,
-                               nu_oracle, nu_star)
+from balmat.hypergraph import (PartiteHypergraph, balanced_certificate, is_balanced,
+                               nu, nu_oracle, nu_star)
 from balmat.topology import betti, matching_complex
+from balmat.verify import _block_nu
 
 
 def test_pasch_values():
@@ -161,3 +162,13 @@ def test_conj_nn_infeasible_parameters():
         cons.conj_nn(3, 4)
     with pytest.raises(ValueError):
         cons.conj_nn(5, 5)
+
+
+def test_block_nu():
+    """nu by intersecting blocks, and None when meeting edges do not split
+    into such blocks."""
+    assert _block_nu(cons.truncated_projective(4)) == 1
+    assert _block_nu(cons.conj_nn(4, 1)) == 2
+    assert _block_nu(PartiteHypergraph((2, 2), [(1, 1), (2, 2)])) == 2
+    # (1,1) and (2,2) are disjoint, yet (1,2) meets both
+    assert _block_nu(PartiteHypergraph((2, 2), [(1, 1), (1, 2), (2, 2)])) is None

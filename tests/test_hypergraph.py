@@ -1,11 +1,19 @@
+import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balmat import hypergraph
+from balmat.rational import Optimal
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                _capped_matching, balanced_certificate, check_hosted,
                                check_side_sizes,
@@ -83,6 +91,59 @@ def test_balanced_certificate_below_one_without_isolated_vertex():
     h = PartiteHypergraph((2, 3), [(1, 1), (1, 2), (1, 3), (2, 1)])
     assert _capped_matching(h, lambda a: Fraction(1, a)).value == Fraction(5, 6)
     assert balanced_certificate(h) is None
+
+
+def _shift(r):
+    """+c on side 1 and -c on side 2 of the pasch cover: each edge's sum and
+    the total stay, but entries turn negative."""
+    c = 1 + max(r.dual)
+    return [y + c for y in r.dual[:2]] + [y - c for y in r.dual[2:4]] + r.dual[4:]
+
+
+# Each breaks one clause of the certificate on the pasch quadruple, whose
+# vertices all have the same cap: the totals agree (dual doubled), the
+# cover covers (its mass moved onto one vertex), y >= 0 (`_shift`), f keeps
+# its caps (f, y and the value all doubled), the cover has one entry per
+# vertex.
+CORRUPTIONS = [
+    lambda r: dataclasses.replace(r, dual=[2 * y for y in r.dual]),
+    lambda r: dataclasses.replace(r, dual=[sum(r.dual)] + [0] * (len(r.dual) - 1)),
+    lambda r: dataclasses.replace(r, dual=_shift(r)),
+    lambda r: Optimal(2 * r.value, [2 * x for x in r.point], [2 * y for y in r.dual]),
+    lambda r: dataclasses.replace(r, dual=r.dual[:-1]),
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("solve", [nu_star, balanced_certificate])
+def test_corrupted_lp_certificate_raises(monkeypatch, corrupt, solve):
+    """The cover check rejects an LP answer that the simplex got wrong."""
+    lp_solve = hypergraph.lp_solve
+    monkeypatch.setattr(hypergraph, "lp_solve", lambda p: corrupt(lp_solve(p)))
+    with pytest.raises(RuntimeError, match="primal-dual certificate"):
+        solve(pasch())
+
+
+def test_corrupted_lp_certificate_raises_under_dash_O():
+    """`python -O` strips asserts; the cover check still runs."""
+    script = textwrap.dedent("""
+        import dataclasses
+        from balmat import constructions, hypergraph
+        solve = hypergraph.lp_solve
+        hypergraph.lp_solve = lambda p: dataclasses.replace(
+            solve(p), dual=[2 * y for y in solve(p).dual])
+        try:
+            hypergraph.balanced_certificate(constructions.pasch()[0])
+        except RuntimeError as err:
+            print("RuntimeError:", err)
+        """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("RuntimeError:"), proc.stdout
 
 
 @st.composite

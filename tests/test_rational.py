@@ -135,14 +135,11 @@ def test_lp_negative_rhs_rejected():
                 min_size=1, max_size=4),
        st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_lp_weak_duality_with_point(cons, obj):
-    """Any Optimal answer must actually satisfy its constraints and have a
-    consistent objective value."""
+    """Any Optimal answer carries a point and a dual that are feasible and
+    have the same total: each proves the other optimal."""
     res = lp_solve(LPProblem(2, cons, obj))
     if isinstance(res, Optimal):
-        for coeffs, rhs in cons:
-            assert sum(Fraction(a) * x for a, x in zip(coeffs, res.point)) <= rhs
-        assert all(x >= 0 for x in res.point)
-        assert res.value == sum(Fraction(c) * x for c, x in zip(obj, res.point))
+        assert_certified(cons, obj, res)
 
 
 def test_lp_problem_validation():
@@ -150,6 +147,16 @@ def test_lp_problem_validation():
         LPProblem(2, [([1], 1)], [1, 1]).check()
     with pytest.raises(ValueError):
         LPProblem(1, [([1], 1)], [1, 1]).check()
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", None])
+def test_lp_rejects_entries_that_are_not_int_or_fraction(bad):
+    # Fraction(0.5) >= 0 would let a float right side through
+    for p in (LPProblem(1, [([1], bad)], [1]), LPProblem(1, [([bad], 1)], [1]),
+              LPProblem(1, [([1], 1)], [bad])):
+        with pytest.raises(ValueError, match="must be int or Fraction"):
+            lp_solve(p)
+    lp_solve(LPProblem(1, [([Fraction(1, 2)], 3)], [Fraction(-1, 3)]))
 
 
 def _solve_square(rows, rhs):
@@ -213,7 +220,94 @@ def test_lp_matches_vertex_enumeration(lp):
         assert res is want
         return
     assert res.value == want
-    assert len(res.point) == n and all(x >= 0 for x in res.point)
+    assert len(res.point) == n
+    assert_certified(cons, obj, res)
+
+
+def _fraction_simplex(n, cons, obj):
+    """The rational tableau that `lp_solve` takes pivot for pivot: Bland's
+    rule, the same ratio test, every entry a `Fraction`.  (value, point) or
+    UNBOUNDED."""
+    m = len(cons)
+    total = n + m
+    tableau = []
+    for i, (coeffs, rhs) in enumerate(cons):
+        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * m + [Fraction(rhs)]
+        row[n + i] = Fraction(1)
+        tableau.append(row)
+    tableau.append([Fraction(c) for c in obj] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, total))
+    while True:
+        cost = tableau[m]
+        enter = next((j for j in range(total) if cost[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i, b in enumerate(basis):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][total] / a
+                if best is None or ratio < best or (ratio == best and b < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return UNBOUNDED
+        piv = tableau[leave][enter]
+        row = tableau[leave] = [x / piv for x in tableau[leave]]
+        for i, other in enumerate(tableau):
+            coef = other[enter]
+            if coef and i != leave:
+                tableau[i] = [o - coef * r for o, r in zip(other, row)]
+        basis[leave] = enter
+    point = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tableau[i][total]
+    return -tableau[m][total], point
+
+
+def assert_certified(cons, obj, res):
+    """x and y are feasible for the LP and its dual, with equal totals."""
+    x, y = res.point, res.dual
+    assert len(y) == len(cons) and min(x + y, default=0) >= 0
     for coeffs, rhs in cons:
-        assert sum(Fraction(a) * x for a, x in zip(coeffs, res.point)) <= rhs
-    assert res.value == sum(Fraction(c) * x for c, x in zip(obj, res.point))
+        assert sum(a * v for a, v in zip(coeffs, x)) <= rhs
+    for j, c in enumerate(obj):
+        assert sum(w * coeffs[j] for w, (coeffs, _) in zip(y, cons)) >= c
+    assert res.value == sum(c * v for c, v in zip(obj, x)) \
+        == sum(w * rhs for w, (_, rhs) in zip(y, cons))
+
+
+# Few distinct values, so ratio ties, zero right sides and zero steps are common.
+lp_scalars = st.one_of(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+                       st.fractions(-5, 5, max_denominator=7))
+
+
+@st.composite
+def rational_lps(draw):
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.lists(lp_scalars, min_size=n, max_size=n),
+                    st.one_of(st.sampled_from([0, 1, Fraction(1, 3)]),
+                              st.fractions(0, 5, max_denominator=7)))
+    cons = draw(st.lists(row, min_size=1, max_size=5))
+    obj = draw(st.lists(lp_scalars, min_size=n, max_size=n))
+    return n, cons, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_lps())
+@example((2, [([1, 1], 0), ([1, -1], 0)], [1, 1]))
+# Two rows tie in a ratio test; with the higher basic column leaving instead
+# of the lower, the optimum found moves from (0, 4, 2) to (0, 4, 0).
+@example((3, [([1, 0, 1], 2), ([1, Fraction(1, 2), 0], 2)], [2, 2, 0]))
+def test_lp_matches_fraction_simplex(lp):
+    """The integer tableau takes the rational tableau's pivots: the same
+    value and point, or UNBOUNDED; and its dual certifies each Optimal."""
+    n, cons, obj = lp
+    res = lp_solve(LPProblem(n, cons, obj))
+    want = _fraction_simplex(n, cons, obj)
+    if want is UNBOUNDED:
+        assert res is UNBOUNDED
+        return
+    assert isinstance(res, Optimal) and (res.value, res.point) == want
+    assert_certified(cons, obj, res)
