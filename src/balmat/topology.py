@@ -19,7 +19,11 @@ from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, max_matc
                          neighborhood)
 from .rational import ZERO, checked, rank_of_rows
 
-INFINITE = math.inf  # game value for "an isolated vertex appeared"
+# Game value for "an isolated vertex appeared".  It stays the float math.inf
+# because the benchmark's exact renderer (bench/workloads.py, text()) prints
+# only that float, as "inf", and its game checks compare values with
+# == math.inf; a non-float value ordered above every int must change both.
+INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -285,7 +289,11 @@ def _canonical_edges(edges: FrozenSet[FrozenSet[int]]):
 
 # A game position is (verts, edges): the vertices still alive and the edges
 # among them that CON has not deleted.  Values are memoised across calls under
-# each position's labelled edge set and under its canonical key.
+# each position's labelled edge set and under its canonical key.  The memo is
+# module-global on purpose: the `ind-psi` check and the `game` benchmark
+# evaluate many graphs that share subpositions, and a memo cleared on each
+# psi call made the benchmark's `game` workload about twice as slow.  Every
+# entry is an exact value, so sharing it cannot change a result.
 _PSI_MEMO: Dict[object, object] = {}
 
 
@@ -296,7 +304,18 @@ def psi(g: Graph):
 
 
 def _psi_value(verts: FrozenSet[int], edges: FrozenSet[FrozenSet[int]]):
-    """Exact value of the CON/NON deletion-explosion game at a position."""
+    """Exact value of the CON/NON deletion-explosion game at a position.
+
+    CON offers an edge e; NON deletes it (the game goes on at G - e) or
+    explodes it (at G ⊖ e, one explosion more), so
+    psi(G) = max over e of min(psi(G - e), psi(G ⊖ e) + 1).  The exploded
+    positions are small, so they are evaluated first: b(e) = psi(G ⊖ e) + 1
+    bounds the value of edge e from above.  Edges are then tried in
+    decreasing b(e), ties in sorted edge order, and the loop stops at the
+    first edge with b(e) <= best, since no later edge can raise best (an
+    alpha-beta cut, Knuth-Moore 1975).  The cut only skips deletion
+    subtrees, so the value returned and every memo entry stay exact.
+    """
     if not verts:
         return 0
     covered = {v for e in edges for v in e}
@@ -308,16 +327,18 @@ def _psi_value(verts: FrozenSet[int], edges: FrozenSet[FrozenSet[int]]):
     if hit is not None:
         _PSI_MEMO[edges] = hit
         return hit
+    booms = [(_psi_value(*_explode(verts, edges, u, v)) + 1, (u, v))
+             for u, v in sorted(tuple(sorted(e)) for e in edges)]
+    booms.sort(key=lambda b: b[0], reverse=True)  # stable: ties keep edge order
     best = 0
-    for e in sorted(tuple(sorted(e)) for e in edges):
-        u, v = e
-        deleted = _psi_value(verts, edges - {frozenset(e)})
-        boom_verts, boom_edges = _explode(verts, edges, u, v)
-        val = min(deleted, _psi_value(boom_verts, boom_edges) + 1)
+    for boom, e in booms:
+        if boom <= best:
+            break
+        # min(deleted, boom) returns deleted on a tie, so an infinite value
+        # is always the INFINITE object itself, never INFINITE + 1.
+        val = min(_psi_value(verts, edges - {frozenset(e)}), boom)
         if val > best:
             best = val
-        if best == INFINITE:
-            break
     _PSI_MEMO[edges] = _PSI_MEMO[key] = best
     return best
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balmat import topology
 from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction, _all_edges
 from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, _canonical_edges,
                              betti, canonical_key, con_certificate, con_lower_bound, eta,
@@ -233,6 +235,48 @@ def test_psi_isomorphism_invariance():
     g1 = Graph(4, [(1, 2), (2, 3), (3, 4)])
     g2 = Graph(4, [(4, 3), (3, 2), (2, 1)])
     assert psi(g1) == psi(g2)
+
+
+def psi_unpruned(verts, edges, memo):
+    """Oracle for psi: max over every edge e of min(psi(G - e),
+    psi(G exploded at e) + 1), with no cut, no early exit and no canonical
+    key; memo is keyed by the labelled position."""
+    if not verts:
+        return 0
+    if {v for e in edges for v in e} != verts:
+        return math.inf
+    if (verts, edges) not in memo:
+        best = 0
+        for e in edges:
+            gone = {v for f in edges if f & e for v in f}
+            boom = psi_unpruned(verts - gone, frozenset(f for f in edges if not f & gone), memo)
+            best = max(best, min(psi_unpruned(verts, edges - {e}, memo), boom + 1))
+        memo[verts, edges] = best
+    return memo[verts, edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_psi_against_unpruned_oracle(data):
+    """The explosion-first cut skips only subtrees: psi, from a cold memo and
+    from the shared warm one, equals the unpruned game value, an infinite
+    value is the INFINITE object itself, and every labelled position left in
+    the cold memo holds its exact value."""
+    n = data.draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    g = Graph(n, data.draw(st.sets(st.sampled_from(pairs), max_size=10)) if pairs else [])
+    oracle = {}
+    expected = psi_unpruned(frozenset(range(1, n + 1)), g.edges, oracle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_PSI_MEMO", {})
+        cold = psi(g)
+        for key, value in topology._PSI_MEMO.items():
+            if isinstance(key, frozenset):
+                verts = frozenset(v for e in key for v in e)
+                assert value == psi_unpruned(verts, key, oracle), sorted(map(sorted, key))
+    for value in (cold, psi(g)):
+        assert value == expected
+        assert (value is INFINITE) == (expected == math.inf)
 
 
 def test_psi_lower_bounds_eta_of_independence_complex():
