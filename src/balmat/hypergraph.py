@@ -6,7 +6,10 @@ of a d-partite hypergraph is a d-tuple (j_1, ..., j_d) with j_t in [a_t].
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,16 +165,6 @@ def _check_cover(h: PartiteHypergraph, cap, res: Optimal):
                            "primal-dual certificate")
 
 
-def _disjoint(e: Edge, f: Edge) -> bool:
-    return all(a != b for a, b in zip(e, f))
-
-
-def _cheap_bound(edges) -> int:
-    """Upper bound on the matching number of a nonempty edge set."""
-    d = len(edges[0])
-    return min(len({e[t] for e in edges}) for t in range(d))
-
-
 def nu(h: PartiteHypergraph) -> int:
     """Exact maximum matching size."""
     return len(max_matching(h))
@@ -180,35 +173,40 @@ def nu(h: PartiteHypergraph) -> int:
 def max_matching(h: PartiteHypergraph) -> Tuple[Edge, ...]:
     """A maximum matching, as a sorted tuple of edges, by branch and bound.
 
-    Branches on a vertex of minimum positive degree (fail-first), ties broken
-    by lowest (side, index); prunes with the per-side distinct-index bound.
-    """
-    best: List[Edge] = []
-    _matching_branch(list(h.edges), [], best)
-    return tuple(sorted(best))
+    Vertex (t, j) is a bit, in (side, index) order; an edge ORs its d bits.
+    Branch on the vertex of least positive degree, lowest bit first: its
+    edges in sorted order, then the skip.  Cut a node with c chosen edges
+    when c + u <= len(best), for u the fewest vertices its edges meet on a
+    side or the len(best) - c that a table local to the call, keyed by the
+    tuple of edges, stored once a node with them was explored.  Such a subtree
+    cannot strictly beat `best`, so the witness is that of the uncut search."""
+    offsets = list(itertools.accumulate(h.side_sizes, initial=0))
+    vertex_bits = [tuple(1 << (offsets[t] + j - 1) for t, j in enumerate(e)) for e in h.edges]
+    bits = {sum(vb): vb for vb in vertex_bits}  # edge mask -> its vertices' bits
+    sides = [((1 << a) - 1) << o for a, o in zip(h.side_sizes, offsets)]
+    best: List[int] = []
+    _matching_branch(list(bits), [], best, bits, sides, {})
+    return tuple(e for m, e in zip(bits, h.edges) if m in best)
 
 
-def _matching_branch(edges: List[Edge], chosen: List[Edge], best: List[Edge]):
-    """Extend `chosen` from `edges`; `best` holds the largest matching seen."""
+def _matching_branch(edges: List[int], chosen: List[int], best: List[int], bits, sides, table):
+    """Extend `chosen` from the edge masks `edges`; with no table entry, u = len(edges)."""
     if len(chosen) > len(best):
         best[:] = chosen
-    if not edges:
+    c, key = len(chosen), tuple(edges)
+    if c + table.get(key, len(edges)) <= len(best):
         return
-    if len(chosen) + _cheap_bound(edges) <= len(best):
+    union = functools.reduce(operator.or_, edges)
+    if c + min((union & side).bit_count() for side in sides) <= len(best):
         return
-    # vertex of minimum positive degree, lowest (side, index) first
-    counts: Dict[Vertex, int] = {}
-    for e in edges:
-        for t, j in enumerate(e, start=1):
-            counts[(t, j)] = counts.get((t, j), 0) + 1
-    v = min(counts, key=lambda u: (counts[u], u))
-    t, j = v
-    at_v = [e for e in edges if e[t - 1] == j]
-    for e in at_v:
+    degree = collections.Counter(itertools.chain.from_iterable(map(bits.__getitem__, edges)))
+    v = min(zip(degree.values(), degree))[1]
+    for e in [f for f in edges if f & v]:
         chosen.append(e)
-        _matching_branch([f for f in edges if _disjoint(e, f)], chosen, best)
+        _matching_branch([f for f in edges if not f & e], chosen, best, bits, sides, table)
         chosen.pop()
-    _matching_branch([f for f in edges if f[t - 1] != j], chosen, best)
+    _matching_branch([f for f in edges if not f & v], chosen, best, bits, sides, table)
+    table[key] = len(best) - c
 
 
 def nu_oracle(h: PartiteHypergraph) -> int:

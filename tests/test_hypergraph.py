@@ -9,10 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balmat import hypergraph
+from balmat.constructions import drisko
 from balmat.rational import Optimal
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                _capped_matching, balanced_certificate, check_hosted,
@@ -183,12 +184,19 @@ def test_nu_matches_oracle_small():
 
 @st.composite
 def oracle_hypergraphs(draw):
-    """(3,3,3) with up to 12 edges, or unequal sides, where the choice of the
-    oracle's DP side matters, with up to 20."""
-    sizes = draw(st.sampled_from([(3, 3, 3), (2, 3, 4), (4, 2, 3), (3, 4, 2), (2, 5)]))
+    """(3,3,3) with up to 12 edges, unequal sides, where the choice of the
+    oracle's DP side matters, with up to 20, or (4,4,4) and (3,3,3,3) with
+    up to 30."""
+    sizes = draw(st.sampled_from([(3, 3, 3), (2, 3, 4), (4, 2, 3), (3, 4, 2), (2, 5),
+                                  (4, 4, 4), (3, 3, 3, 3)]))
     edge = st.tuples(*(st.integers(1, a) for a in sizes))
-    return PartiteHypergraph(sizes, draw(st.lists(edge, min_size=1,
-                                                  max_size=12 if sizes == (3, 3, 3) else 20)))
+    cap = {(3, 3, 3): 12, (4, 4, 4): 30, (3, 3, 3, 3): 30}.get(sizes, 20)
+    return PartiteHypergraph(sizes, draw(st.lists(edge, min_size=1, max_size=cap)))
+
+
+def _is_matching_of(witness, h):
+    return set(witness) <= set(h.edges) and all(
+        a != b for e, f in itertools.combinations(witness, 2) for a, b in zip(e, f))
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,9 +204,97 @@ def oracle_hypergraphs(draw):
 def test_nu_agrees_with_oracle(h):
     witness = max_matching(h)
     assert nu(h) == len(witness) == nu_oracle(h)
-    assert set(witness) <= set(h.edges)
-    assert all(a != b for e, f in itertools.combinations(witness, 2)
-               for a, b in zip(e, f))
+    assert _is_matching_of(witness, h)
+
+
+def test_nu_decides_drisko_8():
+    h, _ = drisko(8)
+    witness = max_matching(h)
+    assert len(witness) == 7 == nu_oracle(h)
+    assert _is_matching_of(witness, h)
+
+
+def _disjoint(e, f):
+    return all(a != b for a, b in zip(e, f))
+
+
+def _cheap_bound(edges):
+    """Upper bound on the matching number of a nonempty edge set."""
+    d = len(edges[0])
+    return min(len({e[t] for e in edges}) for t in range(d))
+
+
+def _reference_matching(h):
+    """The branch and bound on edge tuples that `max_matching` must agree
+    with witness for witness, since `hall-check` prints the witness: the same
+    vertex choice and edge order, with no bitmasks and no table of bounds."""
+    best = []
+    _reference_branch(list(h.edges), [], best)
+    return tuple(sorted(best))
+
+
+def _reference_branch(edges, chosen, best):
+    if len(chosen) > len(best):
+        best[:] = chosen
+    if not edges:
+        return
+    if len(chosen) + _cheap_bound(edges) <= len(best):
+        return
+    # vertex of minimum positive degree, lowest (side, index) first
+    counts = {}
+    for e in edges:
+        for t, j in enumerate(e, start=1):
+            counts[(t, j)] = counts.get((t, j), 0) + 1
+    t, j = min(counts, key=lambda u: (counts[u], u))
+    for e in [e for e in edges if e[t - 1] == j]:
+        chosen.append(e)
+        _reference_branch([f for f in edges if _disjoint(e, f)], chosen, best)
+        chosen.pop()
+    _reference_branch([f for f in edges if f[t - 1] != j], chosen, best)
+
+
+@st.composite
+def witness_hypergraphs(draw):
+    sizes = draw(st.sampled_from([(1,), (2, 5), (3, 3, 3), (2, 3, 4), (4, 4, 4), (3, 3, 3, 3)]))
+    edge = st.tuples(*(st.integers(1, a) for a in sizes))
+    return PartiteHypergraph(sizes, draw(st.lists(edge, max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(PartiteHypergraph((2, 5), []))
+@given(witness_hypergraphs())
+def test_max_matching_witness_matches_reference(h):
+    """The bitmask search with its table of bounds returns the very witness
+    of the edge-tuple search, not just one of the same size."""
+    assert max_matching(h) == _reference_matching(h)
+
+
+def _stored_bounds(h):
+    """(remaining edges, stored bound) for every entry `max_matching(h)`
+    leaves in its table of upper bounds, edges decoded from their masks."""
+    offsets = list(itertools.accumulate(h.side_sizes, initial=0))
+    edge_of = {sum(1 << (offsets[t] + j - 1) for t, j in enumerate(e)): e for e in h.edges}
+    tables = []
+    branch = hypergraph._matching_branch
+
+    def spy(*args):  # the table is the last argument of every call
+        tables.append(args[-1])
+        branch(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(hypergraph, "_matching_branch", spy)
+        max_matching(h)
+    return [([edge_of[m] for m in key], bound) for key, bound in tables[0].items()]
+
+
+@settings(max_examples=100, deadline=None)
+@example(drisko(6)[0])
+@given(oracle_hypergraphs())
+def test_stored_bounds_are_upper_bounds(h):
+    """Every bound in the table is at least the matching number of its edges,
+    by the oracle: a smaller one could cut a subtree that improves `best`."""
+    for edges, bound in _stored_bounds(h):
+        assert nu_oracle(PartiteHypergraph(h.side_sizes, edges)) <= bound
 
 
 def test_neighborhood_keeps_multiplicity():
