@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Callable, Tuple
 
-from .hypergraph import PartiteHypergraph, nu
+from .hypergraph import PartiteHypergraph, check_side_sizes, nu
 from .rational import checked
 
 
@@ -46,6 +46,11 @@ class DivisionInstance:
     agent_count: int
     slice_counts: Tuple[int, ...]
     oracle: Callable[[Partition], Tuple[AbstractSet[Tuple[int, ...]], ...]]
+
+    def __post_init__(self):
+        if checked(self.agent_count, int, "agent count") < 1:
+            raise ValueError(f"agent count must be >= 1, got {self.agent_count}")
+        object.__setattr__(self, "slice_counts", check_side_sizes(self.slice_counts))
 
 
 def _max_sum_pairs(pairs, v, w):

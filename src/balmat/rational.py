@@ -2,10 +2,13 @@
 
 Rank over the rationals is exact fraction-free integer elimination: sparse
 integer rows are combined by integer multiples, so homology ranks never build
-a `Fraction`.  The LP has one form: maximise c . x over rows coeffs . x <= rhs
-with rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  Its
-entries are ints or Fractions; the LP is scaled to integers, and the simplex
-pivots a fraction-free integer tableau (Edmonds 1967), building a `Fraction`
+a `Fraction`.  Each row is reduced on its highest column, as in the standard
+boundary-matrix reduction, and a caller that has proven an upper bound on the
+rank passes it as a ceiling, at which the elimination stops.  The LP has one
+form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
+the slack basis at x = 0 starts it feasible.  Its entries are ints or
+Fractions; the LP is scaled to integers, and the simplex pivots a
+fraction-free integer tableau (Edmonds 1967), building a `Fraction`
 only for the answer: the value, the point and the dual that certifies them.
 It serves the capped fractional matchings of `hypergraph` (balance
 certificates, fractional matching numbers).  No floats anywhere, and
@@ -18,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,19 +48,26 @@ def checked(x, kind, what):
     return x
 
 
-def rank_of_rows(rows: Iterable[Dict[int, int]]) -> int:
+def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) -> int:
     """Rank over the rationals by sparse, fraction-free integer elimination.
 
     Each row is a dict {col: nonzero int}; the rows are left unmodified.
+    `ceiling`, when given, must be an upper bound on the rank that the caller
+    has proven: the elimination stops once the rank reaches it, and the rank
+    is then exactly the ceiling.
     """
     rank = 0
-    # pivots: col -> primitive integer row whose lowest column is col, with a
-    # positive entry there, so that a pivot led by 1 never scales a row
+    # pivots: col -> primitive integer row whose highest column is col, with a
+    # positive entry there, so that a pivot led by 1 never scales a row.
+    # Highest-column pivots are those of the boundary-matrix reduction
+    # (Zomorodian-Carlsson 2005), which keeps the fill-in of boundary rows low.
     pivots: dict = {}
     for row in rows:
+        if rank == ceiling:
+            break
         r = dict(row)
         while r:
-            col = min(r)
+            col = max(r)
             pivot = pivots.get(col)
             if pivot is None:
                 content = math.gcd(*r.values())

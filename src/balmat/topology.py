@@ -36,7 +36,9 @@ class Graph:
             raise ValueError("vertex count must be >= 0")
         es = set()
         for e in edges:
-            u, v = sorted(e)
+            u, v = e
+            if checked(u, int, "vertex") > checked(v, int, "vertex"):
+                u, v = v, u
             if u == v:
                 raise ValueError("loops are not allowed")
             if not (1 <= u and v <= vertex_count):
@@ -46,21 +48,30 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(es))
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
-    """Facet representation; downward closure is implicit.
+    """A complex on the vertices 1..vertex_count, given by its facets;
+    downward closure is implicit, and two complexes are equal when their
+    facets are.
 
     facets == () means the void complex (no faces); a single empty facet
-    means the complex whose only face is the empty set.
+    means the complex whose only face is the empty set.  The complex of
+    `independence_complex(g)` lists its faces from g and finds its facets
+    only when `.facets` is first read.
     """
 
-    vertex_count: int
-    facets: Tuple[FrozenSet[int], ...]
+    # Faces are listed level by level: each face (v1 < ... < vk) carries a
+    # state bitmask, and a vertex v > vk extends it when state & _key[v] is
+    # nonzero, giving the state state & _child[v].  Given facets, the state
+    # is the set of facets that contain the face, and _key[v] = _child[v] is
+    # the set of facets that contain v.  For an independence complex, the
+    # state is the set of vertices adjacent to no vertex of the face, _key[v]
+    # is {v} and _child[v] the set of non-neighbours of v.  _start is the
+    # state of the empty face, 0 when the complex is void.
 
     def __init__(self, vertex_count, facets):
         if checked(vertex_count, int, "vertex count") < 0:
             raise ValueError("vertex count must be >= 0")
-        fs = list({frozenset(f) for f in facets})
+        fs = list({frozenset(checked(v, int, "facet vertex") for v in f) for f in facets})
         # Bit i of containing[v] is set when fs[i] contains v.  A facet is
         # maximal iff the only facet containing all its vertices is itself.
         containing: Dict[int, int] = {}
@@ -78,58 +89,114 @@ class SimplicialComplex:
         for f in maximal:
             if any(not 1 <= v <= vertex_count for v in f):
                 raise ValueError("facet vertex out of range")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "facets", tuple(sorted(maximal, key=sorted)))
+        self.vertex_count = vertex_count
+        self._facets = tuple(sorted(maximal, key=sorted))
+        self._graph = None
+        self._start = everything
+        self._key = self._child = [containing.get(v, 0) for v in range(vertex_count + 1)]
+
+    @classmethod
+    def _independence(cls, g: Graph) -> "SimplicialComplex":
+        """The independence complex of g, for g with at least one vertex."""
+        n = g.vertex_count
+        c = cls.__new__(cls)
+        c.vertex_count = n
+        c._facets = None
+        c._graph = g
+        c._start = (2 << n) - 2  # bits 1..n
+        c._key = [1 << v for v in range(n + 1)]
+        closed = list(c._key)  # v and its neighbours
+        for u, v in g.edges:
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+        c._child = [c._start & ~mask for mask in closed]
+        return c
+
+    @property
+    def facets(self) -> Tuple[FrozenSet[int], ...]:
+        if self._facets is None:
+            self._facets = tuple(sorted(_maximal_independent_sets(self._graph), key=sorted))
+        return self._facets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.facets) == (other.vertex_count, other.facets)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.facets))
+
+    def __repr__(self):
+        return f"SimplicialComplex(vertex_count={self.vertex_count!r}, facets={self.facets!r})"
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self._start
+
+    def _face_levels(self):
+        """Yield the face lists of dimension -1, 0, 1, ..., each sorted, while
+        they are not empty.  Each level extends the one before it, face by
+        face in order and by increasing vertices, so it comes out sorted."""
+        if self.is_void:
+            return
+        key, child = self._key, self._child
+        top = self.vertex_count + 1
+        level = [((), self._start)]
+        while level:
+            yield [face for face, _ in level]
+            level = [(face + (v,), state & child[v]) for face, state in level
+                     for v in range(face[-1] + 1 if face else 1, top) if state & key[v]]
 
     def faces_of_dim(self, j: int) -> List[Tuple[int, ...]]:
         """The j-dimensional faces, sorted; [()] for j = -1 unless void."""
-        if self.is_void or j < -1:
+        if j < -1:
             return []
-        if j == -1:
-            return [()]
-        return sorted({face for f in self.facets
-                       for face in itertools.combinations(sorted(f), j + 1)})
+        return next(itertools.islice(self._face_levels(), j + 1, None), [])
 
 
-def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]]) -> int:
-    """Rank of the boundary map from span(upper) to span(lower)."""
-    if not upper or not lower:
-        return 0
+def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
+                   ceiling: int) -> int:
+    """Rank of the boundary map from span(upper) to span(lower), given an
+    upper bound on it (see `rank_of_rows`).  One row per face of upper, the
+    transpose of the boundary matrix, built only as the elimination reads it."""
     idx = {f: i for i, f in enumerate(lower)}
-    cols = []
-    for face in upper:
-        col = {}
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1:]
-            col[idx[sub]] = (-1) ** i
-        cols.append(col)
-    return rank_of_rows(cols)  # rank(transpose) = rank
+    rows = ({idx[face[:i] + face[i + 1:]]: (-1) ** i for i in range(len(face))}
+            for face in upper)
+    return rank_of_rows(rows, ceiling)
 
 
 def betti(c: SimplicialComplex, j: int) -> int:
-    """dim of the j-th reduced rational homology group (j >= -1)."""
+    """dim of the j-th reduced rational homology group (j >= -1), from the
+    faces of dimensions j - 1, j and j + 1 alone; the second rank takes the
+    ceiling that `_betti_scan` explains."""
     if j < -1:
         raise ValueError("j must be >= -1")
-    return next((b for i, b in _betti_scan(c, j) if i == j), 0)
+    lower, fj, upper = (c.faces_of_dim(i) for i in (j - 1, j, j + 1))
+    rank_in = _boundary_rank(lower, fj, len(lower))
+    return len(fj) - rank_in - _boundary_rank(fj, upper, len(fj) - rank_in)
 
 
 def _betti_scan(c: SimplicialComplex, top: int):
     """Yield (j, b_j), b_j the j-th reduced Betti number, for j = -1, 0, ...,
-    top while faces of dimension j exist.  Each face list is built once and
-    each boundary rank computed once, since the rank of the boundary into
-    dimension j enters both b_j and b_{j+1}.  Two face lists are held at a
-    time."""
-    fj = c.faces_of_dim(-1)
+    top while faces of dimension j exist.  Each face list is built once, from
+    the one below it, and each boundary rank computed once, since the rank of
+    the boundary into dimension j enters both b_j and b_{j+1}.  Two face
+    lists are held at a time.
+
+    The rank of the boundary out of dimension j + 1 is computed with the
+    ceiling len(fj) - rank_in, the dimension of the kernel of the boundary
+    out of dimension j: since the boundary of a boundary is zero, the image
+    of the one lies in the kernel of the other.  Reaching the ceiling means
+    b_j = 0, and the rank found is exact either way.
+    """
+    levels = c._face_levels()
+    fj = next(levels, [])
     rank_in = 0  # rank of the boundary out of dimension j
     for j in range(-1, top + 1):
         if not fj:
             return
-        upper = c.faces_of_dim(j + 1)
-        rank_up = _boundary_rank(fj, upper)
+        upper = next(levels, [])
+        rank_up = _boundary_rank(fj, upper, len(fj) - rank_in)
         yield j, len(fj) - rank_in - rank_up
         fj, rank_in = upper, rank_up
 
@@ -200,10 +267,10 @@ def _bron_kerbosch(r, p, x, non_adj, out):
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
-    """Facets are the maximal independent sets of g."""
+    """Faces are the independent sets of g, facets the maximal ones."""
     if g.vertex_count == 0:
         return SimplicialComplex(0, [frozenset()])
-    return SimplicialComplex(g.vertex_count, _maximal_independent_sets(g))
+    return SimplicialComplex._independence(g)
 
 
 def line_graph(mg: Multigraph) -> Graph:

@@ -130,6 +130,13 @@ def test_nu_D_matches_brute_force(inst):
     assert nu_D(inst, p) == nu_D_brute_force(inst, p)
 
 
+@pytest.mark.parametrize("agents,slices", [(1, (0,)), (0, (2, 2)), (True, (2, 2)),
+                                           (1, ()), (1, (2.0, 2))])
+def test_division_instance_validation(agents, slices):
+    with pytest.raises(ValueError):
+        DivisionInstance(agents, slices, lambda p: (set(),))
+
+
 @pytest.mark.parametrize("bad", [{(1,)}, {(1, 1, 1)}, {(3, 1)}, {(0, 1)}])
 def test_nu_D_rejects_bad_oracle_vectors(bad):
     inst = DivisionInstance(2, (2, 2), lambda p: (bad, bad))

@@ -31,10 +31,11 @@ def test_ceil_floor():
     assert type(math.ceil(Fraction(7, 2))) is int
 
 
-def rank_leaving_rows(rows):
-    """rank_of_rows(rows), asserting that it hands the rows back unmodified."""
+def rank_leaving_rows(rows, ceiling=None):
+    """rank_of_rows(rows, ceiling), asserting that it hands the rows back
+    unmodified."""
     before = [dict(row) for row in rows]
-    rank = rank_of_rows(rows)
+    rank = rank_of_rows(rows, ceiling)
     assert rows == before
     return rank
 
@@ -99,15 +100,18 @@ def rank_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rank_inputs())
-def test_rank_matches_dense_fraction_gauss_jordan(case):
+@given(rank_inputs(), st.one_of(st.none(), st.integers(0, 3)))
+def test_rank_matches_dense_fraction_gauss_jordan(case, slack):
     """Each row scaled by the lcm of its denominators, which keeps the rank,
-    gives the integer rows that rank_of_rows takes."""
+    gives the integer rows that rank_of_rows takes.  A ceiling at the rank or
+    above it (rank + slack) leaves the answer exact."""
     dense, ncols = case
     scales = [math.lcm(*(x.denominator for x in row)) for row in dense]
     rows = sparse([x.numerator * (scale // x.denominator) for x in row]
                   for row, scale in zip(dense, scales))
-    assert rank_leaving_rows(rows) == dense_fraction_rank(dense, ncols)
+    expected = dense_fraction_rank(dense, ncols)
+    ceiling = None if slack is None else expected + slack
+    assert rank_leaving_rows(rows, ceiling) == expected
 
 
 def test_lp_basic_max():

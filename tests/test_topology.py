@@ -49,6 +49,14 @@ def test_vertex_counts_must_be_ints():
                 make(count, [])
 
 
+def test_vertices_must_be_ints():
+    for bad in (1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="vertex must be int"):
+            Graph(3, [(bad, 2)])
+        with pytest.raises(ValueError, match="facet vertex must be int"):
+            SimplicialComplex(3, [[bad, 2]])
+
+
 def test_betti_rejects_dimension_below_minus_one():
     with pytest.raises(ValueError, match="j must be >= -1"):
         betti(circle(), -2)
@@ -99,6 +107,56 @@ def test_facets_are_the_maximal_sets(sets):
     fs = {frozenset(f) for f in sets}
     maximal = {f for f in fs if not any(f < g for g in fs)}
     assert set(SimplicialComplex(6, sets).facets) == maximal
+
+
+def faces_from_facets(c, j):
+    """Oracle for `faces_of_dim`: every (j + 1)-subset of a facet, sorted."""
+    if not c.facets or j < -1:
+        return []
+    if j == -1:
+        return [()]
+    return sorted({face for f in c.facets for face in itertools.combinations(sorted(f), j + 1)})
+
+
+@st.composite
+def graphs(draw, max_vertices):
+    n = draw(st.integers(0, max_vertices))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return Graph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
+def test_faces_of_facet_complex_match_facet_subsets(sets):
+    c = SimplicialComplex(6, sets)
+    for j in range(-2, 7):
+        assert c.faces_of_dim(j) == faces_from_facets(c, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(10))
+def test_faces_of_independence_complex_match_facet_subsets(g):
+    c = independence_complex(g)
+    for j in range(-2, g.vertex_count + 1):
+        assert c.faces_of_dim(j) == faces_from_facets(c, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(8))
+def test_independence_complex_facets_are_maximal_independent_sets(g):
+    """Compared before its facets are read, then after: equal complexes, equal
+    hashes, and the facets Bron-Kerbosch finds on demand are the maximal
+    independent sets found by brute force."""
+    n = g.vertex_count
+    independent = [frozenset(s) for k in range(n + 1)
+                   for s in itertools.combinations(range(1, n + 1), k)
+                   if not any(frozenset(e) in g.edges for e in itertools.combinations(s, 2))]
+    expected = SimplicialComplex(n, [s for s in independent
+                                     if not any(s < t for t in independent)])
+    assert independence_complex(g) == expected
+    c = independence_complex(g)
+    assert hash(c) == hash(expected) and not c.is_void
+    assert c.facets == expected.facets
 
 
 @settings(max_examples=100, deadline=None)
