@@ -144,7 +144,8 @@ def _rainbow(families, i, chosen, target):
     """`chosen` extended by pairwise-disjoint members of families i, i+1, ...,
     at most one from each, to `target` members; or None if it cannot be.
 
-    Not a closure, for the reason `topology._bron_kerbosch` gives."""
+    Not a closure: a recursive closure refers to itself through its cell,
+    which keeps what it holds alive until a cyclic garbage collection."""
     if len(chosen) >= target:
         return chosen
     if len(chosen) + len(families) - i < target:

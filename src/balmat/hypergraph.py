@@ -137,9 +137,6 @@ def _capped_matching(h: PartiteHypergraph, cap) -> Optimal:
     rows = [([int(e[t - 1] == j) for e in h.edges], cap(a))
             for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
     res = lp_solve(LPProblem(len(h.edges), rows, [1] * len(h.edges)))
-    if not isinstance(res, Optimal):
-        raise RuntimeError(f"capped fractional matching LP returned {res!r}; it is "
-                           f"feasible (f = 0) and bounded (deg_f <= cap)")
     _check_cover(h, cap, res)
     return res
 
@@ -228,7 +225,8 @@ def _oracle_state(masks, i, used, memo) -> int:
     """The most disjoint edges at positions i, i+1, ... of the DP side whose
     masks miss `used`; `memo` maps (i, used) to that number.
 
-    Not a closure, for the reason `topology._bron_kerbosch` gives."""
+    Not a closure: a recursive closure refers to itself through its cell,
+    which keeps what it holds alive until a cyclic garbage collection."""
     if i == len(masks):
         return 0
     if (i, used) not in memo:

@@ -137,27 +137,17 @@ class Optimal:
     dual: List[Fraction]  # y, one entry per constraint row
 
 
-class _Tag:
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-UNBOUNDED = _Tag("Unbounded")
-
-
 def _integer_row(row) -> Tuple[List[int], int]:
     """The row times its scale, the lcm of its denominators, as ints."""
     scale = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-def lp_solve(p: LPProblem):
+def lp_solve(p: LPProblem) -> Optimal:
     """Exact simplex with Bland's anti-cycling rule on one integer tableau.
 
-    Returns Optimal(value, point, dual) or UNBOUNDED.  The tableau solves
+    Returns Optimal(value, point, dual); raises ValueError when the objective
+    is unbounded, that is, when a ratio test finds no row.  The tableau solves
     for x in units of 1/R, R the lcm of the right sides' denominators, so
     that every right side is an integer; each row's coefficients, and the
     objective's, are then scaled by the lcm of their own denominators.
@@ -206,7 +196,7 @@ def lp_solve(p: LPProblem):
                     if here < best or (here == best and b < basis[leave]):
                         leave, num, den = i, r, a
         if leave < 0:
-            return UNBOUNDED
+            raise ValueError("the LP is unbounded")
         prow = tableau[leave]
         piv = prow[enter]
         for i, row in enumerate(tableau):

@@ -55,8 +55,8 @@ class SimplicialComplex:
 
     facets == () means the void complex (no faces); a single empty facet
     means the complex whose only face is the empty set.  The complex of
-    `independence_complex(g)` lists its faces from g and finds its facets
-    only when `.facets` is first read.
+    `independence_complex(g)` lists its faces from g, and its facets, the
+    faces that no vertex extends, only when `.facets` is first read.
     """
 
     # Faces are listed level by level: each face (v1 < ... < vk) carries a
@@ -64,9 +64,10 @@ class SimplicialComplex:
     # nonzero, giving the state state & _child[v].  Given facets, the state
     # is the set of facets that contain the face, and _key[v] = _child[v] is
     # the set of facets that contain v.  For an independence complex, the
-    # state is the set of vertices adjacent to no vertex of the face, _key[v]
-    # is {v} and _child[v] the set of non-neighbours of v.  _start is the
-    # state of the empty face, 0 when the complex is void.
+    # state is the set of vertices outside the face and adjacent to none of
+    # it, _key[v] is {v} and _child[v] the set of non-neighbours of v; the
+    # facets are the faces of state 0.  _start is the state of the empty
+    # face, 0 when the complex is void.
 
     def __init__(self, vertex_count, facets):
         if checked(vertex_count, int, "vertex count") < 0:
@@ -91,7 +92,6 @@ class SimplicialComplex:
                 raise ValueError("facet vertex out of range")
         self.vertex_count = vertex_count
         self._facets = tuple(sorted(maximal, key=sorted))
-        self._graph = None
         self._start = everything
         self._key = self._child = [containing.get(v, 0) for v in range(vertex_count + 1)]
 
@@ -102,7 +102,6 @@ class SimplicialComplex:
         c = cls.__new__(cls)
         c.vertex_count = n
         c._facets = None
-        c._graph = g
         c._start = (2 << n) - 2  # bits 1..n
         c._key = [1 << v for v in range(n + 1)]
         closed = list(c._key)  # v and its neighbours
@@ -114,8 +113,9 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> Tuple[FrozenSet[int], ...]:
-        if self._facets is None:
-            self._facets = tuple(sorted(_maximal_independent_sets(self._graph), key=sorted))
+        if self._facets is None:  # an independence complex
+            self._facets = tuple(sorted((frozenset(face) for level in self._levels()
+                                         for face, state in level if not state), key=sorted))
         return self._facets
 
     def __eq__(self, other):
@@ -134,16 +134,21 @@ class SimplicialComplex:
         return not self._start
 
     def _face_levels(self):
-        """Yield the face lists of dimension -1, 0, 1, ..., each sorted, while
-        they are not empty.  Each level extends the one before it, face by
-        face in order and by increasing vertices, so it comes out sorted."""
+        """The face lists of `_levels`, without their states."""
+        for level in self._levels():
+            yield [face for face, _ in level]
+
+    def _levels(self):
+        """Yield the (face, state) lists of dimension -1, 0, 1, ..., each sorted,
+        while they are not empty.  Each level extends the one before it, face
+        by face in order and by increasing vertices, so it comes out sorted."""
         if self.is_void:
             return
         key, child = self._key, self._child
         top = self.vertex_count + 1
         level = [((), self._start)]
         while level:
-            yield [face for face, _ in level]
+            yield level
             level = [(face + (v,), state & child[v]) for face, state in level
                      for v in range(face[-1] + 1 if face else 1, top) if state & key[v]]
 
@@ -230,40 +235,6 @@ def eta(c: SimplicialComplex, cap: int) -> Eta:
 
 
 # --- Independence / matching complexes --------------------------------------
-
-
-def _maximal_independent_sets(g: Graph) -> List[FrozenSet[int]]:
-    """Bron-Kerbosch on the complement graph (maximal cliques there)."""
-    n = g.vertex_count
-    non_adj = {v: set() for v in range(1, n + 1)}
-    adj = {v: set() for v in range(1, n + 1)}
-    for e in g.edges:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    for v in range(1, n + 1):
-        non_adj[v] = set(range(1, n + 1)) - adj[v] - {v}
-
-    out: List[FrozenSet[int]] = []
-    _bron_kerbosch(set(), set(range(1, n + 1)), set(), non_adj, out)
-    return out
-
-
-def _bron_kerbosch(r, p, x, non_adj, out):
-    """Append to out each maximal clique of non_adj that contains r, takes
-    its other vertices from p and none from x (with pivoting).
-
-    Not a closure: a recursive closure refers to itself through its cell,
-    and that cycle keeps the sets it holds alive until the next cyclic
-    garbage collection."""
-    if not p and not x:
-        out.append(frozenset(r))
-        return
-    u = max(p | x, key=lambda w: len(non_adj[w] & p))
-    for v in sorted(p - non_adj[u]):
-        _bron_kerbosch(r | {v}, p & non_adj[v], x & non_adj[v], non_adj, out)
-        p = p - {v}
-        x = x | {v}
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
@@ -354,72 +325,109 @@ def _canonical_edges(edges: FrozenSet[FrozenSet[int]]):
     return canonical_key({v: 0 for e in edges for v in e}, edges)
 
 
-# A game position is (verts, edges): the vertices still alive and the edges
-# among them that CON has not deleted.  Values are memoised across calls under
-# each position's labelled edge set and under its canonical key.  The memo is
-# module-global on purpose: the `ind-psi` check and the `game` benchmark
-# evaluate many graphs that share subpositions, and a memo cleared on each
-# psi call made the benchmark's `game` workload about twice as slow.  Every
-# entry is an exact value, so sharing it cannot change a result.
+# A game position is (verts, edges), two int masks: vertex v is bit v, and
+# edge {u, v}, u < v, is bit (v - 1)(v - 2)/2 + u - 1 in every graph.
+# _PAIRS[i] is the edge (u, v) of bit i and _INCIDENT[v] the mask of the
+# edges at v, both extended by _position.  _PSI_MEMO is module-global on
+# purpose: the `ind-psi` check and the `game` benchmark evaluate many graphs
+# that share subpositions, and a memo cleared on each psi call made `game`
+# about twice as slow.  Every entry is exact, so sharing changes no result.
+_PAIRS: List[Tuple[int, int]] = []
+_INCIDENT: List[int] = [0]
+KEY_EDGES = 11
 _PSI_MEMO: Dict[object, object] = {}
+
+
+def _position(g: Graph) -> Tuple[int, int]:
+    for v in range(len(_INCIDENT), g.vertex_count + 1):
+        _INCIDENT[1:] = [m | _bit(u, v) for u, m in enumerate(_INCIDENT[1:], 1)]
+        _INCIDENT.append(sum(_bit(u, v) for u in range(1, v)))
+        _PAIRS.extend((u, v) for u in range(1, v))
+    return (2 << g.vertex_count) - 2, sum(_bit(*sorted(e)) for e in g.edges)
+
+
+def _bit(u: int, v: int) -> int:
+    return 1 << (v - 1) * (v - 2) // 2 + u - 1
 
 
 def psi(g: Graph):
     """Game value Psi(G): an int, or INFINITE when CON can force an isolated
-    vertex (equivalently, one exists already)."""
-    return _psi_value(frozenset(range(1, g.vertex_count + 1)), g.edges)
+    vertex (equivalently, one exists already).
+
+    psi meets no position with an isolated vertex, so an edge mask alone
+    fixes a position, and _PSI_MEMO holds each value under its edge mask;
+    a position of at least KEY_EDGES edges also under its canonical key.
+    A smaller one has fewer than 2^KEY_EDGES labelled subpositions, which
+    cost less to evaluate than its key.  Both keys map to the exact value,
+    so the threshold decides only how much work is shared, never a result.
+    """
+    if len({v for e in g.edges for v in e}) < g.vertex_count:
+        return INFINITE
+    return _psi_value(*_position(g))
 
 
-def _psi_value(verts: FrozenSet[int], edges: FrozenSet[FrozenSet[int]]):
-    """Exact value of the CON/NON deletion-explosion game at a position.
+def _psi_value(verts: int, edges: int):
+    """Exact game value at a position without isolated vertices.
 
     CON offers an edge e; NON deletes it (the game goes on at G - e) or
     explodes it (at G ⊖ e, one explosion more), so
     psi(G) = max over e of min(psi(G - e), psi(G ⊖ e) + 1).  The exploded
     positions are small, so they are evaluated first: b(e) = psi(G ⊖ e) + 1
     bounds the value of edge e from above.  Edges are then tried in
-    decreasing b(e), ties in sorted edge order, and the loop stops at the
+    decreasing b(e), ties in sorted (u, v) order, and the loop stops at the
     first edge with b(e) <= best, since no later edge can raise best (an
     alpha-beta cut, Knuth-Moore 1975).  The cut only skips deletion
     subtrees, so the value returned and every memo entry stay exact.
     """
-    if not verts:
+    if not edges:
         return 0
-    covered = {v for e in edges for v in e}
-    if covered != verts:
-        return INFINITE  # an isolated vertex: contractible, infinitely connected
-    # The labelled position first: a repeat of it needs no canonical key.
-    key = edges if edges in _PSI_MEMO else _canonical_edges(edges)
+    hit = _PSI_MEMO.get(edges)
+    if hit is not None:
+        return hit
+    pairs, todo = [], edges
+    while todo:
+        pairs.append(_PAIRS[(todo & -todo).bit_length() - 1])
+        todo &= todo - 1
+    pairs.sort()
+    key = edges if len(pairs) < KEY_EDGES else _canonical_edges(frozenset(map(frozenset, pairs)))
     hit = _PSI_MEMO.get(key)
     if hit is not None:
         _PSI_MEMO[edges] = hit
         return hit
-    booms = [(_psi_value(*_explode(verts, edges, u, v)) + 1, (u, v))
-             for u, v in sorted(tuple(sorted(e)) for e in edges)]
+    booms = []
+    for u, v in pairs:
+        left, rest = _explode(verts, edges, u, v)
+        lone = left  # ends nonzero when some vertex of left has no edge in rest
+        while lone and rest & _INCIDENT[(lone & -lone).bit_length() - 1]:
+            lone &= lone - 1
+        booms.append(((INFINITE if lone else _psi_value(left, rest)) + 1, u, v))
     booms.sort(key=lambda b: b[0], reverse=True)  # stable: ties keep edge order
     best = 0
-    for boom, e in booms:
+    for boom, u, v in booms:
         if boom <= best:
             break
-        # min(deleted, boom) returns deleted on a tie, so an infinite value
-        # is always the INFINITE object itself, never INFINITE + 1.
-        val = min(_psi_value(verts, edges - {frozenset(e)}), boom)
-        if val > best:
-            best = val
+        rest = edges & ~_bit(u, v)
+        # min(deleted, boom) returns deleted on a tie, and max keeps best on
+        # one, so an infinite value is the INFINITE object, never INFINITE + 1.
+        best = max(best, min(_psi_value(verts, rest) if rest & _INCIDENT[u] and rest & _INCIDENT[v]
+                             else INFINITE, boom))
     _PSI_MEMO[edges] = _PSI_MEMO[key] = best
     return best
 
 
-def _explode(verts, edges, u, v):
+def _explode(verts: int, edges: int, u: int, v: int) -> Tuple[int, int]:
     """The position after NON explodes edge uv: u, v and every neighbour of
     either are removed, with all edges that touch them."""
-    adj = {u, v}
-    for e in edges:
-        if u in e or v in e:
-            adj |= e
-    new_verts = verts - adj
-    new_edges = frozenset(e for e in edges if not (e & adj))
-    return new_verts, new_edges
+    touching, gone, cut = edges & (_INCIDENT[u] | _INCIDENT[v]), 0, 0
+    while touching:
+        a, b = _PAIRS[(touching & -touching).bit_length() - 1]
+        gone |= 1 << a | 1 << b
+        touching &= touching - 1
+    todo = gone
+    while todo:
+        cut |= _INCIDENT[(todo & -todo).bit_length() - 1]
+        todo &= todo - 1
+    return verts & ~gone, edges & ~cut
 
 
 # --- Topological Hall checker ----------------------------------------------
@@ -471,19 +479,17 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     Requires f integral with values in {0, 1, 2}, row degrees <= 2s and
     column degrees <= 2.  Leftover mutually-disconnected cells cost one
     explosion each (the real game value there is infinite, so this only
-    lowers the count).  The result is >= ceil(|f| / (2s + 2)).
+    lowers the count).  The result is >= ceil(|f| / (2s + 2)).  The game is
+    played on `psi`'s int positions of L(g), with the same explosion move.
     """
     s = Fraction(s)
     if s < 1:
         raise ValueError("s must be >= 1")
     cells = list(g.edges)
     weights = f.as_dict()
-    w = {}
-    for cell in cells:
-        x = weights.get(cell, ZERO)
-        if x not in (0, 1, 2):
-            raise ValueError("weights must be in {0, 1, 2}")
-        w[cell] = int(x)
+    w = {cell: weights.get(cell, ZERO) for cell in cells}
+    if any(x not in (0, 1, 2) for x in w.values()):
+        raise ValueError("weights must be in {0, 1, 2}")
     row_deg, col_deg = Counter(), Counter()
     for (b, c, _), x in w.items():
         row_deg[b] += x
@@ -496,8 +502,8 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     lg = line_graph(g)  # vertex i is cells[i - 1]
     offers = sorted((_con_phase(cells[i - 1], cells[k - 1], w), i, k)
                     for i, k in map(sorted, lg.edges))
-    order = [frozenset((i, k)) for _, i, k in offers]
-    result = _con_value(frozenset(range(1, len(cells) + 1)), lg.edges, order, {})
+    order = [(_bit(i, k), i, k) for _, i, k in offers]
+    result = _con_value(*_position(lg), order, {})
     bound = con_lower_bound(sum(w.values()), s)
     if result < bound:
         raise RuntimeError(f"certificate value {result} is below its bound {bound}")
@@ -519,22 +525,16 @@ def _con_phase(p, q, w) -> int:
 
 
 def _con_value(verts, edges, order, memo) -> int:
-    """Explosions CON forces from a game position by offering the first edge
-    of order still present, against NON's best replies; a position without
-    edges counts one explosion per vertex left.  memo is per call, keyed by
-    position."""
-    offer = next((e for e in order if e in edges), None)
+    """Explosions CON forces by offering the first (mask, u, v) of order still
+    present, against NON's best replies; one per vertex left once no edge is."""
+    offer = next((o for o in order if o[0] & edges), None)
     if offer is None:
-        return len(verts)
-    hit = memo.get((verts, edges))
-    if hit is not None:
-        return hit
-    u, v = offer
-    boom_verts, boom_edges = _explode(verts, edges, u, v)
-    value = min(_con_value(verts, edges - {offer}, order, memo),
-                _con_value(boom_verts, boom_edges, order, memo) + 1)
-    memo[(verts, edges)] = value
-    return value
+        return verts.bit_count()
+    if (verts, edges) not in memo:
+        bit, u, v = offer
+        memo[verts, edges] = min(_con_value(verts, edges & ~bit, order, memo),
+                                 _con_value(*_explode(verts, edges, u, v), order, memo) + 1)
+    return memo[verts, edges]
 
 
 def con_lower_bound(f_total, s) -> int:

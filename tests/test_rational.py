@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balmat.rational import (LPProblem, Optimal, UNBOUNDED, format_rational,
+from balmat.rational import (LPProblem, Optimal, format_rational,
                              lp_solve, parse_rational, rank_of_rows)
 
 
@@ -124,7 +124,8 @@ def test_lp_basic_max():
 
 def test_lp_unbounded():
     p = LPProblem(1, [([-1], 0)], [1])
-    assert lp_solve(p) is UNBOUNDED
+    with pytest.raises(ValueError, match="unbounded"):
+        lp_solve(p)
 
 
 def test_lp_negative_rhs_rejected():
@@ -139,11 +140,14 @@ def test_lp_negative_rhs_rejected():
                 min_size=1, max_size=4),
        st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_lp_weak_duality_with_point(cons, obj):
-    """Any Optimal answer carries a point and a dual that are feasible and
-    have the same total: each proves the other optimal."""
-    res = lp_solve(LPProblem(2, cons, obj))
-    if isinstance(res, Optimal):
-        assert_certified(cons, obj, res)
+    """Any answer that is not an unbounded error carries a point and a dual
+    that are feasible and have the same total: each proves the other optimal."""
+    try:
+        res = lp_solve(LPProblem(2, cons, obj))
+    except ValueError as e:
+        assert "unbounded" in str(e)
+        return
+    assert_certified(cons, obj, res)
 
 
 def test_lp_problem_validation():
@@ -192,6 +196,9 @@ def _vertices(n, eqs, les):
     return found
 
 
+UNBOUNDED = "unbounded"  # the oracles' answer where lp_solve raises ValueError
+
+
 def _lp_oracle(n, cons, obj):
     """max obj . x over {x >= 0, cons hold} by enumeration: UNBOUNDED when
     some extreme ray (a vertex of the recession cone cut by sum x = 1) gains.
@@ -218,11 +225,12 @@ def small_lps(draw):
 @example((2, [([1, 1], 0), ([1, -1], 0)], [1, 1]))
 def test_lp_matches_vertex_enumeration(lp):
     n, cons, obj = lp
-    res = lp_solve(LPProblem(n, cons, obj))
     want = _lp_oracle(n, cons, obj)
-    if not isinstance(res, Optimal):
-        assert res is want
+    if want is UNBOUNDED:
+        with pytest.raises(ValueError, match="unbounded"):
+            lp_solve(LPProblem(n, cons, obj))
         return
+    res = lp_solve(LPProblem(n, cons, obj))
     assert res.value == want
     assert len(res.point) == n
     assert_certified(cons, obj, res)
@@ -308,10 +316,11 @@ def test_lp_matches_fraction_simplex(lp):
     """The integer tableau takes the rational tableau's pivots: the same
     value and point, or UNBOUNDED; and its dual certifies each Optimal."""
     n, cons, obj = lp
-    res = lp_solve(LPProblem(n, cons, obj))
     want = _fraction_simplex(n, cons, obj)
     if want is UNBOUNDED:
-        assert res is UNBOUNDED
+        with pytest.raises(ValueError, match="unbounded"):
+            lp_solve(LPProblem(n, cons, obj))
         return
+    res = lp_solve(LPProblem(n, cons, obj))
     assert isinstance(res, Optimal) and (res.value, res.point) == want
     assert_certified(cons, obj, res)

@@ -145,7 +145,7 @@ def test_faces_of_independence_complex_match_facet_subsets(g):
 @given(graphs(8))
 def test_independence_complex_facets_are_maximal_independent_sets(g):
     """Compared before its facets are read, then after: equal complexes, equal
-    hashes, and the facets Bron-Kerbosch finds on demand are the maximal
+    hashes, and the facets the face walk finds on demand are the maximal
     independent sets found by brute force."""
     n = g.vertex_count
     independent = [frozenset(s) for k in range(n + 1)
@@ -313,28 +313,97 @@ def psi_unpruned(verts, edges, memo):
     return memo[verts, edges]
 
 
+# Edge {u, v}, u < v, is bit (v - 1)(v - 2)/2 + u - 1 of a psi position.
+EDGE_OF_BIT = {(v - 1) * (v - 2) // 2 + u - 1: frozenset((u, v))
+               for v in range(2, 16) for u in range(1, v)}
+
+
+def edges_of_mask(mask):
+    return frozenset(EDGE_OF_BIT[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_psi_positions_use_the_global_edge_bits():
+    for v in range(2, 16):
+        for u in range(1, v):
+            g = Graph(15, [(v, u)])
+            assert topology._position(g) == ((1 << 16) - 2, 1 << (v - 1) * (v - 2) // 2 + u - 1)
+            assert topology._PAIRS[(v - 1) * (v - 2) // 2 + u - 1] == (u, v)
+            assert topology._INCIDENT[u] & topology._INCIDENT[v] == topology._position(g)[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_psi_against_unpruned_oracle(data):
     """The explosion-first cut skips only subtrees: psi, from a cold memo and
-    from the shared warm one, equals the unpruned game value, an infinite
-    value is the INFINITE object itself, and every labelled position left in
-    the cold memo holds its exact value."""
+    from the shared warm one, equals the unpruned game value, and an infinite
+    value is the INFINITE object itself.  Every edge mask left in the cold
+    memo holds the exact value of its position, and from KEY_EDGES edges up
+    so does its canonical key.  The cold run is made twice: with KEY_EDGES
+    as it is, and with 0, which keys every position."""
     n = data.draw(st.integers(0, 7))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     g = Graph(n, data.draw(st.sets(st.sampled_from(pairs), max_size=10)) if pairs else [])
     oracle = {}
     expected = psi_unpruned(frozenset(range(1, n + 1)), g.edges, oracle)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(topology, "_PSI_MEMO", {})
-        cold = psi(g)
-        for key, value in topology._PSI_MEMO.items():
-            if isinstance(key, frozenset):
-                verts = frozenset(v for e in key for v in e)
-                assert value == psi_unpruned(verts, key, oracle), sorted(map(sorted, key))
-    for value in (cold, psi(g)):
+    colds = []
+    for key_edges in (topology.KEY_EDGES, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "_PSI_MEMO", {})
+            mp.setattr(topology, "KEY_EDGES", key_edges)
+            colds.append(psi(g))
+            memo = topology._PSI_MEMO
+        masks = [key for key in memo if isinstance(key, int)]
+        assert bool(masks) == (bool(g.edges) and len({v for e in g.edges for v in e}) == n)
+        assert len(masks) <= len(memo) <= 2 * len(masks)
+        for mask in masks:
+            edges = edges_of_mask(mask)
+            verts = frozenset(v for e in edges for v in e)
+            assert memo[mask] == psi_unpruned(verts, edges, oracle), sorted(map(sorted, edges))
+            if len(edges) >= key_edges:
+                assert memo[_canonical_edges(edges)] == memo[mask]
+    for value in colds + [psi(g)]:
         assert value == expected
         assert (value is INFINITE) == (expected == math.inf)
+
+
+def test_psi_keys_only_positions_of_at_least_key_edges():
+    """Below KEY_EDGES edges the labelled memo is the only memo: no position
+    with fewer edges is keyed, and the larger ones are."""
+    sizes = []
+
+    def recording(edges):
+        sizes.append(len(edges))
+        return canonical_key({v: 0 for e in edges for v in e}, edges)
+
+    k = topology.KEY_EDGES
+    matching = Graph(2 * k, [(2 * i + 1, 2 * i + 2) for i in range(k)])
+    dense = Graph(8, random.Random(3).sample(list(itertools.combinations(range(1, 9), 2)), 14))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_PSI_MEMO", {})
+        mp.setattr(topology, "_canonical_edges", recording)
+        assert psi(matching) == k  # explosions reach every smaller matching
+        psi(dense)
+        memo = topology._PSI_MEMO
+    assert min(sizes) == k and max(sizes) == 14
+    large = [key for key in memo if isinstance(key, int) and key.bit_count() >= k]
+    assert 0 < sum(isinstance(key, tuple) for key in memo) <= len(large)
+
+
+def test_psi_keyed_positions_are_relabelling_invariant():
+    """Graphs of KEY_EDGES to KEY_EDGES + 3 edges, each under four
+    relabellings, every one from a cold memo: one value per graph, the
+    unpruned game value."""
+    rng = random.Random(0)
+    pairs = list(itertools.combinations(range(1, 9), 2))
+    for extra in range(4):
+        edges = rng.sample(pairs, topology.KEY_EDGES + extra)
+        g = Graph(8, edges)
+        expected = psi_unpruned(frozenset(range(1, 9)), g.edges, {})
+        for _ in range(4):
+            p = dict(zip(range(1, 9), rng.sample(range(1, 9), 8)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(topology, "_PSI_MEMO", {})
+                assert psi(Graph(8, [(p[u], p[v]) for u, v in edges])) == expected
 
 
 def test_psi_lower_bounds_eta_of_independence_complex():
