@@ -9,6 +9,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -70,10 +71,12 @@ class WeightFunction:
     def __init__(self, weights):
         items = []
         for e, w in weights.items():
-            w = Fraction(w)
+            if type(w) is not int and type(w) is not Fraction:
+                raise ValueError(f"weight {w!r} on {e} must be int or Fraction, "
+                                 f"not {type(w).__name__}")
             if w < 0:
                 raise ValueError(f"negative weight on {e}")
-            items.append((tuple(e), w))
+            items.append((tuple(e), Fraction(w)))
         object.__setattr__(self, "weights", tuple(sorted(items)))
 
     def as_dict(self) -> Dict[Edge, Fraction]:
@@ -91,6 +94,7 @@ def check_hosted(h: PartiteHypergraph, f: WeightFunction):
 
 
 def degrees(h: PartiteHypergraph, f: WeightFunction) -> Dict[Vertex, Fraction]:
+    check_hosted(h, f)
     deg = {v: ZERO for v in h.vertices()}
     for e, w in f.weights:
         for t, j in enumerate(e, start=1):
@@ -100,7 +104,6 @@ def degrees(h: PartiteHypergraph, f: WeightFunction) -> Dict[Vertex, Fraction]:
 
 def is_balanced(h: PartiteHypergraph, f: WeightFunction) -> bool:
     """Exact per-side constant-degree check."""
-    check_hosted(h, f)
     deg = degrees(h, f)
     for t, a in enumerate(h.side_sizes, start=1):
         side = [deg[(t, j)] for j in range(1, a + 1)]
@@ -117,8 +120,7 @@ def balanced_certificate(h: PartiteHypergraph) -> Optional[WeightFunction]:
     equals 1/a_t.  Any nonzero balanced weighting scales to such an f, so one
     exists exactly when the capped fractional matching reaches 1.
     """
-    deg = degrees(h, WeightFunction({e: 1 for e in h.edges}))
-    if any(d == 0 for d in deg.values()):
+    if len({v for e in h.edges for v in enumerate(e, start=1)}) < sum(h.side_sizes):
         return None  # isolated vertex: its degree can never reach 1/a_t
     res = _capped_matching(h, lambda a: Fraction(1, a))
     if res.value < 1:
@@ -145,21 +147,27 @@ def _check_cover(h: PartiteHypergraph, cap, res: Optimal):
     """RuntimeError unless res.point is an f >= 0 within the caps and
     res.dual a fractional vertex cover y (y >= 0, y summed over each edge's
     vertices >= 1), both of total res.value: by weak duality both are then
-    optimal.  Shares no code with the simplex."""
-    f, vertices = res.point, list(h.vertices())
-    y = dict(zip(vertices, res.dual))
-    deg = dict.fromkeys(vertices, ZERO)
-    for e, x in zip(h.edges, f):
-        for v in enumerate(e, start=1):
-            deg[v] += x
-    if not (len(f) == len(h.edges) and len(res.dual) == len(vertices)
-            and min(f, default=ZERO) >= 0 and min(res.dual, default=ZERO) >= 0
-            and all(deg[t, j] <= cap(h.side_sizes[t - 1]) for t, j in vertices)
-            and all(sum(y[v] for v in enumerate(e, start=1)) >= 1 for e in h.edges)
-            and sum(f) == res.value
-            == sum(cap(h.side_sizes[t - 1]) * y[t, j] for t, j in vertices)):
-        raise RuntimeError("capped fractional matching LP answer fails its "
-                           "primal-dual certificate")
+    optimal.  Shares no code with the simplex: it reads only the returned
+    rationals and checks each clause on their numerators over one common
+    denominator D, so the cover's total, sum(cap * y), is compared at D^2."""
+    caps = [c for a in h.side_sizes for c in [cap(a)] * a]  # per vertex, in order
+    if len(res.point) == len(h.edges) and len(res.dual) == len(caps):
+        big = math.lcm(*(q.denominator for q in [*res.point, *res.dual, *caps, res.value]))
+        f, y, caps, (value,) = ([q.numerator * (big // q.denominator) for q in qs]
+                                for qs in (res.point, res.dual, caps, [res.value]))
+        offsets = list(itertools.accumulate(h.side_sizes, initial=-1))
+        at = [[o + j for o, j in zip(offsets, e)] for e in h.edges]  # vertex positions
+        deg = [0] * len(caps)
+        for vs, x in zip(at, f):
+            for v in vs:
+                deg[v] += x
+        if (min(f, default=0) >= 0 and min(y, default=0) >= 0
+                and all(map(operator.le, deg, caps))
+                and all(sum(y[v] for v in vs) >= big for vs in at)
+                and sum(f) == value and sum(map(operator.mul, caps, y)) == value * big):
+            return
+    raise RuntimeError("capped fractional matching LP answer fails its "
+                       "primal-dual certificate")
 
 
 def nu(h: PartiteHypergraph) -> int:
@@ -291,7 +299,7 @@ def random_balanced(side_sizes, seed, layers: int):
     counts each edge's templates.
     """
     sizes = check_side_sizes(side_sizes)
-    if layers < 1:
+    if checked(layers, int, "layers") < 1:
         raise ValueError("layers must be >= 1")
     n = sizes[0]
     if len(sizes) < 2 or any(a != n for a in sizes[:-1]) or sizes[-1] % n:

@@ -8,11 +8,13 @@ rank passes it as a ceiling, at which the elimination stops.  The LP has one
 form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
 the slack basis at x = 0 starts it feasible.  Its entries are ints or
 Fractions; the LP is scaled to integers, and the simplex pivots a
-fraction-free integer tableau (Edmonds 1967), building a `Fraction`
-only for the answer: the value, the point and the dual that certifies them.
-It serves the capped fractional matchings of `hypergraph` (balance
-certificates, fractional matching numbers).  No floats anywhere, and
-`checked` keeps a float or bool from passing for an int.
+fraction-free integer dictionary (Edmonds 1967) of the nonbasic columns
+only, as in Avis's lrs: no slack column is stored, and Bland's rule chooses
+by variable index.  It builds a `Fraction` only for the answer: the value,
+the point and the dual that certifies them.  It serves the capped fractional
+matchings of `hypergraph` (balance certificates, fractional matching
+numbers).  No floats anywhere, and `checked` keeps a float or bool from
+passing for an int.
 """
 
 from __future__ import annotations
@@ -144,51 +146,55 @@ def _integer_row(row) -> Tuple[List[int], int]:
 
 
 def lp_solve(p: LPProblem) -> Optimal:
-    """Exact simplex with Bland's anti-cycling rule on one integer tableau.
+    """Exact simplex with Bland's anti-cycling rule on one integer dictionary.
 
     Returns Optimal(value, point, dual); raises ValueError when the objective
-    is unbounded, that is, when a ratio test finds no row.  The tableau solves
-    for x in units of 1/R, R the lcm of the right sides' denominators, so
-    that every right side is an integer; each row's coefficients, and the
-    objective's, are then scaled by the lcm of their own denominators.
-    Neither scaling changes a pivot of the rational tableau: the ratios of
-    one ratio test all scale alike, and no reduced cost changes sign.  Row i
-    starts on its unit slack column n + i, so the start is the feasible
-    point x = 0 with the identity basis, det = 1.  Fraction-free (Edmonds
-    1967): the tableau is always det times the rational tableau of the same
+    is unbounded, that is, when a ratio test finds no row.  The dictionary
+    solves for x in units of 1/R, R the lcm of the right sides'
+    denominators, so that every right side is an integer; each row's
+    coefficients, and the objective's, are then scaled by the lcm of their
+    own denominators.  Neither scaling changes a pivot of the rational
+    tableau: the ratios of one ratio test all scale alike, and no reduced
+    cost changes sign.  Variable n + i is row i's slack.  Only the nonbasic
+    columns are kept, `cols[c]` naming the variable in column c, as in
+    Avis's lrs; the start is the slack basis at x = 0, det = 1.  Bland's rule
+    enters the lowest variable with a positive reduced cost and, among tied
+    ratios, leaves on the lowest basic variable.  Fraction-free (Edmonds
+    1967): the dictionary is always det times the rational one of the same
     basis, det being the last pivot, so every division in the update is
-    exact.  The dual y is read off the final objective row at the slack
-    columns; y >= 0, y . coeffs >= objective and y . rhs = value.
+    exact; the leaving variable takes the entering column, -a_i in each
+    other row i and the old det in the pivot row.  The dual y is minus the
+    final reduced costs at the slacks (0 for a basic slack); y >= 0,
+    y . coeffs >= objective and y . rhs = value.
     """
     p.check()
     n = p.variables
     m = len(p.constraints)
-    total = n + m
     rhs_scale = math.lcm(*(rhs.denominator for _, rhs in p.constraints))
     tableau: List[List[int]] = []
     scales: List[int] = []
-    for i, (coeffs, rhs) in enumerate(p.constraints):
+    for coeffs, rhs in p.constraints:
         row, scale = _integer_row(coeffs)
-        row += [0] * m + [rhs.numerator * scale * (rhs_scale // rhs.denominator)]
-        row[n + i] = 1
+        row.append(rhs.numerator * scale * (rhs_scale // rhs.denominator))
         tableau.append(row)
         scales.append(scale)
     obj, obj_scale = _integer_row(p.objective)
-    tableau.append(obj + [0] * (m + 1))
-    basis = list(range(n, total))
+    tableau.append(obj + [0])
+    cols = list(range(n))
+    basis = list(range(n, n + m))
     det = 1
     while True:
         cost = tableau[m]
-        enter = next((j for j in range(total) if cost[j] > 0), -1)
+        enter = min(((v, c) for c, v in enumerate(cols) if cost[c] > 0), default=(0, -1))[1]
         if enter < 0:
             break
         # Bland's ratio test: least rhs / entry over positive entries, ties to
-        # the lowest basic column; ratios compared by cross-multiplying.
+        # the lowest basic variable; ratios compared by cross-multiplying.
         leave = -1
         for i, b in enumerate(basis):
             a = tableau[i][enter]
             if a > 0:
-                r = tableau[i][total]
+                r = tableau[i][n]
                 if leave < 0:
                     leave, num, den = i, r, a
                 else:
@@ -205,15 +211,19 @@ def lp_solve(p: LPProblem) -> Optimal:
             coef = row[enter]
             if coef:
                 tableau[i] = [(piv * x - coef * y) // det for x, y in zip(row, prow)]
+                tableau[i][enter] = -coef
             elif piv != det:
                 tableau[i] = [piv * x // det if x else 0 for x in row]
+        prow[enter] = det
         det = piv
-        basis[leave] = enter
+        basis[leave], cols[enter] = cols[enter], basis[leave]
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = Fraction(tableau[i][total], det * rhs_scale)
+            point[b] = Fraction(tableau[i][n], det * rhs_scale)
     cost = tableau[m]
-    return Optimal(Fraction(-cost[total], det * obj_scale * rhs_scale), point,
-                   [Fraction(-cost[n + i] * scales[i], det * obj_scale)
-                    for i in range(m)])
+    dual = [ZERO] * m
+    for c, v in enumerate(cols):
+        if v >= n:
+            dual[v - n] = Fraction(-cost[c] * scales[v - n], det * obj_scale)
+    return Optimal(Fraction(-cost[n], det * obj_scale * rhs_scale), point, dual)

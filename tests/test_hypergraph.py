@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from balmat import hypergraph
 from balmat.constructions import drisko
-from balmat.rational import Optimal
+from balmat.rational import ONE, Optimal
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                _capped_matching, balanced_certificate, check_hosted,
                                check_side_sizes,
@@ -74,6 +74,22 @@ def test_weight_function_rejects_negative():
         WeightFunction({(1, 1): -1})
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.1, True, "1", None])
+def test_weight_function_rejects_weights_that_are_not_int_or_fraction(bad):
+    # Fraction(0.5) would pass for 1/2, and Fraction(0.1) is an inexact binary fraction
+    with pytest.raises(ValueError, match="must be int or Fraction"):
+        WeightFunction({(1, 1): bad})
+    assert WeightFunction({(1, 1): 2, (2, 2): Fraction(1, 3)}).total() == Fraction(7, 3)
+
+
+def test_degrees_rejects_unhosted_edge():
+    h = PartiteHypergraph((3, 3), [(1, 1)])
+    with pytest.raises(ValueError, match=r"weighted edge \(1, 3\) not in hypergraph"):
+        degrees(h, WeightFunction({(1, 1): 1, (1, 3): 1}))
+    with pytest.raises(ValueError, match="not in hypergraph"):
+        is_balanced(h, WeightFunction({(1, 3): 1}))
+
+
 def test_balanced_certificate_pasch():
     f = balanced_certificate(pasch())
     assert f is not None
@@ -94,24 +110,26 @@ def test_balanced_certificate_below_one_without_isolated_vertex():
     assert balanced_certificate(h) is None
 
 
-def _shift(r):
-    """+c on side 1 and -c on side 2 of the pasch cover: each edge's sum and
-    the total stay, but entries turn negative."""
+def _shift(r, sizes):
+    """+c on side 1 and -c on side 2 of the cover: each edge's sum stays,
+    and so does the total under caps 1/a_t, but entries turn negative."""
+    a, b = sizes[0], sizes[0] + sizes[1]
     c = 1 + max(r.dual)
-    return [y + c for y in r.dual[:2]] + [y - c for y in r.dual[2:4]] + r.dual[4:]
+    return [y + c for y in r.dual[:a]] + [y - c for y in r.dual[a:b]] + r.dual[b:]
 
 
 # Each breaks one clause of the certificate on the pasch quadruple, whose
 # vertices all have the same cap: the totals agree (dual doubled), the
 # cover covers (its mass moved onto one vertex), y >= 0 (`_shift`), f keeps
 # its caps (f, y and the value all doubled), the cover has one entry per
-# vertex.
+# vertex.  On the (3, 6) instance the second and third may break the
+# totals as well.
 CORRUPTIONS = [
-    lambda r: dataclasses.replace(r, dual=[2 * y for y in r.dual]),
-    lambda r: dataclasses.replace(r, dual=[sum(r.dual)] + [0] * (len(r.dual) - 1)),
-    lambda r: dataclasses.replace(r, dual=_shift(r)),
-    lambda r: Optimal(2 * r.value, [2 * x for x in r.point], [2 * y for y in r.dual]),
-    lambda r: dataclasses.replace(r, dual=r.dual[:-1]),
+    lambda r, sizes: dataclasses.replace(r, dual=[2 * y for y in r.dual]),
+    lambda r, sizes: dataclasses.replace(r, dual=[sum(r.dual)] + [0] * (len(r.dual) - 1)),
+    lambda r, sizes: dataclasses.replace(r, dual=_shift(r, sizes)),
+    lambda r, sizes: Optimal(2 * r.value, [2 * x for x in r.point], [2 * y for y in r.dual]),
+    lambda r, sizes: dataclasses.replace(r, dual=r.dual[:-1]),
 ]
 
 
@@ -119,10 +137,83 @@ CORRUPTIONS = [
 @pytest.mark.parametrize("solve", [nu_star, balanced_certificate])
 def test_corrupted_lp_certificate_raises(monkeypatch, corrupt, solve):
     """The cover check rejects an LP answer that the simplex got wrong."""
+    assert_corruption_raises(monkeypatch, corrupt, solve, pasch())
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("solve", [nu_star, balanced_certificate])
+def test_corrupted_lp_certificate_raises_unequal_caps(monkeypatch, corrupt, solve):
+    """The same on a balanced (3, 6) instance, where cap 1/a_t differs per side."""
+    h, _ = random_balanced((3, 6), seed=0, layers=2)
+    assert_corruption_raises(monkeypatch, corrupt, solve, h)
+
+
+def assert_corruption_raises(monkeypatch, corrupt, solve, h):
+    """solve(h) raises once `corrupt` alters every LP answer, and the
+    `Fraction` oracle below rejects the altered answer too."""
     lp_solve = hypergraph.lp_solve
-    monkeypatch.setattr(hypergraph, "lp_solve", lambda p: corrupt(lp_solve(p)))
+    answers = []
+
+    def corrupted(p):
+        answers.append(corrupt(lp_solve(p), h.side_sizes))
+        return answers[-1]
+
+    monkeypatch.setattr(hypergraph, "lp_solve", corrupted)
     with pytest.raises(RuntimeError, match="primal-dual certificate"):
-        solve(pasch())
+        solve(h)
+    cap = (lambda a: ONE) if solve is nu_star else (lambda a: Fraction(1, a))
+    assert not fraction_cover_ok(h, cap, answers[-1])
+
+
+def fraction_cover_ok(h, cap, res):
+    """The cover check on `Fraction`s: f >= 0 within the caps, y >= 0
+    covering every edge, and sum(f) = value = sum(cap * y)."""
+    f, vertices = res.point, list(h.vertices())
+    y = dict(zip(vertices, res.dual))
+    deg = dict.fromkeys(vertices, Fraction(0))
+    for e, x in zip(h.edges, f):
+        for v in enumerate(e, start=1):
+            deg[v] += x
+    return (len(f) == len(h.edges) and len(res.dual) == len(vertices)
+            and min(f, default=0) >= 0 and min(res.dual, default=0) >= 0
+            and all(deg[t, j] <= cap(h.side_sizes[t - 1]) for t, j in vertices)
+            and all(sum(y[v] for v in enumerate(e, start=1)) >= 1 for e in h.edges)
+            and sum(f) == res.value
+            == sum(cap(h.side_sizes[t - 1]) * y[t, j] for t, j in vertices))
+
+
+def integer_cover_ok(h, cap, res):
+    try:
+        hypergraph._check_cover(h, cap, res)
+    except RuntimeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_cover_check_matches_fraction_oracle(data):
+    """The check on integer numerators accepts exactly the answers that the
+    `Fraction` check accepts: every genuine one, and no answer with a dual
+    entry shifted by a nonzero rational or a point entry raised by 1/k."""
+    h = data.draw(small_hypergraphs())
+    cap = data.draw(st.sampled_from([lambda a: ONE, lambda a: Fraction(1, a)]))
+    res = _capped_matching(h, cap)
+    assert fraction_cover_ok(h, cap, res)
+    kind = data.draw(st.sampled_from(["dual", "point"] if h.edges else ["dual"]))
+    if kind == "dual":
+        i = data.draw(st.integers(0, len(res.dual) - 1))
+        shift = data.draw(st.fractions(-2, 2, max_denominator=6))
+        dual = list(res.dual)
+        dual[i] += shift
+        bad = dataclasses.replace(res, dual=dual)
+    else:
+        i = data.draw(st.integers(0, len(res.point) - 1))
+        point = list(res.point)
+        point[i] += Fraction(1, data.draw(st.integers(1, 6)))
+        bad = dataclasses.replace(res, point=point)
+    ok = integer_cover_ok(h, cap, bad)
+    assert ok == fraction_cover_ok(h, cap, bad) == (kind == "dual" and shift == 0)
 
 
 def test_corrupted_lp_certificate_raises_under_dash_O():
@@ -332,6 +423,9 @@ def test_random_balanced_is_balanced(sizes):
 def test_random_balanced_input_checks():
     with pytest.raises(ValueError, match="layers must be >= 1"):
         random_balanced((2, 2), seed=0, layers=0)
+    for layers in [1.5, True, "2"]:
+        with pytest.raises(ValueError, match="layers must be int"):
+            random_balanced((2, 2), seed=0, layers=layers)
     for sizes in [(2, 3), (3,), (2, 3, 6), (2, 2, 3)]:
         with pytest.raises(ValueError, match="unsupported size pattern"):
             random_balanced(sizes, seed=0, layers=1)

@@ -238,8 +238,9 @@ def test_lp_matches_vertex_enumeration(lp):
 
 def _fraction_simplex(n, cons, obj):
     """The rational tableau that `lp_solve` takes pivot for pivot: Bland's
-    rule, the same ratio test, every entry a `Fraction`.  (value, point) or
-    UNBOUNDED."""
+    rule, the same ratio test, every entry a `Fraction`.  (value, point,
+    dual) or UNBOUNDED; the dual is minus the final reduced costs of the
+    slack columns."""
     m = len(cons)
     total = n + m
     tableau = []
@@ -275,7 +276,7 @@ def _fraction_simplex(n, cons, obj):
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tableau[i][total]
-    return -tableau[m][total], point
+    return -tableau[m][total], point, [-tableau[m][n + i] for i in range(m)]
 
 
 def assert_certified(cons, obj, res):
@@ -313,8 +314,10 @@ def rational_lps(draw):
 # of the lower, the optimum found moves from (0, 4, 2) to (0, 4, 0).
 @example((3, [([1, 0, 1], 2), ([1, Fraction(1, 2), 0], 2)], [2, 2, 0]))
 def test_lp_matches_fraction_simplex(lp):
-    """The integer tableau takes the rational tableau's pivots: the same
-    value and point, or UNBOUNDED; and its dual certifies each Optimal."""
+    """The integer dictionary takes the rational tableau's pivots: the same
+    value, point and dual, or UNBOUNDED; and its dual certifies each Optimal.
+    An LP has many optimal duals, so comparing the dual is what catches a
+    dictionary that mislabels which slack sits in which column."""
     n, cons, obj = lp
     want = _fraction_simplex(n, cons, obj)
     if want is UNBOUNDED:
@@ -322,5 +325,5 @@ def test_lp_matches_fraction_simplex(lp):
             lp_solve(LPProblem(n, cons, obj))
         return
     res = lp_solve(LPProblem(n, cons, obj))
-    assert isinstance(res, Optimal) and (res.value, res.point) == want
+    assert isinstance(res, Optimal) and (res.value, res.point, res.dual) == want
     assert_certified(cons, obj, res)
