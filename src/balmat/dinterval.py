@@ -32,7 +32,8 @@ class DInterval:
     def __init__(self, parts):
         ps = []
         for lo, hi in parts:
-            lo, hi = Fraction(lo), Fraction(hi)
+            lo, hi = (Fraction(x) if type(x) is int else checked(x, Fraction, "endpoint")
+                      for x in (lo, hi))
             if not (0 <= lo < hi <= 1):
                 raise ValueError(f"bad open interval ({lo}, {hi})")
             ps.append((lo, hi))

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 from .dinterval import DInterval, coverable
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                          _all_edges, balanced_certificate, check_side_sizes, nu)
+from .rational import checked
 from .topology import Graph, canonical_key
 
 EXHAUSTIVE_UNIVERSE_CAP = 9  # potential-edge universes beyond this are refused
@@ -66,11 +67,10 @@ def bm_search_exhaustive(side_sizes) -> SearchReport:
     return SearchReport(sizes, best_nu, witness, True, examined, balanced)
 
 
-def _sample_trial(side_sizes, seed, trial, edge_cap):
-    """One sampled candidate: (nu, edges) when balanced, else None."""
-    sizes = tuple(side_sizes)
+def _sample_trial(sizes, universe, seed, trial, edge_cap):
+    """One sampled candidate from `universe`, every edge on sides `sizes`:
+    (nu, edges) when balanced, else None."""
     rng = random.Random(f"{seed}:{trial}")
-    universe = _all_edges(sizes)
     lo = max(sizes)
     hi = min(len(universe), edge_cap)
     size = rng.randint(lo, hi)
@@ -90,13 +90,14 @@ def bm_search_sampled(side_sizes, seed, trials: int,
     edge cap below the largest side is a ValueError.
     """
     sizes = check_side_sizes(side_sizes)
-    if trials < 0:
+    if checked(trials, int, "trials") < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    universe = _all_edges(sizes)
     if edge_cap is None:
-        edge_cap = min(len(_all_edges(sizes)), 3 * max(sizes))
+        edge_cap = min(len(universe), 3 * max(sizes))
     if edge_cap < max(sizes):
         raise ValueError(f"edge cap must be >= the largest side {max(sizes)}, got {edge_cap}")
-    outcomes = [_sample_trial(sizes, seed, t, edge_cap) for t in range(trials)]
+    outcomes = [_sample_trial(sizes, universe, seed, t, edge_cap) for t in range(trials)]
     hits = [o for o in outcomes if o is not None]
     if not hits:
         return SearchReport(sizes, None, None, False, trials, 0)

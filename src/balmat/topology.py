@@ -152,12 +152,6 @@ class SimplicialComplex:
             level = [(face + (v,), state & child[v]) for face, state in level
                      for v in range(face[-1] + 1 if face else 1, top) if state & key[v]]
 
-    def faces_of_dim(self, j: int) -> List[Tuple[int, ...]]:
-        """The j-dimensional faces, sorted; [()] for j = -1 unless void."""
-        if j < -1:
-            return []
-        return next(itertools.islice(self._face_levels(), j + 1, None), [])
-
 
 def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
                    ceiling: int) -> int:
@@ -171,14 +165,11 @@ def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
 
 
 def betti(c: SimplicialComplex, j: int) -> int:
-    """dim of the j-th reduced rational homology group (j >= -1), from the
-    faces of dimensions j - 1, j and j + 1 alone; the second rank takes the
-    ceiling that `_betti_scan` explains."""
+    """dim of the j-th reduced rational homology group (j >= -1), read off
+    `_betti_scan`; 0 when the complex has no faces of dimension j."""
     if j < -1:
         raise ValueError("j must be >= -1")
-    lower, fj, upper = (c.faces_of_dim(i) for i in (j - 1, j, j + 1))
-    rank_in = _boundary_rank(lower, fj, len(lower))
-    return len(fj) - rank_in - _boundary_rank(fj, upper, len(fj) - rank_in)
+    return next((b for i, b in _betti_scan(c, j) if i == j), 0)
 
 
 def _betti_scan(c: SimplicialComplex, top: int):
@@ -224,7 +215,7 @@ def eta(c: SimplicialComplex, cap: int) -> Eta:
     reduced homology, or Eta(cap, exact=False) when everything up to
     dimension cap - 2 vanishes.
     """
-    if cap < 1:
+    if checked(cap, int, "cap") < 1:
         raise ValueError("cap must be >= 1")
     if c.is_void:
         return Eta(0, True)

@@ -70,7 +70,8 @@ def test_complex_and_graph_roundtrip():
 def test_families_roundtrip():
     fams = jsonio.families_from_json(
         {"d": 2, "families": [[{"parts": [["1/4", "1/2"], ["0", "1/8"]]}]]})
-    assert fams == DIntervalFamilies(2, [[DInterval([("1/4", "1/2"), ("0", "1/8")])]])
+    parts = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(0), Fraction(1, 8))]
+    assert fams == DIntervalFamilies(2, [[DInterval(parts)]])
 
 
 def test_partition_roundtrip():

@@ -62,6 +62,12 @@ def test_sampled_rejects_edge_cap_below_largest_side():
     assert bm_search_sampled((3, 3), seed=0, trials=2, edge_cap=3).examined == 2
 
 
+def test_sampled_trials_must_be_int():
+    for trials in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="trials must be int"):
+            bm_search_sampled((2, 2), seed=0, trials=trials)
+
+
 def test_sampled_never_below_exhaustive():
     exact = bm_search_exhaustive((2, 2, 2)).min_nu
     sampled = bm_search_sampled((2, 2, 2), seed=1, trials=500).min_nu

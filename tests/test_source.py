@@ -50,3 +50,21 @@ def test_every_definition_is_used():
                        for where, line, name in refs):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"defined but never used in balmat: {unused}"
+
+
+def test_no_recursive_closures():
+    """No nested function refers to its own name.  A recursive closure refers
+    to itself through its cell, which keeps what it holds alive until a
+    cyclic garbage collection; a recursion lives at module level instead."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    recursive = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, functions) and any(
+                        isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                    recursive.add(f"{path.name}:{inner.lineno} {inner.name}")
+    assert not recursive, f"recursive nested functions: {sorted(recursive)}"

@@ -77,10 +77,26 @@ def test_eta_conventions():
     assert capped.value == 6 and not capped.exact
 
 
+def test_eta_cap_must_be_int():
+    for cap in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="cap must be int"):
+            eta(circle(), cap)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        eta(circle(), 0)
+
+
+def faces_of_dim(c, j):
+    """The j-dimensional faces of c, sorted, off its face walk; [()] for
+    j = -1 unless c is void."""
+    if j < -1:
+        return []
+    return next(itertools.islice(c._face_levels(), j + 1, None), [])
+
+
 def reduced_euler(c):
     """The reduced Euler characteristic from the face counts: an oracle for
     `betti` that does not use it (the empty face has dimension -1)."""
-    return sum((-1) ** j * len(c.faces_of_dim(j)) for j in range(-1, c.vertex_count))
+    return sum((-1) ** j * len(faces_of_dim(c, j)) for j in range(-1, c.vertex_count))
 
 
 def test_euler_characteristic():
@@ -110,7 +126,7 @@ def test_facets_are_the_maximal_sets(sets):
 
 
 def faces_from_facets(c, j):
-    """Oracle for `faces_of_dim`: every (j + 1)-subset of a facet, sorted."""
+    """Oracle for the face walk: every (j + 1)-subset of a facet, sorted."""
     if not c.facets or j < -1:
         return []
     if j == -1:
@@ -130,7 +146,7 @@ def graphs(draw, max_vertices):
 def test_faces_of_facet_complex_match_facet_subsets(sets):
     c = SimplicialComplex(6, sets)
     for j in range(-2, 7):
-        assert c.faces_of_dim(j) == faces_from_facets(c, j)
+        assert faces_of_dim(c, j) == faces_from_facets(c, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,7 +154,7 @@ def test_faces_of_facet_complex_match_facet_subsets(sets):
 def test_faces_of_independence_complex_match_facet_subsets(g):
     c = independence_complex(g)
     for j in range(-2, g.vertex_count + 1):
-        assert c.faces_of_dim(j) == faces_from_facets(c, j)
+        assert faces_of_dim(c, j) == faces_from_facets(c, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,11 +179,20 @@ def test_independence_complex_facets_are_maximal_independent_sets(g):
 @given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8),
        st.integers(1, 6))
 def test_eta_scan_matches_definition(facets, cap):
+    """`betti` and `eta` both read `_betti_scan`; the oracle takes each Betti
+    number from the faces of dimensions j - 1, j and j + 1 alone, and ranks
+    them with no ceiling but the row count."""
     c = SimplicialComplex(6, facets)
+    oracle = []
+    for j in range(-1, cap - 1):
+        lower, fj, upper = (faces_of_dim(c, i) for i in (j - 1, j, j + 1))
+        oracle.append(len(fj) - topology._boundary_rank(lower, fj, len(fj))
+                      - topology._boundary_rank(fj, upper, len(upper)))
+    assert [betti(c, j) for j in range(-1, cap - 1)] == oracle
     if c.is_void:
         expected = Eta(0, True)
     else:
-        first = next((j for j in range(-1, cap - 1) if betti(c, j) != 0), None)
+        first = next((j - 1 for j, b in enumerate(oracle) if b != 0), None)
         expected = Eta(cap, False) if first is None else Eta(first + 1, True)
     assert eta(c, cap) == expected
 
@@ -177,7 +202,7 @@ def test_rp2_has_no_rational_homology():
     rank decided modulo 2 and reported as exact would read betti_1 = 1."""
     rp2 = SimplicialComplex(6, [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
                                 {2, 3, 4}, {2, 3, 5}, {2, 5, 6}, {3, 4, 6}, {4, 5, 6}])
-    faces = {j: rp2.faces_of_dim(j) for j in range(3)}
+    faces = {j: faces_of_dim(rp2, j) for j in range(3)}
     assert [len(faces[j]) for j in range(3)] == [6, 15, 10]
 
     def rank_mod2(lower, upper):
