@@ -1,5 +1,5 @@
 """Cake-division instances with list acceptability oracles, exact nu^D at a
-partition, and exhaustive search over the rational partitions of a grid."""
+partition, and exhaustive search over the integer compositions of a grid."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Tuple
+from typing import AbstractSet, Callable, Sequence, Tuple
 
 from .hypergraph import PartiteHypergraph, check_side_sizes, nu
 from .rational import checked
@@ -39,13 +39,14 @@ class Partition:
 
 @dataclass(frozen=True)
 class DivisionInstance:
-    """`oracle(p)` gives every agent's set of acceptable index vectors at p,
-    agent i's at index i - 1.  The built-in oracles compute all the lists
-    once per partition, on integer numerators over a common denominator."""
+    """`lists(lcd, nums)` gives every agent's set of acceptable index vectors,
+    agent i's at index i - 1, at the partition whose slice lengths are
+    nums[t][j] / lcd, all integers.  The lists may depend only on those
+    lengths, so scaling lcd and nums by the same k changes none of them."""
 
     agent_count: int
     slice_counts: Tuple[int, ...]
-    oracle: Callable[[Partition], Tuple[AbstractSet[Tuple[int, ...]], ...]]
+    lists: Callable[[int, Sequence[Sequence[int]]], Tuple[AbstractSet[Tuple[int, ...]], ...]]
 
     def __post_init__(self):
         if checked(self.agent_count, int, "agent count") < 1:
@@ -54,9 +55,8 @@ class DivisionInstance:
 
 
 def _max_sum_pairs(pairs, v, w):
-    sums = {(j, k): v[j - 1] + w[k - 1] for j, k in pairs}
-    best = max(sums.values())
-    return {e for e, s in sums.items() if s == best}
+    best = max(v[j - 1] + w[k - 1] for j, k in pairs)
+    return {(j, k) for j, k in pairs if v[j - 1] + w[k - 1] == best}
 
 
 def instance_2n2_nn(n: int) -> DivisionInstance:
@@ -67,18 +67,18 @@ def instance_2n2_nn(n: int) -> DivisionInstance:
     (>= 1/(n-1)) or when it maximizes the length-sum within the agent's
     system (ties inclusive).
     """
-    if n < 2:
+    if checked(n, int, "n") < 2:
         raise ValueError("n >= 2 required")
     a1, a2 = [(j, j) for j in range(1, n + 1)], [(j, j % n + 1) for j in range(1, n + 1)]
 
-    def oracle(p: Partition):
-        lcd, (v, w) = _numerators(p.cakes)
+    def lists(lcd, nums):
+        v, w = nums
         long_w = [k for k in range(1, n + 1) if (n - 1) * w[k - 1] >= lcd]
         b = {(j, k) for j in range(1, n + 1) if (n - 1) * v[j - 1] >= lcd for k in long_w}
         return ((frozenset(b | _max_sum_pairs(a1, v, w)),) * (n - 1)
                 + (frozenset(b | _max_sum_pairs(a2, v, w)),) * (n - 1))
 
-    return DivisionInstance(2 * n - 2, (n, n), oracle)
+    return DivisionInstance(2 * n - 2, (n, n), lists)
 
 
 def instance_nn_2n2(n: int) -> DivisionInstance:
@@ -89,41 +89,44 @@ def instance_nn_2n2(n: int) -> DivisionInstance:
     pairs are the system's max-sum pairs, plus, when some cake-1 slice is
     long, the pairs of a longest cake-1 slice and a longest cake-2 slice.
     """
-    if n < 2:
+    if checked(n, int, "n") < 2:
         raise ValueError("n >= 2 required")
     systems = [[(i, k) for k in range(1, n)] + [(i % n + 1, k) for k in range(n, 2 * n - 1)]
                for i in range(1, n + 1)]
 
-    def oracle(p: Partition):
-        lcd, (v, w) = _numerators(p.cakes)
+    def lists(lcd, nums):
+        v, w = nums
         vmax, wmax = max(v), max(w)
         b = {(j, k) for j in range(1, n + 1) if v[j - 1] == vmax and (n - 1) * vmax >= lcd
              for k in range(1, 2 * n - 1) if w[k - 1] == wmax}
         return tuple(frozenset(_max_sum_pairs(s, v, w) | b) for s in systems)
 
-    return DivisionInstance(n, (n, 2 * n - 2), oracle)
+    return DivisionInstance(n, (n, 2 * n - 2), lists)
 
 
-def _nu_each(inst: DivisionInstance, partitions):
-    """(nu^D, p) for each partition p, with nu once per distinct agent-slice hypergraph:
-    `values` maps each edge set, a bitmask over the edges seen so far, to its nu."""
+def _nu_each(inst: DivisionInstance, points):
+    """(nu^D, nums) at each point (lcd, nums), with nu once per distinct agent-slice
+    hypergraph: `values` maps each edge set, a bitmask over the edges seen so far,
+    to its nu."""
+    sides = (inst.agent_count,) + inst.slice_counts
     bits, values = {}, {}  # edge -> its bit in the keys; edge-set key -> nu
-    for p in partitions:
-        shape = tuple(len(cake) for cake in p.cakes)
-        if shape != inst.slice_counts:
-            raise ValueError(f"partition has slice counts {list(shape)}, "
-                             f"the instance needs {list(inst.slice_counts)}")
-        edges = [(i,) + vec for i, acc in enumerate(inst.oracle(p), start=1) for vec in acc]
+    for lcd, nums in points:
+        edges = [(i,) + vec for i, acc in enumerate(inst.lists(lcd, nums), start=1)
+                 for vec in acc]
         key = sum({1 << bits.setdefault(e, len(bits)) for e in edges})  # OR of the bits
         if key not in values:
-            values[key] = nu(PartiteHypergraph((inst.agent_count,) + inst.slice_counts, edges))
-        yield values[key], p
+            values[key] = nu(PartiteHypergraph(sides, edges))
+        yield values[key], nums
 
 
 def nu_D(inst: DivisionInstance, p: Partition) -> int:
     """Largest number of agents given acceptable vectors distinct in every coordinate:
-    nu of the agent-slice hypergraph, whose edges come from one oracle call."""
-    return next(_nu_each(inst, [p]))[0]
+    nu of the agent-slice hypergraph, whose edges come from one call of `lists`."""
+    shape = tuple(len(cake) for cake in p.cakes)
+    if shape != inst.slice_counts:
+        raise ValueError(f"partition has slice counts {list(shape)}, "
+                         f"the instance needs {list(inst.slice_counts)}")
+    return next(_nu_each(inst, [_numerators(p.cakes)]))[0]
 
 
 def _compositions(total: int, parts: int):
@@ -131,17 +134,13 @@ def _compositions(total: int, parts: int):
                                           for rest in _compositions(total - first, parts - 1)]
 
 
-def grid_partitions(slice_counts, q: int):
-    """All partitions whose slice lengths are multiples of 1/q, in lexicographic order."""
-    per_cake = [[tuple(Fraction(x, q) for x in comp) for comp in _compositions(q, a)]
-                for a in slice_counts]
-    return map(Partition, itertools.product(*per_cake))
-
-
 def grid_max(inst: DivisionInstance, q: int):
-    """Exhaustive (max nu^D, first argmax partition) over the 1/q grid: one oracle
-    call per point, and nu once per distinct agent-slice hypergraph (`_nu_each`)."""
-    if q < 1:
+    """Exhaustive (max nu^D, first argmax partition) over the 1/q grid, in
+    lexicographic order of each cake's compositions of q, the first cake
+    outermost: one call of `lists` per point, nu once per distinct agent-slice
+    hypergraph (`_nu_each`), and one Partition, for the argmax."""
+    if checked(q, int, "resolution") < 1:
         raise ValueError("resolution must be >= 1")
-    return max(_nu_each(inst, grid_partitions(inst.slice_counts, q)),
-               key=lambda t: t[0], default=(-1, None))
+    grid = itertools.product(*(_compositions(q, a) for a in inst.slice_counts))
+    best, nums = max(_nu_each(inst, ((q, point) for point in grid)), key=lambda t: t[0])
+    return best, Partition([[Fraction(x, q) for x in cake] for cake in nums])

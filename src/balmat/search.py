@@ -95,7 +95,7 @@ def bm_search_sampled(side_sizes, seed, trials: int,
     universe = _all_edges(sizes)
     if edge_cap is None:
         edge_cap = min(len(universe), 3 * max(sizes))
-    if edge_cap < max(sizes):
+    if checked(edge_cap, int, "edge cap") < max(sizes):
         raise ValueError(f"edge cap must be >= the largest side {max(sizes)}, got {edge_cap}")
     outcomes = [_sample_trial(sizes, universe, seed, t, edge_cap) for t in range(trials)]
     hits = [o for o in outcomes if o is not None]

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmat.cakecheck import (DivisionInstance, Partition, _nu_each, grid_max,
-                              grid_partitions, instance_2n2_nn,
-                              instance_nn_2n2, nu_D)
+from balmat import cakecheck
+from balmat.cakecheck import (DivisionInstance, Partition, _numerators, _nu_each,
+                              grid_max, instance_2n2_nn, instance_nn_2n2, nu_D)
 from balmat.hypergraph import PartiteHypergraph, nu_oracle
 
 HALF = Fraction(1, 2)
+
+
+def oracle(inst, p):
+    """Every agent's list at the partition p, as `nu_D` asks for them."""
+    return inst.lists(*_numerators(p.cakes))
 
 
 def test_partition_validation():
@@ -29,17 +34,29 @@ def test_2n2_nn_needs_n_at_least_two():
         instance_2n2_nn(1)
 
 
+def test_cake_inputs_must_be_int():
+    # a bool is no int, and a float would reach range()
+    for builder in (instance_2n2_nn, instance_nn_2n2):
+        for n in (2.0, True):
+            with pytest.raises(ValueError, match="n must be int"):
+                builder(n)
+    inst = instance_2n2_nn(2)
+    for q in (2.0, True):
+        with pytest.raises(ValueError, match="resolution must be int"):
+            grid_max(inst, q)
+
+
 def test_2n2_nn_even_split_lists():
     inst = instance_2n2_nn(2)
     p = Partition([[HALF, HALF], [HALF, HALF]])
     # threshold is 1/(n-1) = 1, so B is empty; only max-sum system pairs remain
-    assert inst.oracle(p) == ({(1, 1), (2, 2)}, {(1, 2), (2, 1)})
+    assert oracle(inst, p) == ({(1, 1), (2, 2)}, {(1, 2), (2, 1)})
 
 
 def test_2n2_nn_degenerate_partition():
     inst = instance_2n2_nn(2)
     p = Partition([[1, 0], [1, 0]])
-    assert (1, 1) in inst.oracle(p)[0]
+    assert (1, 1) in oracle(inst, p)[0]
 
 
 def test_2n2_nn_nu_D_at_even_split():
@@ -64,38 +81,38 @@ def test_nn_2n2_systems():
     assert inst.slice_counts == (2, 2)
     p = Partition([[HALF, HALF], [1, 0]])
     # agent 1's system is {(1,1),(2,2)}; with w = (1,0) the max-sum pair is (1,1)
-    acc = inst.oracle(p)[0]
+    acc = oracle(inst, p)[0]
     assert (1, 1) in acc
 
 
 def test_nn_2n2_b_pairs_pick_joint_max():
     inst = instance_nn_2n2(3)
     p = Partition([[HALF, HALF, 0], [HALF, HALF, 0, 0]])
-    for acc in inst.oracle(p):
+    for acc in oracle(inst, p):
         assert acc  # hungriness at this grid point
         for j, k in acc:
             assert 1 <= j <= 3 and 1 <= k <= 4
 
 
 def test_nu_D_trivial_cases():
-    always = DivisionInstance(1, (1, 1), lambda p: ({(1, 1)},))
+    always = DivisionInstance(1, (1, 1), lambda lcd, nums: ({(1, 1)},))
     p = Partition([[1], [1]])
     assert nu_D(always, p) == 1
     disjoint = DivisionInstance(
-        2, (2, 2), lambda p: ({(1, 1)}, {(2, 2)}))
+        2, (2, 2), lambda lcd, nums: ({(1, 1)}, {(2, 2)}))
     p2 = Partition([[HALF, HALF], [HALF, HALF]])
     assert nu_D(disjoint, p2) == 2
 
 
 def test_nu_D_respects_componentwise_disjointness():
-    clash = DivisionInstance(2, (2, 2), lambda p: ({(1, 1)}, {(1, 2)}))
+    clash = DivisionInstance(2, (2, 2), lambda lcd, nums: ({(1, 1)}, {(1, 2)}))
     p = Partition([[HALF, HALF], [HALF, HALF]])
     assert nu_D(clash, p) == 1  # both agents need slice 1 of cake 1
 
 
 def nu_D_brute_force(inst, p):
     """Try every assignment of an acceptable vector, or nothing, to each agent."""
-    choices = [[None] + sorted(acc) for acc in inst.oracle(p)]
+    choices = [[None] + sorted(acc) for acc in oracle(inst, p)]
     best = 0
     for pick in itertools.product(*choices):
         chosen = [vec for vec in pick if vec is not None]
@@ -108,19 +125,19 @@ def nu_D_brute_force(inst, p):
 @st.composite
 def small_instances(draw):
     """A DivisionInstance with random acceptable sets: one set per agent for
-    each slice of the first cake, taken at p for the first longest slice of
-    that cake, so the lists change over a grid and repeat across it."""
+    each slice of the first cake, taken for the first longest slice of that
+    cake, so the lists change over a grid and repeat across it."""
     agents = draw(st.integers(1, 4))
     slices = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     vectors = list(itertools.product(*(range(1, a + 1) for a in slices)))
     table = [tuple(draw(st.sets(st.sampled_from(vectors))) for _ in range(agents))
              for _ in range(slices[0])]
 
-    def oracle(p):
-        first = p.cakes[0]
+    def lists(lcd, nums):
+        first = nums[0]
         return table[first.index(max(first))]
 
-    return DivisionInstance(agents, slices, oracle)
+    return DivisionInstance(agents, slices, lists)
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,42 +151,36 @@ def test_nu_D_matches_brute_force(inst):
                                            (1, ()), (1, (2.0, 2))])
 def test_division_instance_validation(agents, slices):
     with pytest.raises(ValueError):
-        DivisionInstance(agents, slices, lambda p: (set(),))
+        DivisionInstance(agents, slices, lambda lcd, nums: (set(),))
 
 
 @pytest.mark.parametrize("bad", [{(1,)}, {(1, 1, 1)}, {(3, 1)}, {(0, 1)}])
 def test_nu_D_rejects_bad_oracle_vectors(bad):
-    inst = DivisionInstance(2, (2, 2), lambda p: (bad, bad))
+    inst = DivisionInstance(2, (2, 2), lambda lcd, nums: (bad, bad))
     p = Partition([[HALF, HALF], [HALF, HALF]])
     with pytest.raises(ValueError):
         nu_D(inst, p)
 
 
-def test_grid_partitions_count():
-    # compositions of q into a parts per cake
-    parts = list(grid_partitions((2, 2), 2))
-    assert len(parts) == 9  # 3 compositions of 2 into 2, squared
-
-
 def test_oracle_idempotent_on_grid():
     inst = instance_2n2_nn(2)
-    for p in grid_partitions(inst.slice_counts, 4):
-        assert inst.oracle(p) == inst.oracle(p)
+    for p in reference_grid(inst.slice_counts, 4):
+        assert oracle(inst, p) == oracle(inst, p)
 
 
 @pytest.mark.parametrize("builder", [instance_2n2_nn, instance_nn_2n2])
 def test_hungriness_on_grid(builder):
     """Every agent accepts some pair of strictly positive slices."""
     inst = builder(2)
-    for p in grid_partitions(inst.slice_counts, 4):
-        for acc in inst.oracle(p):
+    for p in reference_grid(inst.slice_counts, 4):
+        for acc in oracle(inst, p):
             assert any(all(p.cakes[t][vec[t] - 1] > 0 for t in range(2)) for vec in acc)
 
 
 def test_grid_max_trivial_instance():
     n = 2
     everything = {(j, k) for j in (1, 2) for k in (1, 2)}
-    inst = DivisionInstance(n, (2, 2), lambda p: (everything,) * n)
+    inst = DivisionInstance(n, (2, 2), lambda lcd, nums: (everything,) * n)
     best, arg = grid_max(inst, 2)
     assert best == n
     assert arg is not None
@@ -184,7 +195,7 @@ def test_counterexample_grid_q4(builder):
 
 def test_nu_D_never_exceeds_min_side():
     inst = instance_nn_2n2(2)
-    for p in grid_partitions(inst.slice_counts, 3):
+    for p in reference_grid(inst.slice_counts, 3):
         assert nu_D(inst, p) <= min(inst.agent_count, min(inst.slice_counts))
 
 
@@ -247,25 +258,49 @@ def tied_partitions(draw):
 @given(tied_partitions())
 def test_oracles_match_their_first_form(case):
     n, inst, reference, p = case
-    lists = inst.oracle(p)
+    lists = oracle(inst, p)
     assert len(lists) == inst.agent_count
     for i, acc in enumerate(lists, start=1):
         assert acc == reference(n, i, p), i
 
 
+@settings(max_examples=300, deadline=None)
+@given(tied_partitions(), st.integers(1, 3))
+def test_lists_at_scaled_numerators(case, k):
+    """`grid_max` calls `lists` at q and numerators over q, unreduced, and
+    `nu_D` at the reduced common denominator: scaling both by k changes no
+    list, and the lists are the first form's."""
+    n, inst, reference, p = case
+    lcd, nums = _numerators(p.cakes)
+    lists = inst.lists(lcd, nums)
+    assert inst.lists(k * lcd, [[k * x for x in cake] for cake in nums]) == lists
+    assert lists == tuple(reference(n, i, p) for i in range(1, inst.agent_count + 1))
+
+
 # --- grid_max against a grid search that runs nu_oracle at every point --------
 
 
+def compositions(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in compositions(total - first, parts - 1)]
+
+
+def reference_points(slice_counts, q):
+    """The numerators over q of every partition of the 1/q grid: each cake's
+    run through the compositions of q in lexicographic order, the first cake
+    outermost."""
+    return list(itertools.product(*(compositions(q, a) for a in slice_counts)))
+
+
+def over(q, nums):
+    return Partition([[Fraction(x, q) for x in cake] for cake in nums])
+
+
 def reference_grid(slice_counts, q):
-    """Every partition of the 1/q grid: each cake's numerators run through
-    the compositions of q in lexicographic order, the first cake outermost."""
-    def compositions(total, parts):
-        if parts == 1:
-            return [(total,)]
-        return [(first,) + rest for first in range(total + 1)
-                for rest in compositions(total - first, parts - 1)]
-    for combo in itertools.product(*(compositions(q, a) for a in slice_counts)):
-        yield Partition([[Fraction(x, q) for x in comp] for comp in combo])
+    """Every partition of the 1/q grid, in the order of `reference_points`."""
+    return [over(q, nums) for nums in reference_points(slice_counts, q)]
 
 
 def reference_grid_values(inst, q, lists):
@@ -287,7 +322,8 @@ def reference_grid_max(inst, q, lists):
 
 
 @pytest.mark.parametrize("builder, reference", REFERENCES)
-@pytest.mark.parametrize("n, q", [(n, q) for n in (2, 3) for q in (1, 2, 3, 4)])
+@pytest.mark.parametrize("n, q", [(n, q) for n in (2, 3) for q in (1, 2, 3, 4)]
+                         + [(4, 1), (4, 2)])
 def test_grid_max_matches_search_without_table(builder, reference, n, q):
     inst = builder(n)
     assert grid_max(inst, q) == reference_grid_max(
@@ -298,6 +334,35 @@ def test_grid_max_matches_search_without_table(builder, reference, n, q):
 @given(small_instances(), st.integers(1, 3))
 def test_grid_max_matches_search_without_table_on_random_lists(inst, q):
     """Also every value the table hands out, not just the maximum."""
-    assert (list(_nu_each(inst, grid_partitions(inst.slice_counts, q)))
-            == reference_grid_values(inst, q, inst.oracle))
-    assert grid_max(inst, q) == reference_grid_max(inst, q, inst.oracle)
+    points = [(q, nums) for nums in reference_points(inst.slice_counts, q)]
+    assert ([(v, over(q, nums)) for v, nums in _nu_each(inst, points)]
+            == reference_grid_values(inst, q, lambda p: oracle(inst, p)))
+    assert grid_max(inst, q) == reference_grid_max(inst, q, lambda p: oracle(inst, p))
+
+
+# a cake of a slices has C(q + a - 1, a - 1) compositions of q: 3 * 3 points
+# at (2, 2) and q = 2, 4 * 4 at q = 3, 6 * 6 at (3, 3), 6 * 10 at (3, 4)
+@pytest.mark.parametrize("builder, n, q, points", [
+    (instance_2n2_nn, 2, 2, 9), (instance_nn_2n2, 2, 3, 16),
+    (instance_2n2_nn, 3, 2, 36), (instance_nn_2n2, 3, 2, 60)])
+def test_grid_max_builds_one_partition_and_calls_lists_per_point(monkeypatch, builder, n, q,
+                                                                points):
+    """`lists` once at each grid point, in grid order, at the unreduced q,
+    and one Partition, for the argmax."""
+    inst = builder(n)
+    expected = grid_max(inst, q)
+    calls, built = [], []
+
+    def lists(lcd, nums):
+        calls.append((lcd, tuple(map(tuple, nums))))
+        return inst.lists(lcd, nums)
+
+    def partition(cakes):
+        built.append(cakes)
+        return Partition(cakes)
+
+    monkeypatch.setattr(cakecheck, "Partition", partition)
+    assert grid_max(DivisionInstance(inst.agent_count, inst.slice_counts, lists), q) == expected
+    assert calls == [(q, nums) for nums in reference_points(inst.slice_counts, q)]
+    assert len(calls) == points
+    assert len(built) == 1

@@ -68,6 +68,13 @@ def test_sampled_trials_must_be_int():
             bm_search_sampled((2, 2), seed=0, trials=trials)
 
 
+def test_sampled_edge_cap_must_be_int():
+    # 4.0 would pass the range check and 3.5 fail inside randrange; True is no 1
+    for cap in (4.0, 3.5, True):
+        with pytest.raises(ValueError, match="edge cap must be int"):
+            bm_search_sampled((3, 3), seed=0, trials=2, edge_cap=cap)
+
+
 def test_sampled_never_below_exhaustive():
     exact = bm_search_exhaustive((2, 2, 2)).min_nu
     sampled = bm_search_sampled((2, 2, 2), seed=1, trials=500).min_nu
