@@ -111,8 +111,10 @@ def _nu_each(inst: DivisionInstance, points):
     sides = (inst.agent_count,) + inst.slice_counts
     bits, values = {}, {}  # edge -> its bit in the keys; edge-set key -> nu
     for lcd, nums in points:
-        edges = [(i,) + vec for i, acc in enumerate(inst.lists(lcd, nums), start=1)
-                 for vec in acc]
+        sets = inst.lists(lcd, nums)
+        if len(sets) != inst.agent_count:
+            raise ValueError(f"lists gave {len(sets)} sets for {inst.agent_count} agents")
+        edges = [(i,) + vec for i, acc in enumerate(sets, start=1) for vec in acc]
         key = sum({1 << bits.setdefault(e, len(bits)) for e in edges})  # OR of the bits
         if key not in values:
             values[key] = nu(PartiteHypergraph(sides, edges))

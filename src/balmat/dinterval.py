@@ -100,8 +100,9 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     first combination of each bitmask: the first cover uses no later one, as
     swapping in the first gives a cover earlier in product order.
     """
+    budgets = tuple(checked(b, int, "budget") for b in budgets)
     if min(budgets, default=0) < 0:
-        raise ValueError(f"budgets must be >= 0, got {tuple(budgets)}")
+        raise ValueError(f"budgets must be >= 0, got {budgets}")
     family = list(family)
     if not family:
         return [[] for _ in budgets]
@@ -136,7 +137,7 @@ def rainbow_matching(fams: DIntervalFamilies, target: int):
 
     Returns a list of (family_index, DInterval) pairs.
     """
-    if target < 0:
+    if checked(target, int, "target") < 0:
         raise ValueError(f"target must be >= 0, got {target}")
     return _rainbow(fams.families, 0, [], target)
 

@@ -169,7 +169,7 @@ def random_two_interval_family(seed, m: int):
     (found by seeded rejection sampling; endpoints on a 1/12 grid).  For
     m >= 3 a ValueError: there is no such family for m >= 4, as one point per
     member pierces it, and for m = 3 the sampling almost never draws one."""
-    if m >= 4:
+    if checked(m, int, "m") >= 4:
         raise ValueError(f"m must be <= 2, got {m}: 4 points per line pierce any 8 two-intervals")
     if m == 3:
         raise ValueError("m must be <= 2, got 3: families of 8 two-intervals with no "

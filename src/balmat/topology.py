@@ -8,8 +8,10 @@ and so does the complex whose only face is the empty set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,74 +51,51 @@ class Graph:
 
 
 class SimplicialComplex:
-    """A complex on the vertices 1..vertex_count, given by its facets;
-    downward closure is implicit, and two complexes are equal when their
-    facets are.
+    """A complex on the vertices 1..vertex_count, the downward closure of the
+    given sets; two complexes are equal when their facets are.
 
-    facets == () means the void complex (no faces); a single empty facet
-    means the complex whose only face is the empty set.  The complex of
-    `independence_complex(g)` lists its faces from g, and its facets, the
-    faces that no vertex extends, only when `.facets` is first read.
+    No sets means the void complex (no faces); a single empty set means the
+    complex whose only face is the empty set.  Faces are listed by one walk,
+    for given sets and for `independence_complex(g)` alike, and `.facets`
+    reads the faces of that walk that no vertex extends.  For given sets that
+    read lists every face, exponentially many in the size of the largest set;
+    only `==`, `hash` and `repr` use it.
     """
 
     # Faces are listed level by level: each face (v1 < ... < vk) carries a
-    # state bitmask, and a vertex v > vk extends it when state & _key[v] is
-    # nonzero, giving the state state & _child[v].  Given facets, the state
-    # is the set of facets that contain the face, and _key[v] = _child[v] is
-    # the set of facets that contain v.  For an independence complex, the
-    # state is the set of vertices outside the face and adjacent to none of
-    # it, _key[v] is {v} and _child[v] the set of non-neighbours of v; the
-    # facets are the faces of state 0.  _start is the state of the empty
-    # face, 0 when the complex is void.
+    # state bitmask, a vertex v > vk extends it when state & _key[v] is
+    # nonzero, and the extended face has the state state & _child[v].  A face
+    # is a facet when its state meets no _key[v]; _start is the state of the
+    # empty face, 0 when the complex is void.  Given sets, set i owns a bit
+    # (i, -), kept while set i contains the face, and a bit (i, w) for each
+    # vertex w of set i outside the face: _key[v] holds the (i, v) bits and
+    # _child[v] the bits of each set containing v but its (i, v).  The walk
+    # stops at the largest vertex of any set, len(_key) - 1.
 
     def __init__(self, vertex_count, facets):
         if checked(vertex_count, int, "vertex count") < 0:
             raise ValueError("vertex count must be >= 0")
-        fs = list({frozenset(checked(v, int, "facet vertex") for v in f) for f in facets})
-        # Bit i of containing[v] is set when fs[i] contains v.  A facet is
-        # maximal iff the only facet containing all its vertices is itself.
-        containing: Dict[int, int] = {}
-        for i, f in enumerate(fs):
-            for v in f:
-                containing[v] = containing.get(v, 0) | 1 << i
-        everything = (1 << len(fs)) - 1
-        maximal = []
-        for i, f in enumerate(fs):
-            supersets = everything
-            for v in f:
-                supersets &= containing[v]
-            if supersets == 1 << i:
-                maximal.append(f)
-        for f in maximal:
-            if any(not 1 <= v <= vertex_count for v in f):
-                raise ValueError("facet vertex out of range")
+        fs = {frozenset(checked(v, int, "facet vertex") for v in f) for f in facets}
+        vertices = sorted(set().union(*fs))
+        if vertices and not 1 <= vertices[0] <= vertices[-1] <= vertex_count:
+            raise ValueError("facet vertex out of range")
         self.vertex_count = vertex_count
-        self._facets = tuple(sorted(maximal, key=sorted))
-        self._start = everything
-        self._key = self._child = [containing.get(v, 0) for v in range(vertex_count + 1)]
-
-    @classmethod
-    def _independence(cls, g: Graph) -> "SimplicialComplex":
-        """The independence complex of g, for g with at least one vertex."""
-        n = g.vertex_count
-        c = cls.__new__(cls)
-        c.vertex_count = n
-        c._facets = None
-        c._start = (2 << n) - 2  # bits 1..n
-        c._key = [1 << v for v in range(n + 1)]
-        closed = list(c._key)  # v and its neighbours
-        for u, v in g.edges:
-            closed[u] |= 1 << v
-            closed[v] |= 1 << u
-        c._child = [c._start & ~mask for mask in closed]
-        return c
+        self._start = 0
+        self._key = [0] * (vertices[-1] + 1 if vertices else 1)
+        self._child = list(self._key)
+        for f in fs:
+            low = self._start.bit_length()  # the bit (i, -), then one (i, v) per v
+            own = (2 << len(f)) - 1 << low
+            for k, v in enumerate(f, start=low + 1):
+                self._key[v] |= 1 << k
+                self._child[v] |= own ^ 1 << k
+            self._start |= own
 
     @property
     def facets(self) -> Tuple[FrozenSet[int], ...]:
-        if self._facets is None:  # an independence complex
-            self._facets = tuple(sorted((frozenset(face) for level in self._levels()
-                                         for face, state in level if not state), key=sorted))
-        return self._facets
+        extenders = functools.reduce(operator.or_, self._key, 0)
+        return tuple(sorted((frozenset(face) for level in self._levels()
+                             for face, state in level if not state & extenders), key=sorted))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -133,20 +112,12 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self._start
 
-    def _face_levels(self):
-        """The face lists of `_levels`, without their states."""
-        for level in self._levels():
-            yield [face for face, _ in level]
-
     def _levels(self):
         """Yield the (face, state) lists of dimension -1, 0, 1, ..., each sorted,
         while they are not empty.  Each level extends the one before it, face
         by face in order and by increasing vertices, so it comes out sorted."""
-        if self.is_void:
-            return
-        key, child = self._key, self._child
-        top = self.vertex_count + 1
-        level = [((), self._start)]
+        key, child, top = self._key, self._child, len(self._key)
+        level = [((), self._start)] if self._start else []
         while level:
             yield level
             level = [(face + (v,), state & child[v]) for face, state in level
@@ -185,7 +156,7 @@ def _betti_scan(c: SimplicialComplex, top: int):
     of the one lies in the kernel of the other.  Reaching the ceiling means
     b_j = 0, and the rank found is exact either way.
     """
-    levels = c._face_levels()
+    levels = ([face for face, _ in level] for level in c._levels())
     fj = next(levels, [])
     rank_in = 0  # rank of the boundary out of dimension j
     for j in range(-1, top + 1):
@@ -229,10 +200,21 @@ def eta(c: SimplicialComplex, cap: int) -> Eta:
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the independent sets of g, facets the maximal ones."""
-    if g.vertex_count == 0:
-        return SimplicialComplex(0, [frozenset()])
-    return SimplicialComplex._independence(g)
+    """Faces are the independent sets of g, facets the maximal ones.
+
+    A face's state is bit 0 plus the vertices outside it adjacent to none of
+    it; _key[v] is {v} for v >= 1 and _key[0] = 0, so bit 0 keeps the state
+    of every face nonzero and the facets are the faces no vertex extends."""
+    n = g.vertex_count
+    c = SimplicialComplex(n, ())
+    c._start = (2 << n) - 1  # bits 0..n
+    c._key = [0] + [1 << v for v in range(1, n + 1)]
+    closed = list(c._key)  # v and its neighbours
+    for u, v in g.edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    c._child = [c._start & ~mask for mask in closed]
+    return c
 
 
 def line_graph(mg: Multigraph) -> Graph:
@@ -440,7 +422,7 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
     """
     if h.d != 3:
         raise ValueError("hall_check supports d = 3 only")
-    if deficiency < 0:
+    if checked(deficiency, int, "deficiency") < 0:
         raise ValueError(f"deficiency must be >= 0, got {deficiency}")
     a1 = h.side_sizes[0]
     if a1 > 12:

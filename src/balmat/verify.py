@@ -49,10 +49,9 @@ def _check(name):
 
 
 @_check("pasch")
-def check_pasch(h: Optional[PartiteHypergraph] = None) -> CheckResult:
+def check_pasch() -> CheckResult:
     """The intersecting (2,2,2) quadruple: balanced, nu = 1, nu* = 2."""
-    if h is None:
-        h, _ = cons.pasch()
+    h, _ = cons.pasch()
     got = (balanced_certificate(h) is not None, nu(h), nu_star(h))
     expected = (True, 1, Fraction(2))
     return CheckResult("pasch", "balanced, nu=1, nu*=2", {}, expected, got,

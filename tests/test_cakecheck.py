@@ -162,6 +162,17 @@ def test_nu_D_rejects_bad_oracle_vectors(bad):
         nu_D(inst, p)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_lists_must_give_one_set_per_agent(count):
+    """Too few sets would drop agents from nu silently, too many add some."""
+    inst = DivisionInstance(2, (2, 2), lambda lcd, nums: ({(1, 1)},) * count)
+    p = Partition([[HALF, HALF], [HALF, HALF]])
+    with pytest.raises(ValueError, match=f"lists gave {count} sets for 2 agents"):
+        nu_D(inst, p)
+    with pytest.raises(ValueError, match=f"lists gave {count} sets for 2 agents"):
+        grid_max(inst, 2)
+
+
 def test_oracle_idempotent_on_grid():
     inst = instance_2n2_nn(2)
     for p in reference_grid(inst.slice_counts, 4):

@@ -84,6 +84,9 @@ def test_coverable_trivial_cases():
             coverable(family, (-1, 1))
     with pytest.raises(ValueError, match="one budget per component"):
         coverable([iv], (1,))
+    for budgets in ((1.5, 1), (1.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match="budget must be int"):
+            coverable([iv], budgets)
 
 
 def test_coverable_two_disjoint():
@@ -202,6 +205,9 @@ def test_rainbow_matching_identical_interval():
     fams = DIntervalFamilies(2, [[iv], [iv]])
     assert rainbow_matching(fams, 2) is None
     assert rainbow_matching(fams, 1) is not None
+    for target in (True, 1.5, 1.0):
+        with pytest.raises(ValueError, match="target must be int"):
+            rainbow_matching(fams, target)
 
 
 def test_rainbow_matching_skips_families():

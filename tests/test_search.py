@@ -1,5 +1,6 @@
 import pytest
 
+from balmat import constructions
 from balmat.hypergraph import PartiteHypergraph, is_balanced
 from balmat.search import (bm_search_exhaustive, bm_search_sampled, canonical_form,
                            random_graph, random_knn_balanced,
@@ -119,6 +120,9 @@ def test_random_two_interval_family_rejects_unreachable_m():
     for m in (3, 4, 5):
         with pytest.raises(ValueError, match=f"m must be <= 2, got {m}"):
             random_two_interval_family(0, m=m)
+    for m in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="m must be int"):
+            random_two_interval_family(0, m=m)
 
 
 def test_run_all_subset_and_unknown():
@@ -128,7 +132,8 @@ def test_run_all_subset_and_unknown():
         run_all(["nonsense"])
 
 
-def test_pasch_check_rejects_mutant():
+def test_pasch_check_rejects_mutant(monkeypatch):
     # drop one edge and relabel another: still a hypergraph, no longer balanced
     mutant = PartiteHypergraph((2, 2, 2), [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
-    assert not CHECKS["pasch"](mutant).passed
+    monkeypatch.setattr(constructions, "pasch", lambda: (mutant, None))
+    assert not CHECKS["pasch"]().passed

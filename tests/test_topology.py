@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balmat import topology
@@ -77,6 +78,17 @@ def test_eta_conventions():
     assert capped.value == 6 and not capped.exact
 
 
+def test_walk_stops_at_the_largest_vertex_of_a_set():
+    """A complex's memory follows its sets, not its vertex count."""
+    tracemalloc.start()
+    try:
+        assert eta(SimplicialComplex(10**6, [[1, 2]]), 3) == Eta(3, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_eta_cap_must_be_int():
     for cap in (True, 2.0, "2"):
         with pytest.raises(ValueError, match="cap must be int"):
@@ -90,7 +102,8 @@ def faces_of_dim(c, j):
     j = -1 unless c is void."""
     if j < -1:
         return []
-    return next(itertools.islice(c._face_levels(), j + 1, None), [])
+    level = next(itertools.islice(c._levels(), j + 1, None), [])
+    return [face for face, _ in level]
 
 
 def reduced_euler(c):
@@ -117,21 +130,29 @@ def test_euler_equals_alternating_betti(facets):
     assert chi == reduced_euler(c)
 
 
+def maximal_sets(sets):
+    fs = {frozenset(f) for f in sets}
+    return {f for f in fs if not any(f < g for g in fs)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
 def test_facets_are_the_maximal_sets(sets):
-    fs = {frozenset(f) for f in sets}
-    maximal = {f for f in fs if not any(f < g for g in fs)}
-    assert set(SimplicialComplex(6, sets).facets) == maximal
+    assert set(SimplicialComplex(6, sets).facets) == maximal_sets(sets)
 
 
-def faces_from_facets(c, j):
-    """Oracle for the face walk: every (j + 1)-subset of a facet, sorted."""
-    if not c.facets or j < -1:
+def faces_from_sets(sets, j):
+    """Oracle for the face walk: every (j + 1)-subset of a set, sorted."""
+    if not sets or j < -1:
         return []
-    if j == -1:
-        return [()]
-    return sorted({face for f in c.facets for face in itertools.combinations(sorted(f), j + 1)})
+    return sorted({face for f in sets for face in itertools.combinations(sorted(f), j + 1)})
+
+
+def independent_sets(g):
+    """Every independent set of g, by brute force."""
+    n = g.vertex_count
+    return [frozenset(s) for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)
+            if not any(frozenset(e) in g.edges for e in itertools.combinations(s, 2))]
 
 
 @st.composite
@@ -146,29 +167,36 @@ def graphs(draw, max_vertices):
 def test_faces_of_facet_complex_match_facet_subsets(sets):
     c = SimplicialComplex(6, sets)
     for j in range(-2, 7):
-        assert faces_of_dim(c, j) == faces_from_facets(c, j)
+        assert faces_of_dim(c, j) == faces_from_sets(sets, j)
 
 
 @settings(max_examples=100, deadline=None)
 @given(graphs(10))
+@example(Graph(0, []))
 def test_faces_of_independence_complex_match_facet_subsets(g):
     c = independence_complex(g)
+    faces = independent_sets(g)
     for j in range(-2, g.vertex_count + 1):
-        assert faces_of_dim(c, j) == faces_from_facets(c, j)
+        assert faces_of_dim(c, j) == faces_from_sets(faces, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(8))
+@example(Graph(0, []))
+def test_independence_complex_walk_matches_its_facet_complex(g):
+    """The two encodings of one complex list the same faces at every level."""
+    c = independence_complex(g)
+    given_sets = SimplicialComplex(g.vertex_count, maximal_sets(independent_sets(g)))
+    for j in range(-1, g.vertex_count + 1):
+        assert faces_of_dim(c, j) == faces_of_dim(given_sets, j)
 
 
 @settings(max_examples=100, deadline=None)
 @given(graphs(8))
 def test_independence_complex_facets_are_maximal_independent_sets(g):
-    """Compared before its facets are read, then after: equal complexes, equal
-    hashes, and the facets the face walk finds on demand are the maximal
-    independent sets found by brute force."""
-    n = g.vertex_count
-    independent = [frozenset(s) for k in range(n + 1)
-                   for s in itertools.combinations(range(1, n + 1), k)
-                   if not any(frozenset(e) in g.edges for e in itertools.combinations(s, 2))]
-    expected = SimplicialComplex(n, [s for s in independent
-                                     if not any(s < t for t in independent)])
+    """Equal complexes, equal hashes, and the facets the face walk finds are
+    the maximal independent sets found by brute force."""
+    expected = SimplicialComplex(g.vertex_count, maximal_sets(independent_sets(g)))
     assert independence_complex(g) == expected
     c = independence_complex(g)
     assert hash(c) == hash(expected) and not c.is_void
@@ -454,6 +482,10 @@ def test_hall_check_input_checks():
         hall_check(PartiteHypergraph((2, 2), [(1, 1)]), 0)
     with pytest.raises(ValueError, match="side 1 too large"):
         hall_check(PartiteHypergraph((13, 1, 1), []), 0)
+    pasch = PartiteHypergraph((2, 2, 2), [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)])
+    for deficiency in (True, 1.5, 1.0):
+        with pytest.raises(ValueError, match="deficiency must be int"):
+            hall_check(pasch, deficiency)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 4)])
