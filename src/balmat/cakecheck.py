@@ -4,19 +4,12 @@ partition, and exhaustive search over the integer compositions of a grid."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Callable, Sequence, Tuple
 
 from .hypergraph import PartiteHypergraph, check_side_sizes, nu
-from .rational import checked
-
-
-def _numerators(cakes):
-    """(L, numerators): each slice as an integer over L, the lcm of all denominators."""
-    lcd = math.lcm(*(x.denominator for cake in cakes for x in cake))
-    return lcd, [[x.numerator * (lcd // x.denominator) for x in cake] for cake in cakes]
+from .rational import checked, exact, over_lcd
 
 
 @dataclass(frozen=True)
@@ -26,9 +19,8 @@ class Partition:
     cakes: Tuple[Tuple[Fraction, ...], ...]
 
     def __init__(self, cakes):
-        cs = tuple(tuple(Fraction(x) if type(x) is int else checked(x, Fraction, "slice length")
-                         for x in cake) for cake in cakes)
-        lcd, nums = _numerators(cs)
+        cs = tuple(tuple(exact(x, "slice length") for x in cake) for cake in cakes)
+        lcd, nums = over_lcd(cs)
         for cake in nums:
             if any(x < 0 for x in cake):
                 raise ValueError("slice lengths must be nonnegative")
@@ -128,7 +120,7 @@ def nu_D(inst: DivisionInstance, p: Partition) -> int:
     if shape != inst.slice_counts:
         raise ValueError(f"partition has slice counts {list(shape)}, "
                          f"the instance needs {list(inst.slice_counts)}")
-    return next(_nu_each(inst, [_numerators(p.cakes)]))[0]
+    return next(_nu_each(inst, [over_lcd(p.cakes)]))[0]
 
 
 def _compositions(total: int, parts: int):

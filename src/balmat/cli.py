@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import constructions as cons
 from . import jsonio
@@ -19,7 +18,7 @@ from .cakecheck import grid_max, instance_2n2_nn, instance_nn_2n2, nu_D
 from .dinterval import coverable, rainbow_matching
 from .hilbert import hilbert_basis, CapExceeded
 from .hypergraph import balanced_certificate, nu, nu_star
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 from .topology import INFINITE, eta, hall_check, psi
 from .search import bm_search_exhaustive, bm_search_sampled
 from .verify import CHECKS, run_all
@@ -180,9 +179,9 @@ def _document(decode):
 def _rational(text):
     """An argparse type: a bad rational is a usage error (exit 2)."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sides(text):

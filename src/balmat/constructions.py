@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction
+from .rational import checked, exact
 
 Half = Fraction(1, 2)
 
@@ -30,7 +31,7 @@ def nnn_tight(n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
 
     (n,n,n)-balanced with maximum matching exactly ceil(n/2).
     """
-    if n < 1:
+    if checked(n, int, "n") < 1:
         raise ValueError("n must be >= 1")
     weights: Dict[tuple, Fraction] = {}
     for b in range(n // 2):
@@ -45,7 +46,7 @@ def nnn_tight(n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
 
 def drisko(n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
     """Drisko's configuration: sides (2n-2, n, n), f = 1, nu = n - 1."""
-    if n < 2:
+    if checked(n, int, "n") < 2:
         raise ValueError("n must be >= 2")
     edges = []
     for i in range(1, n):
@@ -75,8 +76,8 @@ def mlessn(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
     Sides (k, n, n); side-1 degrees are 1 and sides 2-3 have degree k/n.
     nu <= floor(3n/4) for even n, floor((3n+1)/4) for odd n.
     """
-    m = n // 2
-    if not (3 * n // 4 < k < n):
+    m = checked(n, int, "n") // 2
+    if not (3 * n // 4 < checked(k, int, "k") < n):
         raise ValueError("requires floor(3n/4) < k < n")
     h1, h2, h3 = _h123(k, n)
     weights: Dict[tuple, Fraction] = {e: Half for e in h1}
@@ -110,10 +111,10 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
 
     nu <= ceil(n/2), witnessed by the block family H_4.
     """
-    if n < 2:
+    if checked(n, int, "n") < 2:
         raise ValueError("n must be >= 2")
     m = n // 2
-    kp = k - m
+    kp = checked(k, int, "k") - m
     if not (m < k) or kp <= 0 or m % kp != 0:
         raise ValueError("requires floor(n/2) < k and (k - floor(n/2)) | floor(n/2)")
     q = m // kp
@@ -152,9 +153,9 @@ def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]
     Requires rn, 2rn/(2r+1) and 2r integral, and 2rn/(2r+1) <= k <= rn.
     Sides (n, n, k); nu <= 2rn/(2r+1).
     """
-    if n < 1:
+    if checked(n, int, "n") < 1:
         raise ValueError("n must be >= 1")
-    r = Fraction(r)
+    r = exact(r, "r")
     if r < 1:
         raise ValueError("r must be >= 1")
     rn = r * n
@@ -162,7 +163,7 @@ def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]
     if rn.denominator != 1 or big.denominator != 1 or (2 * r).denominator != 1:
         raise ValueError("rn, 2rn/(2r+1) and 2r must all be integers")
     M = int(big)
-    if not M <= k <= int(rn):
+    if not M <= checked(k, int, "k") <= int(rn):
         raise ValueError("requires 2rn/(2r+1) <= k <= rn")
     N = k - M
     two_r = int(2 * r)
@@ -183,7 +184,8 @@ def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]
 
 
 def main_negative_bound(n: int, r) -> int:
-    return int(2 * Fraction(r) * n / (2 * Fraction(r) + 1))
+    r = exact(r, "r")
+    return int(2 * r * checked(n, int, "n") / (2 * r + 1))
 
 
 def zeta_counterexample(n: int) -> Tuple[Multigraph, WeightFunction]:
@@ -193,7 +195,7 @@ def zeta_counterexample(n: int) -> Tuple[Multigraph, WeightFunction]:
     side B; the matching complex contains a nonbounding (n-2)-sphere, so
     eta(M(G)) <= n - 1.
     """
-    if n < 3:
+    if checked(n, int, "n") < 3:
         raise ValueError("n must be >= 3 (n = 2 degenerates: the first edge "
                          "family is empty)")
     m = n - 1
@@ -234,7 +236,7 @@ def truncated_projective(q: int) -> PartiteHypergraph:
     non-vertical lines y = sx + c plus their direction, sides are the
     vertical lines plus the directions.  Intersecting, balanced, nu = 1.
     """
-    p = q - 1
+    p = checked(q, int, "q") - 1
     if not _is_prime(p):
         raise ValueError("supported orders: q - 1 prime")
     edges = []
@@ -310,7 +312,8 @@ def conj_nn(n: int, variant: int) -> PartiteHypergraph:
     n = q + k - 1 with 2^(k-1) - 1 < n/2.  Each output is a vertex-disjoint
     union of two intersecting blocks.
     """
-    if variant == 1:
+    n = checked(n, int, "n")
+    if checked(variant, int, "variant") == 1:
         return _combine(_block_hqm(n, 0), _block_i(n))
     if variant == 2:
         return _combine(_block_hqm(n - 1, 1), _block_ij(n))

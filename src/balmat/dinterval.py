@@ -15,12 +15,11 @@ order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .rational import checked
+from .rational import checked, exact, over_lcd
 
 Interval = Tuple[Fraction, Fraction]  # open (lo, hi)
 
@@ -32,8 +31,7 @@ class DInterval:
     def __init__(self, parts):
         ps = []
         for lo, hi in parts:
-            lo, hi = (Fraction(x) if type(x) is int else checked(x, Fraction, "endpoint")
-                      for x in (lo, hi))
+            lo, hi = exact(lo, "endpoint"), exact(hi, "endpoint")
             if not (0 <= lo < hi <= 1):
                 raise ValueError(f"bad open interval ({lo}, {hi})")
             ps.append((lo, hi))
@@ -74,10 +72,7 @@ def _segments(family: Sequence[DInterval], t: int):
     `scale` of its endpoints, the cuts (0 and 1 included) times `scale` in
     order, and for each atomic segment between consecutive cuts the bitmask
     of the members whose part on t contains it (bit i for family[i])."""
-    parts = [iv.parts[t] for iv in family]
-    scale = math.lcm(*(x.denominator for part in parts for x in part))
-    ends = [(lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator))
-            for lo, hi in parts]
+    scale, ends = over_lcd([iv.parts[t] for iv in family])
     cuts = sorted({x for end in ends for x in end} | {0, scale})
     index = {x: k for k, x in enumerate(cuts)}
     masks = [0] * (len(cuts) - 1)

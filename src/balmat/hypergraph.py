@@ -9,14 +9,13 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .rational import LPProblem, Optimal, ONE, ZERO, checked, lp_solve
+from .rational import LPProblem, Optimal, ONE, ZERO, checked, exact, lp_solve, over_lcd
 
 Edge = Tuple[int, ...]
 Vertex = Tuple[int, int]  # (side, index), both 1-based
@@ -71,12 +70,10 @@ class WeightFunction:
     def __init__(self, weights):
         items = []
         for e, w in weights.items():
-            if type(w) is not int and type(w) is not Fraction:
-                raise ValueError(f"weight {w!r} on {e} must be int or Fraction, "
-                                 f"not {type(w).__name__}")
+            w = exact(w, "weight")
             if w < 0:
                 raise ValueError(f"negative weight on {e}")
-            items.append((tuple(e), Fraction(w)))
+            items.append((tuple(e), w))
         object.__setattr__(self, "weights", tuple(sorted(items)))
 
     def as_dict(self) -> Dict[Edge, Fraction]:
@@ -135,10 +132,17 @@ def nu_star(h: PartiteHypergraph) -> Fraction:
 
 def _capped_matching(h: PartiteHypergraph, cap) -> Optimal:
     """max |f| over f >= 0 on h.edges with deg_f(t, j) <= cap(a_t) at each
-    vertex (t, j), sides in order, then indices; its certificate checked."""
-    rows = [([int(e[t - 1] == j) for e in h.edges], cap(a))
-            for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
+    vertex (t, j), sides in order, then indices; its certificate checked.
+
+    The LP counts f in units of 1/L, L the lcm of the caps' denominators, so
+    its right sides are the integers L * cap(a_t) and its rows stay 0/1; the
+    dual, a vertex cover, is the same for both, and the point and value are
+    divided by L."""
+    lcd, (caps,) = over_lcd([[cap(a) for a in h.side_sizes]])
+    rows = [([int(e[t - 1] == j) for e in h.edges], c)
+            for t, (a, c) in enumerate(zip(h.side_sizes, caps), start=1) for j in range(1, a + 1)]
     res = lp_solve(LPProblem(len(h.edges), rows, [1] * len(h.edges)))
+    res = Optimal(res.value / lcd, [x / lcd for x in res.point], res.dual)
     _check_cover(h, cap, res)
     return res
 
@@ -152,9 +156,7 @@ def _check_cover(h: PartiteHypergraph, cap, res: Optimal):
     denominator D, so the cover's total, sum(cap * y), is compared at D^2."""
     caps = [c for a in h.side_sizes for c in [cap(a)] * a]  # per vertex, in order
     if len(res.point) == len(h.edges) and len(res.dual) == len(caps):
-        big = math.lcm(*(q.denominator for q in [*res.point, *res.dual, *caps, res.value]))
-        f, y, caps, (value,) = ([q.numerator * (big // q.denominator) for q in qs]
-                                for qs in (res.point, res.dual, caps, [res.value]))
+        big, (f, y, caps, (value,)) = over_lcd([res.point, res.dual, caps, [res.value]])
         offsets = list(itertools.accumulate(h.side_sizes, initial=-1))
         at = [[o + j for o, j in zip(offsets, e)] for e in h.edges]  # vertex positions
         deg = [0] * len(caps)

@@ -39,10 +39,7 @@ def _int_rows(rows, what) -> list:
 
 
 def _rational(x, what):
-    try:
-        return parse_rational(checked(x, str, what))
-    except ZeroDivisionError:
-        raise ValueError(f"{what} {x!r} has a zero denominator") from None
+    return parse_rational(checked(x, str, what))
 
 
 def hypergraph_from_json(data: dict) -> PartiteHypergraph:

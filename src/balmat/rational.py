@@ -6,21 +6,26 @@ a `Fraction`.  Each row is reduced on its highest column, as in the standard
 boundary-matrix reduction, and a caller that has proven an upper bound on the
 rank passes it as a ceiling, at which the elimination stops.  The LP has one
 form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
-the slack basis at x = 0 starts it feasible.  Its entries are ints or
-Fractions; the LP is scaled to integers, and the simplex pivots a
-fraction-free integer dictionary (Edmonds 1967) of the nonbasic columns
-only, as in Avis's lrs: no slack column is stored, and Bland's rule chooses
-by variable index.  It builds a `Fraction` only for the answer: the value,
-the point and the dual that certifies them.  It serves the capped fractional
-matchings of `hypergraph` (balance certificates, fractional matching
-numbers).  No floats anywhere, and `checked` keeps a float or bool from
-passing for an int.
+the slack basis at x = 0 starts it feasible.  Its entries are ints, and
+the simplex pivots a fraction-free integer dictionary (Edmonds 1967) of the
+nonbasic columns only, as in Avis's lrs: no slack column is stored, and
+Bland's rule chooses by variable index.  It builds a `Fraction` only for
+the answer: the value, the point and the dual that certifies them.  It
+serves the capped fractional matchings of `hypergraph` (balance
+certificates, fractional matching numbers).
+
+This module is the one boundary of exact numbers.  No floats anywhere:
+`checked` keeps a float or bool from passing for an int, `exact` keeps
+anything but an int or a `Fraction` from passing for a rational,
+`over_lcd` writes rationals as integers over their least common
+denominator, and `parse_rational` reads only the text "p/q" or "p".
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -30,8 +35,15 @@ ONE = Fraction(1)
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    return Fraction(s.strip())
+    """The Fraction that s spells: an optional minus, digits, and optionally
+    a slash and more digits, with nothing around them.  Anything else, and a
+    zero denominator, is a ValueError."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        raise ValueError(f"not a rational: {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 def format_rational(q) -> str:
@@ -48,6 +60,23 @@ def checked(x, kind, what):
     if type(x) is not kind:
         raise ValueError(f"{what} must be {kind.__name__}, not {type(x).__name__}")
     return x
+
+
+def exact(x, what) -> Fraction:
+    """x as an exact rational: a Fraction itself, an int as a Fraction; a
+    float, a bool or anything else is a ValueError."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is not int:
+        raise ValueError(f"{what} must be int or Fraction, not {type(x).__name__}")
+    return Fraction(x)
+
+
+def over_lcd(groups) -> Tuple[int, List[List[int]]]:
+    """(D, the groups' entries times D, as ints), D the least common
+    denominator of every entry of the rational groups."""
+    lcd = math.lcm(*(x.denominator for group in groups for x in group))
+    return lcd, [[x.numerator * (lcd // x.denominator) for x in group] for group in groups]
 
 
 def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) -> int:
@@ -109,12 +138,11 @@ def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) 
 @dataclass
 class LPProblem:
     """Maximise objective . x subject to (coeffs, rhs) rows meaning
-    coeffs . x <= rhs, with rhs >= 0, and x >= 0; every entry is an int or a
-    Fraction."""
+    coeffs . x <= rhs, with rhs >= 0, and x >= 0; every entry is an int."""
 
     variables: int
-    constraints: List[Tuple[Sequence, object]]  # (coeffs, rhs)
-    objective: Sequence
+    constraints: List[Tuple[Sequence[int], int]]  # (coeffs, rhs)
+    objective: Sequence[int]
 
     def check(self):
         if len(self.objective) != self.variables:
@@ -124,9 +152,7 @@ class LPProblem:
                 raise ValueError("constraint length mismatch")
         for x in itertools.chain(self.objective, *(
                 (*coeffs, rhs) for coeffs, rhs in self.constraints)):
-            if type(x) is not int and type(x) is not Fraction:
-                raise ValueError(f"LP entry {x!r} must be int or Fraction, "
-                                 f"not {type(x).__name__}")
+            checked(x, int, "LP entry")
         for _, rhs in self.constraints:
             if rhs < 0:
                 raise ValueError(f"negative right-hand side {rhs}")
@@ -139,27 +165,18 @@ class Optimal:
     dual: List[Fraction]  # y, one entry per constraint row
 
 
-def _integer_row(row) -> Tuple[List[int], int]:
-    """The row times its scale, the lcm of its denominators, as ints."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
-
-
 def lp_solve(p: LPProblem) -> Optimal:
     """Exact simplex with Bland's anti-cycling rule on one integer dictionary.
 
     Returns Optimal(value, point, dual); raises ValueError when the objective
-    is unbounded, that is, when a ratio test finds no row.  The dictionary
-    solves for x in units of 1/R, R the lcm of the right sides'
-    denominators, so that every right side is an integer; each row's
-    coefficients, and the objective's, are then scaled by the lcm of their
-    own denominators.  Neither scaling changes a pivot of the rational
-    tableau: the ratios of one ratio test all scale alike, and no reduced
-    cost changes sign.  Variable n + i is row i's slack.  Only the nonbasic
-    columns are kept, `cols[c]` naming the variable in column c, as in
-    Avis's lrs; the start is the slack basis at x = 0, det = 1.  Bland's rule
-    enters the lowest variable with a positive reduced cost and, among tied
-    ratios, leaves on the lowest basic variable.  Fraction-free (Edmonds
+    is unbounded, that is, when a ratio test finds no row.  The entries are
+    ints, so the dictionary starts as the LP itself; a caller with rational
+    data scales it to integers first (`over_lcd`).  Variable n + i is row
+    i's slack.  Only the nonbasic columns are kept, `cols[c]` naming the
+    variable in column c, as in Avis's lrs; the start is the slack basis at
+    x = 0, det = 1.  Bland's rule enters the lowest variable with a positive
+    reduced cost and, among tied ratios, leaves on the lowest basic
+    variable.  Fraction-free (Edmonds
     1967): the dictionary is always det times the rational one of the same
     basis, det being the last pivot, so every division in the update is
     exact; the leaving variable takes the entering column, -a_i in each
@@ -170,16 +187,7 @@ def lp_solve(p: LPProblem) -> Optimal:
     p.check()
     n = p.variables
     m = len(p.constraints)
-    rhs_scale = math.lcm(*(rhs.denominator for _, rhs in p.constraints))
-    tableau: List[List[int]] = []
-    scales: List[int] = []
-    for coeffs, rhs in p.constraints:
-        row, scale = _integer_row(coeffs)
-        row.append(rhs.numerator * scale * (rhs_scale // rhs.denominator))
-        tableau.append(row)
-        scales.append(scale)
-    obj, obj_scale = _integer_row(p.objective)
-    tableau.append(obj + [0])
+    tableau = [[*coeffs, rhs] for coeffs, rhs in p.constraints] + [[*p.objective, 0]]
     cols = list(range(n))
     basis = list(range(n, n + m))
     det = 1
@@ -220,10 +228,10 @@ def lp_solve(p: LPProblem) -> Optimal:
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = Fraction(tableau[i][n], det * rhs_scale)
+            point[b] = Fraction(tableau[i][n], det)
     cost = tableau[m]
     dual = [ZERO] * m
     for c, v in enumerate(cols):
         if v >= n:
-            dual[v - n] = Fraction(-cost[c] * scales[v - n], det * obj_scale)
-    return Optimal(Fraction(-cost[n], det * obj_scale * rhs_scale), point, dual)
+            dual[v - n] = Fraction(-cost[c], det)
+    return Optimal(Fraction(-cost[n], det), point, dual)

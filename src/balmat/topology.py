@@ -14,12 +14,11 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, max_matching,
                          neighborhood)
-from .rational import ZERO, checked, rank_of_rows
+from .rational import ZERO, checked, exact, rank_of_rows
 
 # Game value for "an isolated vertex appeared".  It stays the float math.inf
 # because the benchmark's exact renderer (bench/workloads.py, text()) prints
@@ -206,7 +205,8 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     it; _key[v] is {v} for v >= 1 and _key[0] = 0, so bit 0 keeps the state
     of every face nonzero and the facets are the faces no vertex extends."""
     n = g.vertex_count
-    c = SimplicialComplex(n, ())
+    c = SimplicialComplex.__new__(SimplicialComplex)  # the tables below are all it holds
+    c.vertex_count = n
     c._start = (2 << n) - 1  # bits 0..n
     c._key = [0] + [1 << v for v in range(1, n + 1)]
     closed = list(c._key)  # v and its neighbours
@@ -455,7 +455,7 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     lowers the count).  The result is >= ceil(|f| / (2s + 2)).  The game is
     played on `psi`'s int positions of L(g), with the same explosion move.
     """
-    s = Fraction(s)
+    s = exact(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
     cells = list(g.edges)
@@ -512,4 +512,4 @@ def _con_value(verts, edges, order, memo) -> int:
 
 def con_lower_bound(f_total, s) -> int:
     """ceil(|f| / (2s + 2)), the certified connectivity bound."""
-    return math.ceil(Fraction(f_total) / (2 * Fraction(s) + 2))
+    return math.ceil(exact(f_total, "|f|") / (2 * exact(s, "s") + 2))

@@ -4,7 +4,6 @@ claims at desk scale and reports pass/fail with the values it saw.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -254,15 +253,9 @@ def check_zeta() -> CheckResult:
                        {"n": n}, expected, got, got == expected)
 
 
-def _permutation_generators(n: int):
-    out = set()
-    for perm in itertools.permutations(range(1, n + 1)):
-        out.add(tuple(sorted(((i + 1, perm[i]), 1) for i in range(n))))
-    return out
-
-
 def _star_generators(n: int, s: int):
-    """Unions of n disjoint stars K_{1,s} on sides (n, s*n)."""
+    """Unions of n disjoint stars K_{1,s} on sides (n, s*n): for s = 1, the
+    n! permutation matchings."""
     return {tuple(sorted(((row, c), 1) for c, row in split.items()))
             for split in cons._grid_assignments(range(1, s * n + 1), [s] * n)}
 
@@ -273,8 +266,8 @@ def check_gordan() -> CheckResult:
     Completeness up to each cap rests on how `hilbert_basis` builds the set:
     it enumerates every balanced vector up to the cap, and each vector w that
     dominates a generator g leaves w - g, which it checks it enumerated."""
-    plans = [((2, 2), 4, _permutation_generators(2)),
-             ((3, 3), 6, _permutation_generators(3)),
+    plans = [((2, 2), 4, _star_generators(2, 1)),
+             ((3, 3), 6, _star_generators(3, 1)),
              ((2, 4), 8, _star_generators(2, 2))]
     got = {}
     expected = {}

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balmat import cakecheck
-from balmat.cakecheck import (DivisionInstance, Partition, _numerators, _nu_each,
+from balmat.cakecheck import (DivisionInstance, Partition, _nu_each,
                               grid_max, instance_2n2_nn, instance_nn_2n2, nu_D)
 from balmat.hypergraph import PartiteHypergraph, nu_oracle
+from balmat.rational import over_lcd
 
 HALF = Fraction(1, 2)
 
 
 def oracle(inst, p):
     """Every agent's list at the partition p, as `nu_D` asks for them."""
-    return inst.lists(*_numerators(p.cakes))
+    return inst.lists(*over_lcd(p.cakes))
 
 
 def test_partition_validation():
@@ -282,7 +283,7 @@ def test_lists_at_scaled_numerators(case, k):
     `nu_D` at the reduced common denominator: scaling both by k changes no
     list, and the lists are the first form's."""
     n, inst, reference, p = case
-    lcd, nums = _numerators(p.cakes)
+    lcd, nums = over_lcd(p.cakes)
     lists = inst.lists(lcd, nums)
     assert inst.lists(k * lcd, [[k * x for x in cake] for cake in nums]) == lists
     assert lists == tuple(reference(n, i, p) for i in range(1, inst.agent_count + 1))

@@ -251,10 +251,14 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
               (["eta", "{}"], {"vertices": -1, "facets": []})]
     cases += [(["dinterval", "cover", "{}", "--budgets", "1"],
                {"d": 1, "families": [[{"parts": [[lo, "1/2"]]}]]}) for lo in (0, 0.0, None)]
+    # a rational is "p/q" or "p" and nothing else, though Fraction() reads each of these
+    cases += [(["dinterval", "cover", "{}", "--budgets", "1"],
+               {"d": 1, "families": [[{"parts": [["0", hi]]}]]})
+              for hi in ("0.5", "1e0", "1_0/20", " 3/4 ", "+1")]
     cases += [(["cake", "check", "--instance", "2n2nn", "--n", "2", "--partition", "{}"], p)
               for p in ([[0.5, 0.5], [0.5, 0.5]], [["1/2", "1/2"], ["1/0", "1"]],
                         [["1"], ["1/2", "1/2"]], [["1/2", "1/2"], ["1/3", "1/3", "1/3"]],
-                        [["1/2", "1/2"]])]
+                        [["1/2", "1/2"]], [["0.5", "1/2"], ["1", "0"]])]
     for argv, data in cases:
         path = write(tmp_path, "in.json", data)
         code, out = run(capsys, *[path if a == "{}" else a for a in argv])
@@ -269,6 +273,9 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["nu", str(bad)]) == 2
     for r in ("1/0", "abc"):
         assert main(["construct", "main_negative", "--n", "3", "--r", r, "--k", "1"]) == 2
+    # --r 2 builds (n, r, k) = (5, 2, 9); no other spelling of 2 is a rational
+    for r in ("2.0", "2e0", " 2", "+2", "2/1 "):
+        assert main(["construct", "main_negative", "--n", "5", "--r", r, "--k", "9"]) == 2, r
     for argv in (["mlessn2", "--k", "1", "--n", "1"], ["mlessn2", "--k", "1", "--n", "0"],
                  ["main_negative", "--n", "0", "--r", "1", "--k", "0"]):
         assert main(["construct", *argv]) == 2

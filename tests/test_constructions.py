@@ -114,6 +114,31 @@ def test_main_negative_validation():
         cons.main_negative(0, 1, 0)  # k = 0 would divide
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_main_negative_r_is_int_or_fraction(bad):
+    with pytest.raises(ValueError, match="r must be int or Fraction"):
+        cons.main_negative(5, bad, 9)
+    with pytest.raises(ValueError, match="r must be int or Fraction"):
+        cons.main_negative_bound(5, bad)
+
+
+@pytest.mark.parametrize("bad", [4.0, True, Fraction(4)])
+def test_integer_parameters_are_ints(bad):
+    """A float, a bool or a Fraction is no int, even when it equals one."""
+    calls = {"n": [lambda x: cons.nnn_tight(x), lambda x: cons.drisko(x),
+                   lambda x: cons.mlessn(3, x), lambda x: cons.mlessn2(3, x),
+                   lambda x: cons.main_negative(x, 2, 9), lambda x: cons.main_negative_bound(x, 2),
+                   lambda x: cons.zeta_counterexample(x), lambda x: cons.conj_nn(x, 1)],
+             "k": [lambda x: cons.mlessn(x, 4), lambda x: cons.mlessn2(x, 4),
+                   lambda x: cons.main_negative(5, 2, x)],
+             "q": [lambda x: cons.truncated_projective(x)],
+             "variant": [lambda x: cons.conj_nn(4, x)]}
+    for name, builders in calls.items():
+        for build in builders:
+            with pytest.raises(ValueError, match=f"^{name} must be int, not"):
+                build(bad)
+
+
 def test_zeta_counterexample_structure():
     g, f = cons.zeta_counterexample(3)
     assert g.b_size == 3 and g.c_size == 4

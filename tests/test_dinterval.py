@@ -51,9 +51,9 @@ def test_dinterval_validation():
     with pytest.raises(ValueError, match="d >= 1 parts"):
         DInterval([])
     for lo in (0.1, True, "0"):
-        with pytest.raises(ValueError, match="endpoint must be Fraction"):
+        with pytest.raises(ValueError, match="endpoint must be int or Fraction"):
             DInterval([(lo, Fraction(1, 2))])
-        with pytest.raises(ValueError, match="endpoint must be Fraction"):
+        with pytest.raises(ValueError, match="endpoint must be int or Fraction"):
             DInterval([(Fraction(0), Fraction(1)), (Fraction(0), lo)])
     assert DInterval([(0, Fraction(1, 2))]).parts == ((Fraction(0), Fraction(1, 2)),)
     for d in (0, -1):

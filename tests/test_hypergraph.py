@@ -20,7 +20,7 @@ from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                check_side_sizes,
                                degrees, is_balanced, max_matching, neighborhood, nu,
                                nu_oracle, nu_star, random_balanced)
-from test_rational import _vertices
+from test_rational import _fraction_simplex, _vertices
 
 PASCH_EDGES = [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
 
@@ -243,6 +243,31 @@ def small_hypergraphs(draw):
     sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)]))
     edge = st.tuples(*(st.integers(1, a) for a in sizes))
     return PartiteHypergraph(sizes, draw(st.lists(edge, max_size=5, unique=True)))
+
+
+CAPS = {"cap 1": lambda a: ONE, "cap 1/a_t": lambda a: Fraction(1, a)}
+
+
+@st.composite
+def wider_hypergraphs(draw):
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (3, 3, 3),
+                                  (2, 3, 4)]))
+    edge = st.tuples(*(st.integers(1, a) for a in sizes))
+    return PartiteHypergraph(sizes, draw(st.lists(edge, max_size=10, unique=True)))
+
+
+@pytest.mark.parametrize("cap", CAPS.values(), ids=CAPS.keys())
+@settings(max_examples=400, deadline=None)
+@given(wider_hypergraphs())
+def test_capped_matching_matches_fraction_simplex(cap, h):
+    """The LP that `_capped_matching` solves, on integer right sides in units
+    of 1/L, takes the pivots of the rational tableau on the caps themselves:
+    once scaled back, the same value, point and dual."""
+    rows = [([int(e[t - 1] == j) for e in h.edges], cap(a))
+            for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
+    res = _capped_matching(h, cap)
+    assert (res.value, res.point, res.dual) == _fraction_simplex(
+        len(h.edges), rows, [1] * len(h.edges))
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,3 +68,34 @@ def test_no_recursive_closures():
                         isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
                     recursive.add(f"{path.name}:{inner.lineno} {inner.name}")
     assert not recursive, f"recursive nested functions: {sorted(recursive)}"
+
+
+def _fraction_name(node):
+    return isinstance(node, ast.Name) and node.id == "Fraction"
+
+
+def _rational_checks(tree):
+    """(line, what) for each way a module could check or scale a rational by
+    itself: reading `.numerator`, calling `checked(x, Fraction, ...)`, or
+    comparing a `type(...)` with `Fraction`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "numerator":
+            yield node.lineno, ".numerator"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "checked" and len(node.args) > 1
+              and _fraction_name(node.args[1])):
+            yield node.lineno, "checked(..., Fraction, ...)"
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name)
+                   and x.func.id == "type" for x in operands) and any(map(_fraction_name, operands)):
+                yield node.lineno, "type(...) compared with Fraction"
+
+
+def test_only_rational_checks_and_scales_rationals():
+    """`rational.exact` is the one int-or-Fraction check and
+    `rational.over_lcd` the one scaling of rationals to integers; no other
+    module repeats either."""
+    found = [f"{path.name}:{line} {what}" for path in SOURCES if path.name != "rational.py"
+             for line, what in _rational_checks(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, f"rationals checked or scaled outside rational.py: {found}"

@@ -518,6 +518,19 @@ def test_con_certificate_bound_and_errors():
         con_certificate(column, WeightFunction({e: 2 for e in column.edges}), 1)
 
 
+@pytest.mark.parametrize("bad", [1.1, 2.0, True, "2"])
+def test_con_inputs_are_int_or_fraction(bad):
+    g = Multigraph(1, 2, [(1, 1, 0), (1, 2, 0)])
+    f = WeightFunction({(1, 1, 0): 2, (1, 2, 0): 2})
+    with pytest.raises(ValueError, match="s must be int or Fraction"):
+        con_certificate(g, f, bad)
+    with pytest.raises(ValueError, match="s must be int or Fraction"):
+        con_lower_bound(4, bad)
+    with pytest.raises(ValueError, match=r"\|f\| must be int or Fraction"):
+        con_lower_bound(bad, 1)
+    assert (con_lower_bound(Fraction(7, 2), Fraction(3, 4)), con_lower_bound(7, 1)) == (1, 2)
+
+
 def test_con_certificate_single_heavy_cell():
     g = Multigraph(1, 1, [(1, 1, 0)])
     f = WeightFunction({(1, 1, 0): 2})
