@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import constructions as cons
@@ -110,17 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eta", help="homological connectivity of a complex")
     p.add_argument("complex", type=_document(jsonio.complex_from_json))
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=_integer, default=6)
 
     p = sub.add_parser("psi", help="deletion/explosion game value of a graph")
     p.add_argument("graph", type=_document(jsonio.graph_from_json))
 
     p = sub.add_parser("hall-check", help="topological Hall condition, d = 3")
     p.add_argument("hypergraph", type=hypergraph)
-    p.add_argument("--deficiency", type=int, default=0)
+    p.add_argument("--deficiency", type=_integer, default=0)
 
     # every parameter of a family is required but conj_nn's --variant
-    types = {"n": int, "k": int, "r": _rational, "q": int, "variant": int}
+    types = {"n": _integer, "k": _integer, "r": _rational, "q": _integer, "variant": _integer}
     p = sub.add_parser("construct", help="emit a named construction")
     actions = p.add_subparsers(dest="name", required=True)
     for name, (_, flags) in CONSTRUCTIONS.items():
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="generators of the balanced cone")
     p.add_argument("--sides", type=_sides, required=True, help="e.g. 2,2")
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=_integer, required=True)
 
     p = sub.add_parser("dinterval", help="d-interval covers and matchings")
     actions = p.add_subparsers(dest="action", required=True)
@@ -139,25 +140,25 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (cover, rainbow):
         p.add_argument("families", type=_document(jsonio.families_from_json))
     cover.add_argument("--budgets", type=_sides, required=True, help="e.g. 1,1")
-    rainbow.add_argument("--target", type=int, required=True, help="matching size")
+    rainbow.add_argument("--target", type=_integer, required=True, help="matching size")
 
     p = sub.add_parser("cake", help="cake-division counterexample checks")
     actions = p.add_subparsers(dest="action", required=True)
     check, search = actions.add_parser("check"), actions.add_parser("search")
     for p in (check, search):
         p.add_argument("--instance", choices=["2n2nn", "nn2n2"], required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_integer, required=True)
     check.add_argument("--partition", type=_document(jsonio.partition_from_json),
                        required=True, help="partition JSON path")
-    search.add_argument("--q", type=int, default=6, help="grid resolution")
+    search.add_argument("--q", type=_integer, default=6, help="grid resolution")
 
     p = sub.add_parser("bm-search", help="minimum nu over balanced hypergraphs")
     modes = p.add_subparsers(dest="mode", required=True)
     exhaustive, sampled = modes.add_parser("exhaustive"), modes.add_parser("sampled")
     for p in (exhaustive, sampled):
         p.add_argument("--sides", type=_sides, required=True)
-    sampled.add_argument("--trials", type=int, default=1000)
-    sampled.add_argument("--edge-cap", type=int)
+    sampled.add_argument("--trials", type=_integer, default=1000)
+    sampled.add_argument("--edge-cap", type=_integer)
     sampled.add_argument("--seed", default="0")
 
     p = sub.add_parser("verify-all", help="run the verification suite")
@@ -184,8 +185,16 @@ def _rational(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _integer(text):
+    """An argparse type: an int spelled as an optional minus and digits, with
+    nothing around them; any other spelling is a usage error (exit 2)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _sides(text):
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_integer(x) for x in text.split(","))
 
 
 def _dispatch(args):

@@ -101,9 +101,10 @@ def mlessn_bound(k: int, n: int) -> int:
     """Exact nu of mlessn(k, n): x H_1-edges leave min(k-m, 2(m-x)) slots in
     H_2 (+1 via H_3 when n is odd), and every mixed count is attainable.
     The worst case over admissible k is floor(3n/4) resp. floor((3n+1)/4)."""
-    m = n // 2
+    m = checked(n, int, "n") // 2
+    kp = checked(k, int, "k") - m
     extra = 1 if n % 2 else 0
-    return max(x + min(k - m, 2 * (m - x) + extra) for x in range(m + 1))
+    return max(x + min(kp, 2 * (m - x) + extra) for x in range(m + 1))
 
 
 def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
@@ -144,7 +145,7 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
 
 
 def mlessn2_bound(k: int, n: int) -> int:
-    return min(k, math.ceil(Fraction(n, 2)))
+    return min(checked(k, int, "k"), math.ceil(Fraction(checked(n, int, "n"), 2)))
 
 
 def main_negative(n: int, r, k: int) -> Tuple[PartiteHypergraph, WeightFunction]:

@@ -102,6 +102,8 @@ def coverable(family: Sequence[DInterval], budgets) -> Optional[List[List[Fracti
     if not family:
         return [[] for _ in budgets]
     d = family[0].d
+    if any(iv.d != d for iv in family):
+        raise ValueError("all members must have the same d")
     if len(budgets) != d:
         raise ValueError("one budget per component required")
     lines = [_segments(family, t) for t in range(d)]

@@ -8,10 +8,8 @@ and so does the complex whose only face is the empty set.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -51,25 +49,25 @@ class Graph:
 
 class SimplicialComplex:
     """A complex on the vertices 1..vertex_count, the downward closure of the
-    given sets; two complexes are equal when their facets are.
+    given sets.
 
     No sets means the void complex (no faces); a single empty set means the
     complex whose only face is the empty set.  Faces are listed by one walk,
     for given sets and for `independence_complex(g)` alike, and `.facets`
     reads the faces of that walk that no vertex extends.  For given sets that
     read lists every face, exponentially many in the size of the largest set;
-    only `==`, `hash` and `repr` use it.
+    only the benchmark tracer and the tests use it.
     """
 
     # Faces are listed level by level: each face (v1 < ... < vk) carries a
     # state bitmask, a vertex v > vk extends it when state & _key[v] is
     # nonzero, and the extended face has the state state & _child[v].  A face
-    # is a facet when its state meets no _key[v]; _start is the state of the
-    # empty face, 0 when the complex is void.  Given sets, set i owns a bit
-    # (i, -), kept while set i contains the face, and a bit (i, w) for each
-    # vertex w of set i outside the face: _key[v] holds the (i, v) bits and
-    # _child[v] the bits of each set containing v but its (i, v).  The walk
-    # stops at the largest vertex of any set, len(_key) - 1.
+    # of k vertices is a facet when its state meets no _larger[k]; _start is
+    # the state of the empty face, 0 when the complex is void.  Given sets,
+    # set i owns bit i, so a face's state is the sets that contain it:
+    # _key[v] and _child[v] are both the sets that contain v, and _larger[k]
+    # the sets of more than k vertices.  The walk stops at the largest vertex
+    # of any set, len(_key) - 1.
 
     def __init__(self, vertex_count, facets):
         if checked(vertex_count, int, "vertex count") < 0:
@@ -79,33 +77,19 @@ class SimplicialComplex:
         if vertices and not 1 <= vertices[0] <= vertices[-1] <= vertex_count:
             raise ValueError("facet vertex out of range")
         self.vertex_count = vertex_count
-        self._start = 0
-        self._key = [0] * (vertices[-1] + 1 if vertices else 1)
-        self._child = list(self._key)
-        for f in fs:
-            low = self._start.bit_length()  # the bit (i, -), then one (i, v) per v
-            own = (2 << len(f)) - 1 << low
-            for k, v in enumerate(f, start=low + 1):
-                self._key[v] |= 1 << k
-                self._child[v] |= own ^ 1 << k
-            self._start |= own
+        self._start = (1 << len(fs)) - 1
+        self._key = self._child = [0] * (vertices[-1] + 1 if vertices else 1)
+        self._larger = [0] * (max(map(len, fs), default=0) + 1)
+        for i, f in enumerate(fs):
+            for v in f:
+                self._key[v] |= 1 << i
+            for k in range(len(f)):
+                self._larger[k] |= 1 << i
 
     @property
     def facets(self) -> Tuple[FrozenSet[int], ...]:
-        extenders = functools.reduce(operator.or_, self._key, 0)
-        return tuple(sorted((frozenset(face) for level in self._levels()
-                             for face, state in level if not state & extenders), key=sorted))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertex_count, self.facets) == (other.vertex_count, other.facets)
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.facets))
-
-    def __repr__(self):
-        return f"SimplicialComplex(vertex_count={self.vertex_count!r}, facets={self.facets!r})"
+        return tuple(sorted((frozenset(face) for level, larger in zip(self._levels(), self._larger)
+                             for face, state in level if not state & larger), key=sorted))
 
     @property
     def is_void(self) -> bool:
@@ -137,7 +121,7 @@ def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
 def betti(c: SimplicialComplex, j: int) -> int:
     """dim of the j-th reduced rational homology group (j >= -1), read off
     `_betti_scan`; 0 when the complex has no faces of dimension j."""
-    if j < -1:
+    if checked(j, int, "j") < -1:
         raise ValueError("j must be >= -1")
     return next((b for i, b in _betti_scan(c, j) if i == j), 0)
 
@@ -203,12 +187,14 @@ def independence_complex(g: Graph) -> SimplicialComplex:
 
     A face's state is bit 0 plus the vertices outside it adjacent to none of
     it; _key[v] is {v} for v >= 1 and _key[0] = 0, so bit 0 keeps the state
-    of every face nonzero and the facets are the faces no vertex extends."""
+    of every face nonzero.  Every _larger[k] is the vertex bits 1..n, so the
+    facets are the faces no vertex extends."""
     n = g.vertex_count
     c = SimplicialComplex.__new__(SimplicialComplex)  # the tables below are all it holds
     c.vertex_count = n
     c._start = (2 << n) - 1  # bits 0..n
     c._key = [0] + [1 << v for v in range(1, n + 1)]
+    c._larger = [c._start - 1] * (n + 1)
     closed = list(c._key)  # v and its neighbours
     for u, v in g.edges:
         closed[u] |= 1 << v

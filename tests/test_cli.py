@@ -62,7 +62,8 @@ def test_weights_roundtrip():
 
 def test_complex_and_graph_roundtrip():
     c = jsonio.complex_from_json({"vertices": 3, "facets": [[1, 2], [3]]})
-    assert c == SimplicialComplex(3, [{1, 2}, {3}])
+    expected = SimplicialComplex(3, [{1, 2}, {3}])
+    assert (c.vertex_count, c.facets) == (expected.vertex_count, expected.facets)
     g = jsonio.graph_from_json({"vertices": 3, "edges": [[1, 2]]})
     assert g == Graph(3, [(1, 2)])
 
@@ -276,6 +277,27 @@ def test_usage_errors(tmp_path, capsys):
     # --r 2 builds (n, r, k) = (5, 2, 9); no other spelling of 2 is a rational
     for r in ("2.0", "2e0", " 2", "+2", "2/1 "):
         assert main(["construct", "main_negative", "--n", "5", "--r", r, "--k", "9"]) == 2, r
+    # an int flag, and each part of --sides and --budgets, is spelled -?[0-9]+
+    assert main(["construct", "drisko", "--n", "+3"]) == 2
+    assert main(["hilbert", "--sides", " 2,+2", "--cap", "1_0"]) == 2
+    c = write(tmp_path, "c.json", {"vertices": 2, "facets": [[1], [2]]})
+    h = write(tmp_path, "h3.json", {"sides": [2, 2, 2], "edges": [[1, 1, 1], [2, 2, 2]]})
+    f = write(tmp_path, "f1.json", {"d": 1, "families": [[{"parts": [["0", "1"]]}]]})
+    for flag, argv in [("--n", ["construct", "drisko"]), ("--k", ["construct", "mlessn2", "--n=4"]),
+                       ("--q", ["construct", "truncated_projective"]),
+                       ("--variant", ["construct", "conj_nn", "--n=4"]),
+                       ("--cap", ["eta", c]), ("--cap", ["hilbert", "--sides=2,2"]),
+                       ("--deficiency", ["hall-check", h]),
+                       ("--target", ["dinterval", "rainbow", f]),
+                       ("--budgets", ["dinterval", "cover", f]),
+                       ("--n", ["cake", "search", "--instance=2n2nn", "--q=2"]),
+                       ("--q", ["cake", "search", "--instance=2n2nn", "--n=2"]),
+                       ("--trials", ["bm-search", "sampled", "--sides=2,2"]),
+                       ("--edge-cap", ["bm-search", "sampled", "--sides=2,2", "--trials=2"]),
+                       ("--sides", ["bm-search", "exhaustive"])]:
+        assert main([*argv, f"{flag}=3"]) != 2, (flag, argv)
+        for bad in ("+3", " 3", "3 ", "1_0", "3.0", "\u0663"):
+            assert main([*argv, f"{flag}={bad}"]) == 2, (flag, argv, bad)
     for argv in (["mlessn2", "--k", "1", "--n", "1"], ["mlessn2", "--k", "1", "--n", "0"],
                  ["main_negative", "--n", "0", "--r", "1", "--k", "0"]):
         assert main(["construct", *argv]) == 2

@@ -127,9 +127,11 @@ def test_integer_parameters_are_ints(bad):
     """A float, a bool or a Fraction is no int, even when it equals one."""
     calls = {"n": [lambda x: cons.nnn_tight(x), lambda x: cons.drisko(x),
                    lambda x: cons.mlessn(3, x), lambda x: cons.mlessn2(3, x),
+                   lambda x: cons.mlessn_bound(3, x), lambda x: cons.mlessn2_bound(3, x),
                    lambda x: cons.main_negative(x, 2, 9), lambda x: cons.main_negative_bound(x, 2),
                    lambda x: cons.zeta_counterexample(x), lambda x: cons.conj_nn(x, 1)],
              "k": [lambda x: cons.mlessn(x, 4), lambda x: cons.mlessn2(x, 4),
+                   lambda x: cons.mlessn_bound(x, 4), lambda x: cons.mlessn2_bound(x, 4),
                    lambda x: cons.main_negative(5, 2, x)],
              "q": [lambda x: cons.truncated_projective(x)],
              "variant": [lambda x: cons.conj_nn(4, x)]}

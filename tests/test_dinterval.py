@@ -87,6 +87,11 @@ def test_coverable_trivial_cases():
     for budgets in ((1.5, 1), (1.0, 1), (True, 1)):
         with pytest.raises(ValueError, match="budget must be int"):
             coverable([iv], budgets)
+    # a member of another d is refused whichever member comes first
+    a = di((0, "1/2"))
+    for family, budgets in (([a, iv], (1,)), ([iv, a], (1, 1))):
+        with pytest.raises(ValueError, match="all members must have the same d"):
+            coverable(family, budgets)
 
 
 def test_coverable_two_disjoint():

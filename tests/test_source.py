@@ -29,6 +29,37 @@ def _referenced(tree, path):
                 yield path, node.lineno, alias.name
 
 
+def _imported(tree):
+    """(line, name) for every name an import statement binds, but those of
+    `from __future__` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _exported(tree):
+    """The names listed in a module-level `__all__`."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """Each name a module imports is referred to in it, or listed in its
+    `__all__`: an import left behind by a deletion is dead code."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = [f"{line} {name}" for line, name in _imported(tree) if name not in used]
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
 def test_every_definition_is_used():
     """Each function and class is reached from `balmat` itself, not only from
     tests: some code outside its own body refers to it by name.  Dunders, and

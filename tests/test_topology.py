@@ -61,6 +61,9 @@ def test_vertices_must_be_ints():
 def test_betti_rejects_dimension_below_minus_one():
     with pytest.raises(ValueError, match="j must be >= -1"):
         betti(circle(), -2)
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="j must be int"):
+            betti(circle(), bad)
 
 
 def test_betti_empty_complex():
@@ -137,8 +140,11 @@ def maximal_sets(sets):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
+@example([])  # void: no facets
+@example([set()])  # the empty face is the one facet
+@example([{1, 2}, {1, 2}, {1}])  # a repeated set is one facet
 def test_facets_are_the_maximal_sets(sets):
-    assert set(SimplicialComplex(6, sets).facets) == maximal_sets(sets)
+    assert SimplicialComplex(6, sets).facets == tuple(sorted(maximal_sets(sets), key=sorted))
 
 
 def faces_from_sets(sets, j):
@@ -194,13 +200,12 @@ def test_independence_complex_walk_matches_its_facet_complex(g):
 @settings(max_examples=100, deadline=None)
 @given(graphs(8))
 def test_independence_complex_facets_are_maximal_independent_sets(g):
-    """Equal complexes, equal hashes, and the facets the face walk finds are
-    the maximal independent sets found by brute force."""
+    """The facets the face walk finds are the maximal independent sets found
+    by brute force, as the complex of those sets reads them."""
     expected = SimplicialComplex(g.vertex_count, maximal_sets(independent_sets(g)))
-    assert independence_complex(g) == expected
     c = independence_complex(g)
-    assert hash(c) == hash(expected) and not c.is_void
-    assert c.facets == expected.facets
+    assert not c.is_void
+    assert (c.vertex_count, c.facets) == (expected.vertex_count, expected.facets)
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,14 +258,13 @@ def test_rp2_has_no_rational_homology():
 
 def test_independence_complex_path():
     g = Graph(3, [(1, 2), (2, 3)])
-    c = independence_complex(g)
-    assert frozenset({1, 3}) in c.facets
-    assert frozenset({2}) in c.facets
+    assert independence_complex(g).facets == (frozenset({1, 3}), frozenset({2}))
 
 
 def test_matching_complex_is_independence_of_line_graph():
     mg = Multigraph(2, 2, [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)])
-    assert matching_complex(mg) == independence_complex(line_graph(mg))
+    c, expected = matching_complex(mg), independence_complex(line_graph(mg))
+    assert (c.vertex_count, c.facets) == (expected.vertex_count, expected.facets)
     # the 4-cycle's matching complex is two disjoint edges of pairings
     assert eta(matching_complex(mg), 6).value == 1
 
