@@ -4,7 +4,14 @@ Rank over the rationals is exact fraction-free integer elimination: sparse
 integer rows are combined by integer multiples, so homology ranks never build
 a `Fraction`.  Each row is reduced on its highest column, as in the standard
 boundary-matrix reduction, and a caller that has proven an upper bound on the
-rank passes it as a ceiling, at which the elimination stops.  The LP has one
+rank passes it as a ceiling, at which the elimination stops.  `rank_mod2`
+is the same elimination over GF(2) on rows that are int bitmasks, one XOR
+per step.  Rows independent mod 2 are independent over Q, since an integer
+minor that is odd is not zero, so the GF(2) rank of integer rows reduced
+mod 2 is at most their rational rank.  It certifies the rational rank only
+when it reaches a ceiling proven for the rational rank: then both equal
+the ceiling.  Short of it, it decides nothing (torsion, as in RP^2, makes
+it fall short), and the caller ranks over Q.  The LP has one
 form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
 the slack basis at x = 0 starts it feasible.  Its entries are ints, and
 the simplex pivots a fraction-free integer dictionary (Edmonds 1967) of the
@@ -129,6 +136,28 @@ def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) 
                 if content > 1:
                     for c in r:
                         r[c] //= content
+    return rank
+
+
+def rank_mod2(rows: Iterable[int], ceiling: Optional[int] = None) -> int:
+    """Rank over GF(2) of rows given as ints, bit c of a row its entry in
+    column c.  Each row is reduced on its highest set bit by XOR with the
+    pivot that has the same highest bit; `ceiling` stops the elimination as
+    in `rank_of_rows`.  Over Q this is a lower bound on the rank of integer
+    rows whose odd entries are the set bits (see the module docstring)."""
+    rank = 0
+    pivots: dict = {}  # row.bit_length() -> the pivot row with that highest bit
+    for row in rows:
+        if rank == ceiling:
+            break
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                rank += 1
+                break
+            row ^= pivot
     return rank
 
 

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, max_matching,
                          neighborhood)
-from .rational import ZERO, checked, exact, rank_of_rows
+from .rational import ZERO, checked, exact, rank_mod2, rank_of_rows
 
 # Game value for "an isolated vertex appeared".  It stays the float math.inf
 # because the benchmark's exact renderer (bench/workloads.py, text()) prints
@@ -109,10 +109,18 @@ class SimplicialComplex:
 
 def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
                    ceiling: int) -> int:
-    """Rank of the boundary map from span(upper) to span(lower), given an
-    upper bound on it (see `rank_of_rows`).  One row per face of upper, the
-    transpose of the boundary matrix, built only as the elimination reads it."""
+    """Rank over Q of the boundary map from span(upper) to span(lower), given
+    a proven upper bound on it.  One row per face of upper, the transpose of
+    the boundary matrix, built only as an elimination reads it.
+
+    The rank is taken over GF(2) first, a row being the bits of the face's
+    facets: it is at most the rational rank, so when it reaches the ceiling
+    the rational rank is the ceiling.  Otherwise the signed rows are ranked
+    over Q by `rank_of_rows`, which alone decides that case."""
     idx = {f: i for i, f in enumerate(lower)}
+    bits = (sum(1 << idx[face[:i] + face[i + 1:]] for i in range(len(face))) for face in upper)
+    if rank_mod2(bits, ceiling) == ceiling:
+        return ceiling
     rows = ({idx[face[:i] + face[i + 1:]]: (-1) ** i for i in range(len(face))}
             for face in upper)
     return rank_of_rows(rows, ceiling)
@@ -137,7 +145,8 @@ def _betti_scan(c: SimplicialComplex, top: int):
     ceiling len(fj) - rank_in, the dimension of the kernel of the boundary
     out of dimension j: since the boundary of a boundary is zero, the image
     of the one lies in the kernel of the other.  Reaching the ceiling means
-    b_j = 0, and the rank found is exact either way.
+    b_j = 0, and the rank found is exact either way.  The same ceiling
+    certifies a rank taken over GF(2), which `_boundary_rank` tries first.
     """
     levels = ([face for face, _ in level] for level in c._levels())
     fj = next(levels, [])

@@ -1,13 +1,18 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import balmat
 from balmat import jsonio
 from balmat.cakecheck import Partition
 from balmat.cli import CONSTRUCTIONS, build_parser, main
@@ -191,6 +196,18 @@ def test_verify_all_subset(tmp_path, capsys):
     saved = json.loads(open(report).read())
     assert saved == json.loads(out)
     assert saved["pass"] is True
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m balmat` is the command line: same exit code, same stdout."""
+    code, out = run(capsys, "verify-all", "--only", "zeta")
+    src = str(Path(balmat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "balmat", "verify-all", "--only", "zeta"],
+                          env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert code == 0
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_verify_all_only_takes_check_names(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from balmat import topology
 from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction, _all_edges
+from balmat.rational import rank_of_rows
 from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, _canonical_edges,
                              betti, canonical_key, con_certificate, con_lower_bound, eta,
                              hall_check, independence_complex, line_graph,
@@ -211,16 +212,23 @@ def test_independence_complex_facets_are_maximal_independent_sets(g):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8),
        st.integers(1, 6))
+@example(facets=[{1, 2}, {1, 3, 4, 5}, {2, 3}], cap=3)  # b_1 = 1 below faces of dimension 2
 def test_eta_scan_matches_definition(facets, cap):
     """`betti` and `eta` both read `_betti_scan`; the oracle takes each Betti
     number from the faces of dimensions j - 1, j and j + 1 alone, and ranks
-    them with no ceiling but the row count."""
+    their signed boundary rows over Q with no ceiling, sharing no code with
+    the GF(2) path of `_boundary_rank`."""
     c = SimplicialComplex(6, facets)
+
+    def rank(lower, upper):
+        idx = {f: i for i, f in enumerate(lower)}
+        return rank_of_rows([{idx[f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
+                             for f in upper])
+
     oracle = []
     for j in range(-1, cap - 1):
         lower, fj, upper = (faces_of_dim(c, i) for i in (j - 1, j, j + 1))
-        oracle.append(len(fj) - topology._boundary_rank(lower, fj, len(fj))
-                      - topology._boundary_rank(fj, upper, len(upper)))
+        oracle.append(len(fj) - rank(lower, fj) - rank(fj, upper))
     assert [betti(c, j) for j in range(-1, cap - 1)] == oracle
     if c.is_void:
         expected = Eta(0, True)
@@ -230,12 +238,17 @@ def test_eta_scan_matches_definition(facets, cap):
     assert eta(c, cap) == expected
 
 
+def rp2():
+    """The 6-vertex triangulation of the real projective plane."""
+    return SimplicialComplex(6, [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
+                                 {2, 3, 4}, {2, 3, 5}, {2, 5, 6}, {3, 4, 6}, {4, 5, 6}])
+
+
 def test_rp2_has_no_rational_homology():
     """The 6-vertex RP^2 has H_1 = Z/2: zero over Q, nonzero over F_2.  A
     rank decided modulo 2 and reported as exact would read betti_1 = 1."""
-    rp2 = SimplicialComplex(6, [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
-                                {2, 3, 4}, {2, 3, 5}, {2, 5, 6}, {3, 4, 6}, {4, 5, 6}])
-    faces = {j: faces_of_dim(rp2, j) for j in range(3)}
+    c = rp2()
+    faces = {j: faces_of_dim(c, j) for j in range(3)}
     assert [len(faces[j]) for j in range(3)] == [6, 15, 10]
 
     def rank_mod2(lower, upper):
@@ -252,8 +265,24 @@ def test_rp2_has_no_rational_homology():
 
     assert len(faces[1]) - rank_mod2(faces[0], faces[1]) - rank_mod2(faces[1], faces[2]) == 1
     for j in range(-1, 3):
-        assert betti(rp2, j) == 0
-    assert eta(rp2, cap=4) == Eta(4, False)
+        assert betti(c, j) == 0
+    assert eta(c, cap=4) == Eta(4, False)
+
+
+def test_rp2_torsion_reaches_the_rational_fallback(monkeypatch):
+    """The boundary from triangles to edges of RP^2 has rank 10 over Q, its
+    ceiling, but 9 over GF(2): the GF(2) rank cannot certify it, and
+    `rank_of_rows` decides it.  Every other boundary rank reaches its ceiling
+    mod 2 and never gets there."""
+    ceilings = []
+
+    def counted(rows, ceiling=None):
+        ceilings.append(ceiling)
+        return rank_of_rows(rows, ceiling)
+
+    monkeypatch.setattr(topology, "rank_of_rows", counted)
+    assert list(topology._betti_scan(rp2(), 3)) == [(-1, 0), (0, 0), (1, 0), (2, 0)]
+    assert ceilings == [10]
 
 
 def test_independence_complex_path():
