@@ -2,13 +2,15 @@
 
 Every subcommand reads JSON from files, decoded while the arguments are
 parsed, writes a JSON result to stdout (and to --out when given), and exits 0
-on success, 1 on a failed check, 2 on usage or input errors.  All output is
-byte-deterministic for fixed inputs and seeds.
+on success, 1 on a failed check, 2 on usage or input errors, such as a flag
+named twice (`--x v` or `--x=v`), which `_Parser.parse_args` refuses first.
+All output is byte-deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -58,32 +60,22 @@ def main(argv=None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a flag only when spelled in full, and only once: a repeated flag
-    is a usage error, where argparse's default keeps the last value.  Its
-    subparsers share its class."""
+    """Reads a flag only when spelled in full, and only once.  Subparsers
+    share the class but call only `parse_known_args`; the root's `parse_args`
+    checks all of argv, where each --token before a bare -- names a flag:
+    every flag is a long store option, and argparse refuses values like --x."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-        self.register("action", None, _StoreOnce)
 
     def parse_args(self, args=None, namespace=None):
-        parsed = super().parse_args(args, namespace)
-        vars(parsed).pop(_StoreOnce.GIVEN, None)
-        return parsed
-
-
-class _StoreOnce(argparse.Action):
-    """argparse's `store`, but a flag already read on this parser's namespace
-    (each subparser parses into a fresh one) is a usage error."""
-    GIVEN = "_flags_given"
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string is not None:
-            given = vars(namespace).setdefault(self.GIVEN, set())
-            if self.dest in given:
-                parser.error(f"argument {option_string}: given more than once")
-            given.add(self.dest)
-        setattr(namespace, self.dest, values)
+        args = sys.argv[1:] if args is None else list(args)
+        names = [a.split("=")[0] for a in itertools.takewhile("--".__ne__, args)
+                 if a.startswith("--")]
+        for name in names:
+            if names.count(name) > 1:
+                self.error(f"argument {name}: given more than once")
+        return super().parse_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,14 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="also write the JSON result here")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nu", help="maximum matching size of a hypergraph")
-    p.add_argument("hypergraph", type=hypergraph)
-
-    p = sub.add_parser("nustar", help="fractional matching number")
-    p.add_argument("hypergraph", type=hypergraph)
-
-    p = sub.add_parser("balance", help="find a balanced weighting, if any")
-    p.add_argument("hypergraph", type=hypergraph)
+    for name, text in (("nu", "maximum matching size of a hypergraph"),
+                       ("nustar", "fractional matching number"),
+                       ("balance", "find a balanced weighting, if any")):
+        sub.add_parser(name, help=text).add_argument("hypergraph", type=hypergraph)
 
     p = sub.add_parser("eta", help="homological connectivity of a complex")
     p.add_argument("complex", type=_document(jsonio.complex_from_json))
@@ -255,13 +243,10 @@ def _dispatch(args):
         return {"q": args.q, "max_nu_D": best,
                 "argmax": jsonio.partition_to_json(arg)}, best < args.n
     if cmd == "bm-search":
-        if args.mode == "exhaustive":
-            report = bm_search_exhaustive(args.sides)
-        else:
-            report = bm_search_sampled(args.sides, args.seed, args.trials, args.edge_cap)
+        report = (bm_search_exhaustive(args.sides) if args.mode == "exhaustive" else
+                  bm_search_sampled(args.sides, args.seed, args.trials, args.edge_cap))
         payload = {"sides": list(report.side_sizes), "min_nu": report.min_nu,
-                   "exhaustive": report.exhaustive,
-                   "examined": report.examined,
+                   "exhaustive": report.exhaustive, "examined": report.examined,
                    "balanced": report.balanced_count}
         if report.witness is not None:
             payload["witness"] = jsonio.hypergraph_to_json(report.witness)

@@ -84,7 +84,6 @@ def mlessn(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
     if n % 2 == 0:
         for e in h2:
             weights[e] = Fraction(1, n)
-        edges = h1 + h2
     else:
         w2 = Fraction(1, n - 1) - Fraction(k, n * (n - 1) * (k - m))
         w3 = Fraction(k, n * (k - m))
@@ -92,8 +91,7 @@ def mlessn(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
             weights[e] = w2
         for e in h3:
             weights[e] = w3
-        edges = h1 + h2 + h3
-    h = PartiteHypergraph((k, n, n), edges)
+    h = PartiteHypergraph((k, n, n), list(weights))
     return h, WeightFunction(weights)
 
 
@@ -131,7 +129,6 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
         w4 = Fraction(kp, 2 * m)
         for e in h4:
             weights[e] = w4
-        edges = h1 + h4
     else:
         w3 = Fraction(k, n * kp)
         w4 = Fraction(kp, n - 1) - Fraction(k, n * (n - 1))
@@ -139,8 +136,7 @@ def mlessn2(k: int, n: int) -> Tuple[PartiteHypergraph, WeightFunction]:
             weights[e] = w3
         for e in h4:
             weights[e] = w4
-        edges = h1 + h3 + h4
-    h = PartiteHypergraph((k, n, n), edges)
+    h = PartiteHypergraph((k, n, n), list(weights))
     return h, WeightFunction(weights)
 
 
@@ -204,18 +200,14 @@ def zeta_counterexample(n: int) -> Tuple[Multigraph, WeightFunction]:
     y = Fraction(m + 1, m + N)
     x = Fraction(1, m + N)
     weights: Dict[tuple, Fraction] = {}
-    edges = []
     for i in range(1, m + 1):
         for j in range(1, N + 1):
-            edges.append((i, j, 0))
             weights[(i, j, 0)] = y
         for j in range(N + 1, N + m + 1):
-            edges.append((i, j, 0))
             weights[(i, j, 0)] = x
     for j in range(N + 1, N + m + 1):
-        edges.append((n, j, 0))  # the extra vertex "a" is index n
-        weights[(n, j, 0)] = Fraction(1)
-    g = Multigraph(n, m * m, edges)
+        weights[(n, j, 0)] = Fraction(1)  # the extra vertex "a" is index n
+    g = Multigraph(n, m * m, list(weights))
     return g, WeightFunction(weights)
 
 

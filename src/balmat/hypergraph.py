@@ -83,7 +83,9 @@ class WeightFunction:
         return sum((w for _, w in self.weights), ZERO)
 
 
-def check_hosted(h: PartiteHypergraph, f: WeightFunction):
+def check_hosted(h, f: WeightFunction):
+    """Every weighted edge of f is an edge of h, a PartiteHypergraph or a
+    Multigraph: only `h.edges` is read."""
     edge_set = set(h.edges)
     for e, _ in f.weights:
         if e not in edge_set:
@@ -279,7 +281,7 @@ def neighborhood(h: PartiteHypergraph, K) -> Multigraph:
     """
     if h.d != 3:
         raise ValueError("neighborhood extraction is implemented for d = 3 only")
-    K = set(K)
+    K = {checked(x, int, "member of K") for x in K}
     if any(not 1 <= x <= h.side_sizes[0] for x in K):
         raise ValueError("K must be a subset of side 1")
     edges = [(b, c, x) for (x, b, c) in h.edges if x in K]

@@ -67,20 +67,6 @@ def bm_search_exhaustive(side_sizes) -> SearchReport:
     return SearchReport(sizes, best_nu, witness, True, examined, balanced)
 
 
-def _sample_trial(sizes, universe, seed, trial, edge_cap):
-    """One sampled candidate from `universe`, every edge on sides `sizes`:
-    (nu, edges) when balanced, else None."""
-    rng = random.Random(f"{seed}:{trial}")
-    lo = max(sizes)
-    hi = min(len(universe), edge_cap)
-    size = rng.randint(lo, hi)
-    support = tuple(sorted(rng.sample(universe, size)))
-    h = PartiteHypergraph(sizes, support)
-    if balanced_certificate(h) is None:
-        return None
-    return (nu(h), support)
-
-
 def bm_search_sampled(side_sizes, seed, trials: int,
                       edge_cap: Optional[int] = None) -> SearchReport:
     """Seeded random search; reports an upper bound on the true minimum.
@@ -97,8 +83,14 @@ def bm_search_sampled(side_sizes, seed, trials: int,
         edge_cap = min(len(universe), 3 * max(sizes))
     if checked(edge_cap, int, "edge cap") < max(sizes):
         raise ValueError(f"edge cap must be >= the largest side {max(sizes)}, got {edge_cap}")
-    outcomes = [_sample_trial(sizes, universe, seed, t, edge_cap) for t in range(trials)]
-    hits = [o for o in outcomes if o is not None]
+    hits = []  # (nu, edges) of each balanced candidate
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{trial}")
+        size = rng.randint(max(sizes), min(len(universe), edge_cap))
+        support = tuple(sorted(rng.sample(universe, size)))
+        h = PartiteHypergraph(sizes, support)
+        if balanced_certificate(h) is not None:
+            hits.append((nu(h), support))
     if not hits:
         return SearchReport(sizes, None, None, False, trials, 0)
     val, support = min(hits)

@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, max_matching,
-                         neighborhood)
+from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, check_hosted,
+                         max_matching, neighborhood)
 from .rational import ZERO, checked, exact, rank_mod2, rank_of_rows
 
 # Game value for "an isolated vertex appeared".  It stays the float math.inf
@@ -444,12 +444,13 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     """Explosion count when CON plays the four-phase row/column order and NON
     replies exactly optimally, in Meshulam's game on the line graph L(g).
 
-    Requires f integral with values in {0, 1, 2}, row degrees <= 2s and
-    column degrees <= 2.  Leftover mutually-disconnected cells cost one
+    Requires f on edges of g, with values in {0, 1, 2}, row degrees <= 2s
+    and column degrees <= 2.  Leftover mutually-disconnected cells cost one
     explosion each (the real game value there is infinite, so this only
     lowers the count).  The result is >= ceil(|f| / (2s + 2)).  The game is
     played on `psi`'s int positions of L(g), with the same explosion move.
     """
+    check_hosted(g, f)
     s = exact(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")

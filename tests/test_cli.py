@@ -218,7 +218,7 @@ def test_verify_all_only_takes_check_names(capsys):
     assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == ["pasch", "zeta"]
 
 
-def test_repeated_flags_exit_2(tmp_path, capsys):
+def test_repeated_flags_exit_2(tmp_path, capsys, monkeypatch):
     """A flag given twice is a usage error on every parser, not a silent
     replacement of its first value, even when both values agree."""
     c = write(tmp_path, "c.json", {"vertices": 2, "facets": [[1], [2]]})
@@ -228,11 +228,32 @@ def test_repeated_flags_exit_2(tmp_path, capsys):
                  ["eta", c, "--cap=6", "--cap=6"],
                  ["--out", a, "--out", b, "verify-all", "--only", "pasch"],
                  ["bm-search", "sampled", "--sides=2,2", "--seed=1", "--seed=1"],
-                 ["construct", "conj_nn", "--n=3", "--variant=2", "--variant=2"]):
+                 ["construct", "conj_nn", "--n=3", "--variant=2", "--variant=2"],
+                 ["eta", c, "--cap=3", "--cap", "4"],
+                 ["eta", c, "--cap", "3", "--cap=4"],
+                 ["bm-search", "sampled", "--sides", "2,2", "--edge-cap", "3", "--edge-cap=3"],
+                 ["--out=" + a, "--out", b, "verify-all", "--only", "pasch"]):
         assert run(capsys, *argv) == (2, ""), argv
     assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
     code, out = run(capsys, "eta", c, "--cap", "3")
     assert code == 0 and json.loads(out)["eta"] >= 0
+    # the check runs in the parser itself, not only through main
+    with pytest.raises(SystemExit) as exc, redirect_stderr(StringIO()):
+        build_parser().parse_args(["eta", c, "--cap=3", "--cap", "3"])
+    assert exc.value.code == 2
+    # after a bare --, a token that starts with -- is a value, not a flag
+    (tmp_path / "--cap").write_text(json.dumps({"vertices": 2, "facets": [[1], [2]]}))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "eta", "--cap", "3", "--", "--cap") == (code, out)
+
+
+def test_help_exits_0(capsys):
+    """--help prints usage and exits 0, on the root parser and on an action's;
+    given twice, it is a repeated flag like any other."""
+    for argv in (["--help"], ["nu", "--help"], ["bm-search", "sampled", "--help"]):
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: balmat"), argv
+    assert run(capsys, "nu", "--help", "--help") == (2, "")
 
 
 def test_abbreviated_flags_exit_2(tmp_path, capsys):

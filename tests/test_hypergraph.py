@@ -427,6 +427,14 @@ def test_neighborhood_rejects_bad_side():
         neighborhood(pasch(), [3])
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1"])
+def test_neighborhood_members_of_K_are_ints(bad):
+    h = PartiteHypergraph((2, 2, 2), [(1, 1, 1)])
+    with pytest.raises(ValueError, match="member of K must be int"):
+        neighborhood(h, [bad])
+    assert neighborhood(h, [1]).edges == ((1, 1, 1),)
+
+
 def test_multigraph_distinct_labels():
     with pytest.raises(ValueError):
         Multigraph(2, 2, [(1, 1, 0), (1, 1, 0)])

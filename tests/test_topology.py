@@ -564,6 +564,16 @@ def test_con_inputs_are_int_or_fraction(bad):
     assert (con_lower_bound(Fraction(7, 2), Fraction(3, 4)), con_lower_bound(7, 1)) == (1, 2)
 
 
+def test_con_certificate_refuses_weights_off_the_graph():
+    """A weight on a cell that is not an edge of g is refused, as `degrees`
+    refuses it, not dropped from the count."""
+    g = Multigraph(2, 2, [(1, 1, 0), (2, 2, 0)])
+    f = WeightFunction({(1, 1, 0): 1, (2, 2, 0): 1, (1, 2, 0): 2})
+    with pytest.raises(ValueError, match=r"weighted edge \(1, 2, 0\) not in hypergraph"):
+        con_certificate(g, f, 1)
+    assert con_certificate(g, WeightFunction({(1, 1, 0): 1, (2, 2, 0): 1}), 1) == 2
+
+
 def test_con_certificate_single_heavy_cell():
     g = Multigraph(1, 1, [(1, 1, 0)])
     f = WeightFunction({(1, 1, 0): 2})
