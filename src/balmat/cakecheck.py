@@ -98,18 +98,16 @@ def instance_nn_2n2(n: int) -> DivisionInstance:
 
 def _nu_each(inst: DivisionInstance, points):
     """(nu^D, nums) at each point (lcd, nums), with nu once per distinct agent-slice
-    hypergraph: `values` maps each edge set, a bitmask over the edges seen so far,
-    to its nu."""
+    hypergraph: `values` maps each edge set to its nu."""
     sides = (inst.agent_count,) + inst.slice_counts
-    bits, values = {}, {}  # edge -> its bit in the keys; edge-set key -> nu
+    values = {}
     for lcd, nums in points:
         sets = inst.lists(lcd, nums)
         if len(sets) != inst.agent_count:
             raise ValueError(f"lists gave {len(sets)} sets for {inst.agent_count} agents")
-        edges = [(i,) + vec for i, acc in enumerate(sets, start=1) for vec in acc]
-        key = sum({1 << bits.setdefault(e, len(bits)) for e in edges})  # OR of the bits
+        key = frozenset((i,) + vec for i, acc in enumerate(sets, start=1) for vec in acc)
         if key not in values:
-            values[key] = nu(PartiteHypergraph(sides, edges))
+            values[key] = nu(PartiteHypergraph(sides, key))
         yield values[key], nums
 
 

@@ -255,6 +255,3 @@ def _dispatch(args):
     passed = all(r.passed for r in results)
     return {"checks": [r.to_json() for r in results], "pass": passed}, passed
 
-
-if __name__ == "__main__":
-    sys.exit(main())

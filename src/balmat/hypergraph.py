@@ -41,11 +41,6 @@ class PartiteHypergraph:
     def d(self) -> int:
         return len(self.side_sizes)
 
-    def vertices(self):
-        for t, a in enumerate(self.side_sizes, start=1):
-            for j in range(1, a + 1):
-                yield (t, j)
-
 
 def check_side_sizes(side_sizes) -> Tuple[int, ...]:
     """The side sizes as a tuple, when they are a non-empty list of ints
@@ -92,17 +87,22 @@ def check_hosted(h, f: WeightFunction):
             raise ValueError(f"weighted edge {e} not in hypergraph")
 
 
-def degrees(h: PartiteHypergraph, f: WeightFunction) -> Dict[Vertex, Fraction]:
+def degrees(h, f: WeightFunction) -> Dict[Vertex, Fraction]:
+    """deg_f(t, j), the weight f puts on the edges through vertex j of side t,
+    for every vertex of h, a PartiteHypergraph or a Multigraph, sides in
+    order, then indices.  An edge's vertices are its first len(h.side_sizes)
+    coordinates, so a multigraph edge's label is none of them."""
     check_hosted(h, f)
-    deg = {v: ZERO for v in h.vertices()}
+    d = len(h.side_sizes)
+    deg = {(t, j): ZERO for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)}
     for e, w in f.weights:
-        for t, j in enumerate(e, start=1):
-            deg[(t, j)] += w
+        for v in enumerate(e[:d], start=1):
+            deg[v] += w
     return deg
 
 
-def is_balanced(h: PartiteHypergraph, f: WeightFunction) -> bool:
-    """Exact per-side constant-degree check."""
+def is_balanced(h, f: WeightFunction) -> bool:
+    """Exact per-side constant-degree check, h as for `degrees`."""
     deg = degrees(h, f)
     for t, a in enumerate(h.side_sizes, start=1):
         side = [deg[(t, j)] for j in range(1, a + 1)]
@@ -253,14 +253,17 @@ def _oracle_state(masks, i, used, memo) -> int:
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Bipartite multigraph with sides B, C; parallel edges carry labels."""
+    """Bipartite multigraph with sides B (rows, side 1) and C (columns,
+    side 2), sizes as `check_side_sizes` accepts; parallel edges carry
+    labels.  `side_sizes` and `edges` are read as a PartiteHypergraph's are,
+    so `degrees` and `is_balanced` take either."""
 
     b_size: int
     c_size: int
     edges: Tuple[Tuple[int, int, object], ...]  # (b, c, label), labels distinct
 
     def __init__(self, b_size, c_size, edges):
-        b_size, c_size = checked(b_size, int, "side size"), checked(c_size, int, "side size")
+        b_size, c_size = check_side_sizes((b_size, c_size))
         es = tuple(sorted((checked(b, int, "endpoint"), checked(c, int, "endpoint"), lab)
                           for b, c, lab in edges))
         if len({e for e in es}) != len(es):
@@ -271,6 +274,10 @@ class Multigraph:
         object.__setattr__(self, "b_size", b_size)
         object.__setattr__(self, "c_size", c_size)
         object.__setattr__(self, "edges", es)
+
+    @property
+    def side_sizes(self) -> Tuple[int, int]:
+        return self.b_size, self.c_size
 
 
 def neighborhood(h: PartiteHypergraph, K) -> Multigraph:

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from .dinterval import DInterval, coverable
 from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
-                         _all_edges, balanced_certificate, check_side_sizes, nu)
+                         _all_edges, balanced_certificate, check_side_sizes, degrees, nu)
 from .rational import checked
 from .topology import Graph, canonical_key
 
@@ -149,10 +149,7 @@ def random_weighted_multigraph(seed):
             weights[(r2, c, 0)] = 1
     g = Multigraph(rows, cols, list(weights))
     f = WeightFunction({e: Fraction(w) for e, w in weights.items()})
-    row_deg: Dict[int, int] = {}
-    for (b, _, _), w in weights.items():
-        row_deg[b] = row_deg.get(b, 0) + w
-    s = max(1, -(-max(row_deg.values()) // 2))
+    s = max(1, -(-max(d for (t, _), d in degrees(g, f).items() if t == 1) // 2))
     return g, f, s
 
 

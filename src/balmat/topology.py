@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, check_hosted,
+from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, degrees,
                          max_matching, neighborhood)
 from .rational import ZERO, checked, exact, rank_mod2, rank_of_rows
 
@@ -445,12 +445,13 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     replies exactly optimally, in Meshulam's game on the line graph L(g).
 
     Requires f on edges of g, with values in {0, 1, 2}, row degrees <= 2s
-    and column degrees <= 2.  Leftover mutually-disconnected cells cost one
-    explosion each (the real game value there is infinite, so this only
-    lowers the count).  The result is >= ceil(|f| / (2s + 2)).  The game is
-    played on `psi`'s int positions of L(g), with the same explosion move.
+    and column degrees <= 2, the degrees being `degrees(g, f)` on sides 1
+    and 2.  Leftover mutually-disconnected cells cost one explosion each
+    (the real game value there is infinite, so this only lowers the count).
+    The result is >= ceil(|f| / (2s + 2)).  The game is played on `psi`'s
+    int positions of L(g), with the same explosion move.
     """
-    check_hosted(g, f)
+    deg = degrees(g, f)
     s = exact(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -459,14 +460,9 @@ def con_certificate(g: Multigraph, f: WeightFunction, s) -> int:
     w = {cell: weights.get(cell, ZERO) for cell in cells}
     if any(x not in (0, 1, 2) for x in w.values()):
         raise ValueError("weights must be in {0, 1, 2}")
-    row_deg, col_deg = Counter(), Counter()
-    for (b, c, _), x in w.items():
-        row_deg[b] += x
-        col_deg[c] += x
-    if any(d > 2 * s for d in row_deg.values()):
-        raise ValueError("row degree exceeds 2s")
-    if any(d > 2 for d in col_deg.values()):
-        raise ValueError("column degree exceeds 2")
+    for (side, _), d in deg.items():  # every row before any column
+        if d > (2 * s if side == 1 else 2):
+            raise ValueError("row degree exceeds 2s" if side == 1 else "column degree exceeds 2")
 
     lg = line_graph(g)  # vertex i is cells[i - 1]
     offers = sorted((_con_phase(cells[i - 1], cells[k - 1], w), i, k)

@@ -13,7 +13,7 @@ from . import constructions as cons
 from .cakecheck import grid_max, instance_2n2_nn, instance_nn_2n2
 from .dinterval import DIntervalFamilies, rainbow_matching
 from .hilbert import hilbert_basis
-from .hypergraph import (PartiteHypergraph, balanced_certificate, is_balanced,
+from .hypergraph import (PartiteHypergraph, balanced_certificate, degrees, is_balanced,
                          nu, nu_oracle, nu_star, random_balanced)
 from .search import (bm_search_exhaustive, random_graph, random_knn_balanced,
                      random_two_interval_family, random_weighted_multigraph)
@@ -240,14 +240,9 @@ def check_zeta() -> CheckResult:
     """The bipartite zeta witness: stated degrees and H_1(M(G)) nonzero."""
     n = 3
     g, f = cons.zeta_counterexample(n)
-    wdict = f.as_dict()
-    deg_a: Dict[int, Fraction] = {}
-    deg_b: Dict[int, Fraction] = {}
-    for (b, c, lab), w in wdict.items():
-        deg_a[b] = deg_a.get(b, Fraction(0)) + w
-        deg_b[c] = deg_b.get(c, Fraction(0)) + w
-    got = (sorted(set(deg_a.values())), sorted(set(deg_b.values())),
-           betti(matching_complex(g), n - 2) != 0)
+    deg = degrees(g, f)
+    rows, cols = ({x for (t, _), x in deg.items() if t == side} for side in (1, 2))
+    got = (sorted(rows), sorted(cols), betti(matching_complex(g), n - 2) != 0)
     expected = ([Fraction(n - 1)], [Fraction(n, n - 1)], True)
     return CheckResult("zeta", "degrees (n-1, n/(n-1)); betti(M(G), n-2) != 0",
                        {"n": n}, expected, got, got == expected)

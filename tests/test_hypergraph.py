@@ -90,6 +90,38 @@ def test_degrees_rejects_unhosted_edge():
         is_balanced(h, WeightFunction({(1, 3): 1}))
 
 
+@st.composite
+def weighted_multigraphs(draw):
+    """A Multigraph on 1-4 rows and 1-4 columns whose parallel edges carry
+    distinct labels, and nonnegative Fraction weights on some of its edges."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(1, rows), st.integers(1, cols)), max_size=10))
+    g = Multigraph(rows, cols, [(b, c, label) for label, (b, c) in enumerate(cells)])
+    weighted = draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
+    weights = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    return g, WeightFunction({e: draw(weights) for e in weighted})
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_multigraphs(), st.data())
+def test_degrees_on_multigraphs_match_row_and_column_sums(gf, data):
+    g, f = gf
+    weights = f.as_dict()
+    sums = {(1, b): sum((w for (r, _, _), w in weights.items() if r == b), Fraction(0))
+            for b in range(1, g.b_size + 1)}
+    sums.update({(2, c): sum((w for (_, k, _), w in weights.items() if k == c), Fraction(0))
+                 for c in range(1, g.c_size + 1)})
+    assert degrees(g, f) == sums
+    assert list(degrees(g, f)) == list(sums)  # rows, then columns, by index
+    assert is_balanced(g, f) == all(
+        len({x for (t, _), x in sums.items() if t == side}) == 1 for side in (1, 2))
+    b, c = data.draw(st.integers(1, g.b_size)), data.draw(st.integers(1, g.c_size))
+    off = WeightFunction({**weights, (b, c, len(g.edges)): 1})  # an unused label
+    for check in (degrees, is_balanced):
+        with pytest.raises(ValueError, match="not in hypergraph"):
+            check(g, off)
+
+
 def test_balanced_certificate_pasch():
     f = balanced_certificate(pasch())
     assert f is not None
@@ -168,7 +200,8 @@ def assert_corruption_raises(monkeypatch, corrupt, solve, h):
 def fraction_cover_ok(h, cap, res):
     """The cover check on `Fraction`s: f >= 0 within the caps, y >= 0
     covering every edge, and sum(f) = value = sum(cap * y)."""
-    f, vertices = res.point, list(h.vertices())
+    f = res.point
+    vertices = [(t, j) for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
     y = dict(zip(vertices, res.dual))
     deg = dict.fromkeys(vertices, Fraction(0))
     for e, x in zip(h.edges, f):
@@ -444,6 +477,13 @@ def test_multigraph_distinct_labels():
         Multigraph(2, 2, [(1.5, 1, 0)])
     with pytest.raises(ValueError, match="side size must be int"):
         Multigraph(2.5, 2, [])
+
+
+@pytest.mark.parametrize("sizes", [(-1, 2), (2, 0), (-1, -5), (0, 0)])
+def test_multigraph_sides_follow_check_side_sizes(sizes):
+    with pytest.raises(ValueError, match="side sizes must be naturals >= 1"):
+        Multigraph(*sizes, [])
+    assert Multigraph(2, 3, []).side_sizes == (2, 3)
 
 
 @pytest.mark.parametrize("sizes", [(3, 3), (2, 4), (3, 3, 3), (2, 2, 4), (2, 2, 2, 6)])

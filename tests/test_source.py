@@ -101,6 +101,22 @@ def test_no_recursive_closures():
     assert not recursive, f"recursive nested functions: {sorted(recursive)}"
 
 
+def _is_main_guard(node):
+    """Whether a statement is `if __name__ == "__main__":`."""
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name) and node.test.left.id == "__name__"
+            and any(isinstance(c, ast.Constant) and c.value == "__main__"
+                    for c in node.test.comparators))
+
+
+def test_one_entry_point():
+    """Only `__main__.py` runs `main` as a script: `python -m balmat` and the
+    `balmat` console script are the entry points, and no module repeats them."""
+    guarded = [path.name for path in SOURCES
+               if any(map(_is_main_guard, ast.parse(path.read_text(), filename=str(path)).body))]
+    assert guarded == ["__main__.py"], f"modules with a __main__ block: {guarded}"
+
+
 def _fraction_name(node):
     return isinstance(node, ast.Name) and node.id == "Fraction"
 

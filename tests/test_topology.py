@@ -314,6 +314,22 @@ def test_psi_matching_of_m_edges():
     assert _canonical_edges(Graph(14, edges).edges)[0] == "labeled"
 
 
+def test_canonical_key_of_a_star_prunes_twin_leaves(monkeypatch):
+    """The leaves of K_{1,200} are twins: exchanging two maps the edge set onto
+    itself, so each level individualises one leaf and skips the rest."""
+    calls = []
+    refine = topology._refine
+
+    def counted(colour, neighbours):
+        calls.append(1)
+        return refine(colour, neighbours)
+
+    monkeypatch.setattr(topology, "_refine", counted)
+    key = _canonical_edges(frozenset(frozenset((0, v)) for v in range(1, 201)))
+    assert key[0] == "canon"
+    assert len(calls) <= 400
+
+
 def least_relabelling(colour, edges):
     """Brute-force oracle: the least sorted edge list over every
     colour-preserving permutation of the vertices."""
