@@ -4,15 +4,17 @@ Rank over the rationals is exact fraction-free integer elimination: sparse
 integer rows are combined by integer multiples, so homology ranks never build
 a `Fraction`.  Each row is reduced on its highest column, as in the standard
 boundary-matrix reduction, and a caller that has proven an upper bound on the
-rank passes it as a ceiling, at which the elimination stops.  `rank_mod2`
-is the same elimination over GF(2) on rows that are int bitmasks, one XOR
-per step.  Rows independent mod 2 are independent over Q, since an integer
-minor that is odd is not zero, so the GF(2) rank of integer rows reduced
-mod 2 is at most their rational rank.  It certifies the rational rank only
-when it reaches a ceiling proven for the rational rank: then both equal
-the ceiling.  Short of it, it decides nothing (torsion, as in RP^2, makes
-it fall short), and the caller ranks over Q.  The LP has one
-form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
+rank passes it as a ceiling, at which the elimination stops.
+`pivots_mod2` is the same elimination over GF(2), on rows that are sets of
+column keys, and returns its pivot keys.  Rows independent mod 2 are
+independent over Q, since an integer minor that is odd is not zero, so the
+GF(2) rank of integer rows reduced mod 2 is at most their rational rank.
+For homology this reads b_j(F_2) >= b_j(Q): a reduced Betti number is a
+face count less two ranks, and each rank can only grow from GF(2) to Q.
+So b_j(F_2) = 0, counted as the rows that reduce to zero, certifies
+b_j(Q) = 0.  A nonzero count decides nothing (torsion, as in RP^2, makes
+it nonzero), and the caller ranks over Q.  The LP has one form: maximise
+c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
 the slack basis at x = 0 starts it feasible.  Its entries are ints, and
 the simplex pivots a fraction-free integer dictionary (Edmonds 1967) of the
 nonbasic columns only, as in Avis's lrs: no slack column is stored, and
@@ -35,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -139,26 +141,24 @@ def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) 
     return rank
 
 
-def rank_mod2(rows: Iterable[int], ceiling: Optional[int] = None) -> int:
-    """Rank over GF(2) of rows given as ints, bit c of a row its entry in
-    column c.  Each row is reduced on its highest set bit by XOR with the
-    pivot that has the same highest bit; `ceiling` stops the elimination as
-    in `rank_of_rows`.  Over Q this is a lower bound on the rank of integer
-    rows whose odd entries are the set bits (see the module docstring)."""
-    rank = 0
-    pivots: dict = {}  # row.bit_length() -> the pivot row with that highest bit
+def pivots_mod2(rows: Iterable[Set[int]]) -> Set[int]:
+    """The pivot columns of the elimination over GF(2) of rows given as sets
+    of column keys, a key in a row being an entry 1.  Each row is reduced on
+    its largest key by symmetric difference with the pivot row that has the
+    same largest key, and becomes a pivot or reduces to zero.  The rank is
+    the number of pivots.  Rows are reduced in place, and only the pivot
+    keys are returned.  Over Q this rank is a lower bound on the rank of integer rows
+    whose odd entries are the keys (see the module docstring)."""
+    pivots: dict = {}  # largest key -> the pivot row with that largest key
     for row in rows:
-        if rank == ceiling:
-            break
         while row:
-            top = row.bit_length()
+            top = max(row)
             pivot = pivots.get(top)
             if pivot is None:
                 pivots[top] = row
-                rank += 1
                 break
             row ^= pivot
-    return rank
+    return set(pivots)
 
 
 # --- Linear programming -----------------------------------------------------

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, degrees,
-                         max_matching, neighborhood)
-from .rational import ZERO, checked, exact, rank_mod2, rank_of_rows
+from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction, degrees, max_matching
+from .rational import ZERO, checked, exact, pivots_mod2, rank_of_rows
 
 # Game value for "an isolated vertex appeared".  It stays the float math.inf
 # because the benchmark's exact renderer (bench/workloads.py, text()) prints
@@ -52,22 +51,23 @@ class SimplicialComplex:
     given sets.
 
     No sets means the void complex (no faces); a single empty set means the
-    complex whose only face is the empty set.  Faces are listed by one walk,
-    for given sets and for `independence_complex(g)` alike, and `.facets`
-    reads the faces of that walk that no vertex extends.  For given sets that
-    read lists every face, exponentially many in the size of the largest set;
-    only the benchmark tracer and the tests use it.
+    complex whose only face is the empty set.  A face is an int mask, bit v
+    for vertex v.  Faces are listed by one walk, for given sets and for
+    `independence_complex(g)` alike, and `.facets` reads the faces of that
+    walk that no vertex extends.  For given sets that read lists every face,
+    exponentially many in the size of the largest set; only the benchmark
+    tracer and the tests use it.
     """
 
-    # Faces are listed level by level: each face (v1 < ... < vk) carries a
-    # state bitmask, a vertex v > vk extends it when state & _key[v] is
-    # nonzero, and the extended face has the state state & _child[v].  A face
-    # of k vertices is a facet when its state meets no _larger[k]; _start is
-    # the state of the empty face, 0 when the complex is void.  Given sets,
-    # set i owns bit i, so a face's state is the sets that contain it:
-    # _key[v] and _child[v] are both the sets that contain v, and _larger[k]
-    # the sets of more than k vertices.  The walk stops at the largest vertex
-    # of any set, len(_key) - 1.
+    # Each face carries a state bitmask.  The vertices that extend a face
+    # are those its state owns, less the face, and adding vertex v takes the
+    # state to state & _child[v]; _start is the state of the empty face, 0
+    # when the complex is void.  Given sets: bit i of a state is set i and
+    # owns its vertices, the mask _sets[i], so a face's state is the sets
+    # that contain it and _child[v] the sets that contain v.  An independence
+    # complex has _sets None: its state is bit 0 plus the vertices outside
+    # the face adjacent to none of it, bit v owning vertex v, and bit 0 keeps
+    # the state of every face nonzero.
 
     def __init__(self, vertex_count, facets):
         if checked(vertex_count, int, "vertex count") < 0:
@@ -78,52 +78,57 @@ class SimplicialComplex:
             raise ValueError("facet vertex out of range")
         self.vertex_count = vertex_count
         self._start = (1 << len(fs)) - 1
-        self._key = self._child = [0] * (vertices[-1] + 1 if vertices else 1)
-        self._larger = [0] * (max(map(len, fs), default=0) + 1)
+        self._sets = [sum(1 << v for v in f) for f in fs]
+        self._child = [0] * (vertices[-1] + 1 if vertices else 1)
         for i, f in enumerate(fs):
             for v in f:
-                self._key[v] |= 1 << i
-            for k in range(len(f)):
-                self._larger[k] |= 1 << i
+                self._child[v] |= 1 << i
 
     @property
     def facets(self) -> Tuple[FrozenSet[int], ...]:
-        return tuple(sorted((frozenset(face) for level, larger in zip(self._levels(), self._larger)
-                             for face, state in level if not state & larger), key=sorted))
+        return tuple(sorted((frozenset(_indices(face)) for level in self._levels()
+                             for face, state in level if not self._free(face, state)), key=sorted))
 
     @property
     def is_void(self) -> bool:
         return not self._start
 
+    def _free(self, face: int, state: int) -> int:
+        """The mask of the vertices that extend the face."""
+        if self._sets is None:
+            return state & ~1
+        owned = 0
+        for i in _indices(state):
+            owned |= self._sets[i]
+        return owned & ~face
+
     def _levels(self):
-        """Yield the (face, state) lists of dimension -1, 0, 1, ..., each sorted,
-        while they are not empty.  Each level extends the one before it, face
-        by face in order and by increasing vertices, so it comes out sorted."""
-        key, child, top = self._key, self._child, len(self._key)
-        level = [((), self._start)] if self._start else []
+        """Yield the (face, state) lists of dimension -1, 0, 1, ..., while
+        they are not empty.  A face is extended only by the vertices below
+        its lowest one, in increasing order.  So each face is listed once, as
+        its top vertices, a face of the level before, plus its lowest vertex,
+        and a level built from a level in increasing mask order comes out in
+        increasing mask order, with no sort."""
+        child = self._child
+        level = [(0, self._start)] if self._start else []
         while level:
             yield level
-            level = [(face + (v,), state & child[v]) for face, state in level
-                     for v in range(face[-1] + 1 if face else 1, top) if state & key[v]]
+            upper = []
+            for face, state in level:
+                below = self._free(face, state) & (face & -face) - 1
+                while below:
+                    bit = below & -below
+                    upper.append((face | bit, state & child[bit.bit_length() - 1]))
+                    below ^= bit
+            level = upper
 
 
-def _boundary_rank(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
-                   ceiling: int) -> int:
-    """Rank over Q of the boundary map from span(upper) to span(lower), given
-    a proven upper bound on it.  One row per face of upper, the transpose of
-    the boundary matrix, built only as an elimination reads it.
-
-    The rank is taken over GF(2) first, a row being the bits of the face's
-    facets: it is at most the rational rank, so when it reaches the ceiling
-    the rational rank is the ceiling.  Otherwise the signed rows are ranked
-    over Q by `rank_of_rows`, which alone decides that case."""
-    idx = {f: i for i, f in enumerate(lower)}
-    bits = (sum(1 << idx[face[:i] + face[i + 1:]] for i in range(len(face))) for face in upper)
-    if rank_mod2(bits, ceiling) == ceiling:
-        return ceiling
-    rows = ({idx[face[:i] + face[i + 1:]]: (-1) ** i for i in range(len(face))}
-            for face in upper)
-    return rank_of_rows(rows, ceiling)
+def _indices(mask: int):
+    """The positions of the set bits of a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def betti(c: SimplicialComplex, j: int) -> int:
@@ -135,29 +140,59 @@ def betti(c: SimplicialComplex, j: int) -> int:
 
 
 def _betti_scan(c: SimplicialComplex, top: int):
-    """Yield (j, b_j), b_j the j-th reduced Betti number, for j = -1, 0, ...,
-    top while faces of dimension j exist.  Each face list is built once, from
-    the one below it, and each boundary rank computed once, since the rank of
-    the boundary into dimension j enters both b_j and b_{j+1}.  Two face
-    lists are held at a time.
+    """Yield (j, b_j), b_j the j-th reduced Betti number over Q, for
+    j = -1, 0, ..., top while faces of dimension j exist.
 
-    The rank of the boundary out of dimension j + 1 is computed with the
-    ceiling len(fj) - rank_in, the dimension of the kernel of the boundary
-    out of dimension j: since the boundary of a boundary is zero, the image
-    of the one lies in the kernel of the other.  Reaching the ceiling means
-    b_j = 0, and the rank found is exact either way.  The same ceiling
-    certifies a rank taken over GF(2), which `_boundary_rank` tries first.
+    Step j reduces the coboundary out of dimension j over GF(2), as Ripser
+    does (Bauer 2021): one row per j-face, its coface masks read off its
+    state, in increasing mask order, each reduced on its largest coface.
+    Clearing (Chen-Kerber 2011) skips the j-faces that led a pivot at step
+    j - 1: if tau leads the reduced row of a chain x, delta delta x = 0
+    writes delta tau as a sum of the rows of faces below tau.  The rows that
+    reduce to zero then number b_j over GF(2), at least b_j over Q (see
+    `rational`), so none certify b_j = 0, and the rank over Q of the
+    boundary out of dimension j + 1 is the ceiling len(level) - rank_in,
+    the dimension of the kernel it maps into.  Otherwise level j + 1 is
+    listed and `rank_of_rows` ranks its signed boundary rows up to that
+    ceiling.  GF(2) steps never read a rational rank, so no step runs
+    twice.  Between steps only the pivot faces are kept, and level top + 1
+    is listed only for a rational step at j = top.
     """
-    levels = ([face for face, _ in level] for level in c._levels())
-    fj = next(levels, [])
-    rank_in = 0  # rank of the boundary out of dimension j
+    levels, upper = c._levels(), None
+    cleared, rank_in = set(), 0  # pivots of step j - 1; rank over Q of the boundary out of j
     for j in range(-1, top + 1):
-        if not fj:
+        level = next(levels, []) if upper is None else upper
+        if not level:
             return
-        upper = next(levels, [])
-        rank_up = _boundary_rank(fj, upper, len(fj) - rank_in)
-        yield j, len(fj) - rank_in - rank_up
-        fj, rank_in = upper, rank_up
+        pivots = pivots_mod2(_coboundary(c, level, cleared))
+        zeros = len(level) - len(cleared) - len(pivots)
+        ceiling = len(level) - rank_in
+        if zeros and ceiling:
+            upper = next(levels, [])
+            rank_in = rank_of_rows((_boundary(face) for face, _ in upper), ceiling)
+        else:
+            upper, rank_in = None, ceiling
+        cleared = pivots
+        yield j, ceiling - rank_in
+
+
+def _coboundary(c: SimplicialComplex, level, cleared):
+    """The rows of the faces of the level outside cleared, in the level's
+    order: each the set of its coface masks."""
+    for face, state in level:
+        if face not in cleared:
+            free, row = c._free(face, state), set()
+            while free:
+                bit = free & -free
+                row.add(face | bit)
+                free ^= bit
+            yield row
+
+
+def _boundary(face: int) -> Dict[int, int]:
+    """The boundary of a face as {facet mask: sign}, the sign of the facet
+    without the i-th lowest vertex being (-1)^i."""
+    return {face ^ 1 << v: (-1) ** (face & (1 << v) - 1).bit_count() for v in _indices(face)}
 
 
 @dataclass(frozen=True)
@@ -191,25 +226,26 @@ def eta(c: SimplicialComplex, cap: int) -> Eta:
 # --- Independence / matching complexes --------------------------------------
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the independent sets of g, facets the maximal ones.
-
-    A face's state is bit 0 plus the vertices outside it adjacent to none of
-    it; _key[v] is {v} for v >= 1 and _key[0] = 0, so bit 0 keeps the state
-    of every face nonzero.  Every _larger[k] is the vertex bits 1..n, so the
-    facets are the faces no vertex extends."""
-    n = g.vertex_count
+def _independence(closed: List[int], start: int) -> SimplicialComplex:
+    """The independence complex of the graph on 1..len(closed) - 1 in which
+    closed[v] is the mask of v and its neighbours (closed[0] = 0), induced on
+    the vertex bits of start; start also holds bit 0."""
     c = SimplicialComplex.__new__(SimplicialComplex)  # the tables below are all it holds
-    c.vertex_count = n
-    c._start = (2 << n) - 1  # bits 0..n
-    c._key = [0] + [1 << v for v in range(1, n + 1)]
-    c._larger = [c._start - 1] * (n + 1)
-    closed = list(c._key)  # v and its neighbours
+    c.vertex_count = len(closed) - 1
+    c._start, c._sets = start, None
+    c._child = [~mask for mask in closed]
+    return c
+
+
+def independence_complex(g: Graph) -> SimplicialComplex:
+    """Faces are the independent sets of g, facets the maximal ones: the
+    faces whose state is bit 0 alone."""
+    n = g.vertex_count
+    closed = [0] + [1 << v for v in range(1, n + 1)]
     for u, v in g.edges:
         closed[u] |= 1 << v
         closed[v] |= 1 << u
-    c._child = [c._start & ~mask for mask in closed]
-    return c
+    return _independence(closed, (2 << n) - 1)
 
 
 def line_graph(mg: Multigraph) -> Graph:
@@ -227,9 +263,22 @@ def line_graph(mg: Multigraph) -> Graph:
     return Graph(n, edges)
 
 
+def _conflicts(cells) -> List[int]:
+    """closed[i], for the cell (row, column) cells[i - 1], is the mask of
+    the cells in its row or its column, itself among them; closed[0] = 0."""
+    rows: Dict[int, int] = defaultdict(int)
+    cols: Dict[int, int] = defaultdict(int)
+    for i, (b, c) in enumerate(cells, 1):
+        rows[b] |= 1 << i
+        cols[c] |= 1 << i
+    return [0] + [rows[b] | cols[c] for b, c in cells]
+
+
 def matching_complex(mg: Multigraph) -> SimplicialComplex:
-    """The matching complex M(G) = I(L(G)), vertices numbered like line_graph."""
-    return independence_complex(line_graph(mg))
+    """The matching complex M(G) = I(L(G)), vertices numbered like line_graph.
+    The closed neighbourhood of cell i in L(G) is read straight off one mask
+    per row and one per column, with no line graph built."""
+    return _independence(_conflicts([(b, c) for b, c, _ in mg.edges]), (2 << len(mg.edges)) - 1)
 
 
 # --- Meshulam's game --------------------------------------------------------
@@ -411,6 +460,12 @@ class HallReport:
 def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
     """Check eta(M(N_H(K))) >= |K| - deficiency for every K inside side 1.
 
+    Two edges of H conflict when they share a vertex of side 2 or side 3;
+    the conflict masks are built once, over all of H's edges.  M(N_H(K)) is
+    the independence complex of the conflicts induced on the edges through
+    K, so each K's complex is those masks walked from bit 0 plus those
+    edges, with no neighbourhood multigraph or line graph built per K.
+
     On success also exhibits a matching of size a_1 - deficiency, as promised
     by the deficiency form of the topological Hall theorem: the first edges
     of the sorted `max_matching` witness.
@@ -422,12 +477,16 @@ def hall_check(h: PartiteHypergraph, deficiency: int) -> HallReport:
     a1 = h.side_sizes[0]
     if a1 > 12:
         raise ValueError("side 1 too large for subset enumeration")
+    closed = _conflicts([(b, c) for _, b, c in h.edges])
+    through = [0] * (a1 + 1)  # through[x]: the edges through vertex x of side 1
+    for i, (x, _, _) in enumerate(h.edges, 1):
+        through[x] |= 1 << i
     for size in range(1, a1 + 1):
         for K in itertools.combinations(range(1, a1 + 1), size):
             need = len(K) - deficiency
             if need < 1:
                 continue
-            complex_ = matching_complex(neighborhood(h, K))
+            complex_ = _independence(closed, 1 | sum(through[x] for x in K))
             if not eta(complex_, cap=need).at_least(need):
                 return HallReport(False, K, None)
     matching = max_matching(h)

@@ -9,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balmat import topology
-from balmat.hypergraph import Multigraph, PartiteHypergraph, WeightFunction, _all_edges
+from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction, _all_edges,
+                               neighborhood)
 from balmat.rational import rank_of_rows
 from balmat.topology import (INFINITE, Eta, Graph, SimplicialComplex, _canonical_edges,
                              betti, canonical_key, con_certificate, con_lower_bound, eta,
                              hall_check, independence_complex, line_graph,
                              matching_complex, psi)
 from balmat.search import canonical_form, random_knn_balanced, random_weighted_multigraph
+from test_rational import dense_fraction_rank
 
 
 def circle():
@@ -102,12 +104,14 @@ def test_eta_cap_must_be_int():
 
 
 def faces_of_dim(c, j):
-    """The j-dimensional faces of c, sorted, off its face walk; [()] for
-    j = -1 unless c is void."""
+    """The j-dimensional faces of c as sorted vertex tuples, in lexicographic
+    order, off its face walk; [()] for j = -1 unless c is void.  The walk
+    must list the level's vertex masks in increasing order."""
     if j < -1:
         return []
-    level = next(itertools.islice(c._levels(), j + 1, None), [])
-    return [face for face, _ in level]
+    masks = [face for face, _ in next(itertools.islice(c._levels(), j + 1, None), [])]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    return sorted(tuple(v for v in range(mask.bit_length()) if mask >> v & 1) for mask in masks)
 
 
 def reduced_euler(c):
@@ -217,7 +221,7 @@ def test_eta_scan_matches_definition(facets, cap):
     """`betti` and `eta` both read `_betti_scan`; the oracle takes each Betti
     number from the faces of dimensions j - 1, j and j + 1 alone, and ranks
     their signed boundary rows over Q with no ceiling, sharing no code with
-    the GF(2) path of `_boundary_rank`."""
+    the scan's GF(2) coboundary steps."""
     c = SimplicialComplex(6, facets)
 
     def rank(lower, upper):
@@ -270,10 +274,12 @@ def test_rp2_has_no_rational_homology():
 
 
 def test_rp2_torsion_reaches_the_rational_fallback(monkeypatch):
-    """The boundary from triangles to edges of RP^2 has rank 10 over Q, its
-    ceiling, but 9 over GF(2): the GF(2) rank cannot certify it, and
-    `rank_of_rows` decides it.  Every other boundary rank reaches its ceiling
-    mod 2 and never gets there."""
+    """H_1(RP^2; F_2) = Z/2, so the GF(2) coboundary step at j = 1 leaves a
+    zero row and cannot certify b_1 = 0: `rank_of_rows` ranks the boundary
+    from triangles to edges, which reaches its ceiling 10 = 15 - 5 over Q.
+    Step 2 leaves a zero row as well, but its ceiling 10 - 10 = 0 already
+    certifies b_2 = 0, and the steps at j = -1 and 0 have no zero row, so
+    neither gets there."""
     ceilings = []
 
     def counted(rows, ceiling=None):
@@ -283,6 +289,76 @@ def test_rp2_torsion_reaches_the_rational_fallback(monkeypatch):
     monkeypatch.setattr(topology, "rank_of_rows", counted)
     assert list(topology._betti_scan(rp2(), 3)) == [(-1, 0), (0, 0), (1, 0), (2, 0)]
     assert ceilings == [10]
+
+
+def dense_betti(faces):
+    """Reduced Betti numbers over Q of the complex whose faces are given as
+    sets (the empty face among them), one per dimension -1 .. top, from
+    dense boundary matrices: b_j = |F_j| - rank d_j - rank d_{j+1}."""
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    top = max(by_dim, default=-2)
+
+    def boundary_rank(j):  # d_j from dimension j to j - 1
+        if j - 1 not in by_dim or j not in by_dim:
+            return 0
+        lower = {f: i for i, f in enumerate(by_dim[j - 1])}
+        rows = []
+        for f in by_dim[j]:
+            row = [0] * len(lower)
+            for i in range(len(f)):
+                row[lower[f[:i] + f[i + 1:]]] = (-1) ** i
+            rows.append(row)
+        return dense_fraction_rank(rows, len(lower))
+
+    return [len(by_dim.get(j, [])) - boundary_rank(j) - boundary_rank(j + 1)
+            for j in range(-1, top + 1)]
+
+
+def check_scan_against_dense_oracle(c, faces):
+    """`betti` at every dimension, and `eta` at every cap, against the dense
+    oracle on the faces listed by brute force."""
+    oracle = dense_betti(faces)
+    dims = len(oracle)
+    assert [betti(c, j) for j in range(-1, dims + 1)] == oracle + [0, 0]
+    for cap in range(1, dims + 3):
+        if not faces:
+            expected = Eta(0, True)
+        else:
+            first = next((i for i, b in enumerate(oracle[:cap]) if b), None)  # j = i - 1
+            expected = Eta(cap, False) if first is None else Eta(first, True)
+        assert eta(c, cap) == expected
+
+
+def suspension(facets, apexes):
+    return [set(f) | {a} for f in facets for a in apexes]
+
+
+RP2 = [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
+       {2, 3, 4}, {2, 3, 5}, {2, 5, 6}, {3, 4, 6}, {4, 5, 6}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 7), max_size=5), max_size=7))
+@example(RP2)  # H_1 = Z/2: b = 0 over Q, 1 over GF(2) in dimensions 1 and 2
+@example(suspension(RP2, (7, 8)))  # the torsion moves up to dimension 2
+@example(RP2 + [{7, 8}, {8, 9}, {7, 9}])  # RP^2 and a circle: b_0 = b_1 = 1
+@example([])
+@example([set()])
+def test_scan_matches_dense_oracle_on_given_sets(sets):
+    c = SimplicialComplex(9, sets)
+    faces = {frozenset(x) for f in sets for k in range(len(f) + 1)
+             for x in itertools.combinations(f, k)}
+    check_scan_against_dense_oracle(c, faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(7))
+@example(Graph(6, [(1, 2), (3, 4), (5, 6)]))  # I(3 K_2) is an octahedron: b_2 = 1
+@example(Graph(0, []))
+def test_scan_matches_dense_oracle_on_independence_complexes(g):
+    check_scan_against_dense_oracle(independence_complex(g), independent_sets(g))
 
 
 def test_independence_complex_path():
@@ -296,6 +372,46 @@ def test_matching_complex_is_independence_of_line_graph():
     assert (c.vertex_count, c.facets) == (expected.vertex_count, expected.facets)
     # the 4-cycle's matching complex is two disjoint edges of pairings
     assert eta(matching_complex(mg), 6).value == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3),
+       st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2)), max_size=9))
+def test_matching_complex_from_conflict_masks_matches_the_line_graph(b, c, cells):
+    """Parallel cells share a row and a column; the masks read both."""
+    mg = Multigraph(b, c, [(x, y, lab) for x, y, lab in cells if x <= b and y <= c])
+    got, expected = matching_complex(mg), independence_complex(line_graph(mg))
+    assert (got.vertex_count, got.facets) == (expected.vertex_count, expected.facets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda sizes: st.sets(st.sampled_from(_all_edges(sizes)), max_size=14).map(
+        lambda edges: PartiteHypergraph(sizes, edges))))
+def test_hall_check_complexes_match_the_neighbourhood_matching_complexes(h):
+    """`hall_check` walks one set of conflict masks from each K's edges.
+    Each complex it hands to `eta` has, at every cap, the `eta` of
+    M(N_H(K)).  The recorder passes every K, so all are reached; the
+    matching check that follows may then refuse, and this test ignores it."""
+    seen = []
+
+    def recorded(complex_, cap):
+        seen.append(complex_)
+        return Eta(cap, False)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(topology, "eta", recorded)
+        try:
+            hall_check(h, 0)
+        except RuntimeError:
+            pass
+    subsets = [K for size in range(1, h.side_sizes[0] + 1)
+               for K in itertools.combinations(range(1, h.side_sizes[0] + 1), size)]
+    assert len(seen) == len(subsets)
+    for complex_, K in zip(seen, subsets):
+        expected = matching_complex(neighborhood(h, K))
+        for cap in range(1, len(K) + 2):
+            assert eta(complex_, cap) == eta(expected, cap)
 
 
 def test_psi_basics():
