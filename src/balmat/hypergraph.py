@@ -219,33 +219,29 @@ def _matching_branch(edges: List[int], chosen: List[int], best: List[int], bits,
 
 
 def nu_oracle(h: PartiteHypergraph) -> int:
-    """Exact matching number by a memoised DP that shares no code with
+    """Exact matching number by a forward DP that shares no code with
     `max_matching`: each vertex of a largest side s, in turn, stays unmatched
     or takes one of its edges.  An edge is held as the bitmask of its
-    vertices off side s, and a state is (position on s, bitmask of the
-    vertices used off s); a largest s keeps that bitmask short."""
+    vertices off side s, and after each vertex of s the DP holds every
+    reachable bitmask of vertices used off s, with the most edges that reach
+    it; a largest s keeps that bitmask short.  The answer is the most edges
+    over the bitmasks left after the last vertex.  No recursion, so the
+    size of s sets no depth."""
     s = h.side_sizes.index(max(h.side_sizes))
     offsets = list(itertools.accumulate(h.side_sizes, initial=0))
     masks: List[List[int]] = [[] for _ in range(h.side_sizes[s])]
     for e in h.edges:
         masks[e[s] - 1].append(sum(1 << (offsets[t] + j - 1)
                                    for t, j in enumerate(e) if t != s))
-    return _oracle_state(masks, 0, 0, {})
-
-
-def _oracle_state(masks, i, used, memo) -> int:
-    """The most disjoint edges at positions i, i+1, ... of the DP side whose
-    masks miss `used`; `memo` maps (i, used) to that number.
-
-    Not a closure: a recursive closure refers to itself through its cell,
-    which keeps what it holds alive until a cyclic garbage collection."""
-    if i == len(masks):
-        return 0
-    if (i, used) not in memo:
-        memo[i, used] = max([_oracle_state(masks, i + 1, used, memo)]
-                            + [1 + _oracle_state(masks, i + 1, used | m, memo)
-                               for m in masks[i] if not m & used])
-    return memo[i, used]
+    reach = {0: 0}  # bitmask of the vertices used off s -> most edges using them
+    for edges in masks:
+        after = dict(reach)
+        for used, count in reach.items():
+            for m in edges:
+                if not m & used and after.get(used | m, -1) <= count:
+                    after[used | m] = count + 1
+        reach = after
+    return max(reach.values())
 
 
 # --- Neighborhood multigraphs ----------------------------------------------

@@ -42,13 +42,22 @@ def _rational(x, what):
     return parse_rational(checked(x, str, what))
 
 
+def _fields(data, what, *keys) -> list:
+    """The values of keys in the JSON object data, which the document `what`
+    must be; a ValueError names the document and the first missing key."""
+    data = checked(data, dict, what)
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what}: missing key {key!r}")
+    return [data[key] for key in keys]
+
+
 def hypergraph_from_json(data: dict) -> PartiteHypergraph:
     """Strict decoding, like every decoder here: objects and lists where they
     belong, every coordinate an int (not a bool, not a float) and every
     rational a string; anything else is a ValueError."""
-    data = checked(data, dict, "hypergraph")
-    return PartiteHypergraph(_ints(data["sides"], "side size"),
-                             _int_rows(data["edges"], "edge"))
+    sides, edges = _fields(data, "hypergraph", "sides", "edges")
+    return PartiteHypergraph(_ints(sides, "side size"), _int_rows(edges, "edge"))
 
 
 def weights_to_json(f: WeightFunction) -> dict:
@@ -60,14 +69,14 @@ def weights_to_json(f: WeightFunction) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    data = checked(data, dict, "graph")
-    return Graph(checked(data["vertices"], int, "vertices"), _int_rows(data["edges"], "edge"))
+    vertices, edges = _fields(data, "graph", "vertices", "edges")
+    return Graph(checked(vertices, int, "vertices"), _int_rows(edges, "edge"))
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
-    data = checked(data, dict, "complex")
-    return SimplicialComplex(checked(data["vertices"], int, "vertices"),
-                             [frozenset(f) for f in _int_rows(data["facets"], "facet")])
+    vertices, facets = _fields(data, "complex", "vertices", "facets")
+    return SimplicialComplex(checked(vertices, int, "vertices"),
+                             [frozenset(f) for f in _int_rows(facets, "facet")])
 
 
 # --- d-intervals ------------------------------------------------------------
@@ -79,17 +88,17 @@ def dinterval_to_json(iv: DInterval) -> dict:
 
 
 def dinterval_from_json(data: dict) -> DInterval:
-    parts = checked(checked(data, dict, "d-interval")["parts"], list, "parts")
+    (parts,) = _fields(data, "d-interval", "parts")
     return DInterval([[_rational(x, "endpoint") for x in checked(part, list, "part")]
-                      for part in parts])
+                      for part in checked(parts, list, "parts")])
 
 
 def families_from_json(data: dict) -> DIntervalFamilies:
-    data = checked(data, dict, "d-interval families")
+    d, families = _fields(data, "d-interval families", "d", "families")
     return DIntervalFamilies(
-        checked(data["d"], int, "d"),
+        checked(d, int, "d"),
         [[dinterval_from_json(item) for item in checked(fam, list, "family")]
-         for fam in checked(data["families"], list, "families")])
+         for fam in checked(families, list, "families")])
 
 
 # --- cake partitions --------------------------------------------------------

@@ -5,13 +5,16 @@ integer rows are combined by integer multiples, so homology ranks never build
 a `Fraction`.  Each row is reduced on its highest column, as in the standard
 boundary-matrix reduction, and a caller that has proven an upper bound on the
 rank passes it as a ceiling, at which the elimination stops.
-`pivots_mod2` is the same elimination over GF(2), on rows that are sets of
-column keys, and returns its pivot keys.  Rows independent mod 2 are
-independent over Q, since an integer minor that is odd is not zero, so the
-GF(2) rank of integer rows reduced mod 2 is at most their rational rank.
-For homology this reads b_j(F_2) >= b_j(Q): a reduced Betti number is a
-face count less two ranks, and each rank can only grow from GF(2) to Q.
-So b_j(F_2) = 0, counted as the rows that reduce to zero, certifies
+Its one companion over GF(2) is `topology._coboundary_pivots`, which
+reduces coboundary rows, sets of coface masks, on their largest key in
+the same way, and builds a row only when an earlier pivot has its largest
+key: a row whose largest key is free becomes a pivot unreduced, an
+emergent pair (Bauer 2021), and is never built.  Rows independent mod 2
+are independent over Q, since an integer minor that is odd is not zero,
+so the GF(2) rank of integer rows reduced mod 2 is at most their rational
+rank.  For homology this reads b_j(F_2) >= b_j(Q): a reduced Betti number
+is a face count less two ranks, and each rank can only grow from GF(2) to
+Q.  So b_j(F_2) = 0, counted as the rows that reduce to zero, certifies
 b_j(Q) = 0.  A nonzero count decides nothing (torsion, as in RP^2, makes
 it nonzero), and the caller ranks over Q.  The LP has one form: maximise
 c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
@@ -37,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -139,26 +142,6 @@ def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) 
                     for c in r:
                         r[c] //= content
     return rank
-
-
-def pivots_mod2(rows: Iterable[Set[int]]) -> Set[int]:
-    """The pivot columns of the elimination over GF(2) of rows given as sets
-    of column keys, a key in a row being an entry 1.  Each row is reduced on
-    its largest key by symmetric difference with the pivot row that has the
-    same largest key, and becomes a pivot or reduces to zero.  The rank is
-    the number of pivots.  Rows are reduced in place, and only the pivot
-    keys are returned.  Over Q this rank is a lower bound on the rank of integer rows
-    whose odd entries are the keys (see the module docstring)."""
-    pivots: dict = {}  # largest key -> the pivot row with that largest key
-    for row in rows:
-        while row:
-            top = max(row)
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                break
-            row ^= pivot
-    return set(pivots)
 
 
 # --- Linear programming -----------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction, degrees, max_matching
-from .rational import ZERO, checked, exact, pivots_mod2, rank_of_rows
+from .rational import ZERO, checked, exact, rank_of_rows
 
 # Game value for "an isolated vertex appeared".  It stays the float math.inf
 # because the benchmark's exact renderer (bench/workloads.py, text()) prints
@@ -144,11 +144,12 @@ def _betti_scan(c: SimplicialComplex, top: int):
     j = -1, 0, ..., top while faces of dimension j exist.
 
     Step j reduces the coboundary out of dimension j over GF(2), as Ripser
-    does (Bauer 2021): one row per j-face, its coface masks read off its
-    state, in increasing mask order, each reduced on its largest coface.
-    Clearing (Chen-Kerber 2011) skips the j-faces that led a pivot at step
-    j - 1: if tau leads the reduced row of a chain x, delta delta x = 0
-    writes delta tau as a sum of the rows of faces below tau.  The rows that
+    does (Bauer 2021), in `_coboundary_pivots`: one row per j-face, its
+    coface masks, in increasing mask order, each reduced on its largest
+    coface, and most rows are never built (emergent pairs).  Clearing
+    (Chen-Kerber 2011) skips the j-faces that led a pivot at step j - 1: if
+    tau leads the reduced row of a chain x, delta delta x = 0 writes
+    delta tau as a sum of the rows of faces below tau.  The rows that
     reduce to zero then number b_j over GF(2), at least b_j over Q (see
     `rational`), so none certify b_j = 0, and the rank over Q of the
     boundary out of dimension j + 1 is the ceiling len(level) - rank_in,
@@ -164,7 +165,7 @@ def _betti_scan(c: SimplicialComplex, top: int):
         level = next(levels, []) if upper is None else upper
         if not level:
             return
-        pivots = pivots_mod2(_coboundary(c, level, cleared))
+        pivots = _coboundary_pivots(c, level, cleared)
         zeros = len(level) - len(cleared) - len(pivots)
         ceiling = len(level) - rank_in
         if zeros and ceiling:
@@ -176,17 +177,53 @@ def _betti_scan(c: SimplicialComplex, top: int):
         yield j, ceiling - rank_in
 
 
-def _coboundary(c: SimplicialComplex, level, cleared):
-    """The rows of the faces of the level outside cleared, in the level's
-    order: each the set of its coface masks."""
+def _coboundary_pivots(c: SimplicialComplex, level, cleared) -> set:
+    """The pivot cofaces of the elimination over GF(2) of the coboundary
+    rows of the faces of the level outside cleared, in the level's order.
+
+    A row is the set of a face's coface masks, and it is reduced on its
+    largest coface by symmetric difference with the pivot row of the same
+    largest coface; it becomes a pivot, or reduces to zero.  A face with no
+    coface is a zero row from the start.  A row whose largest coface, the
+    face plus its highest free vertex, leads no pivot yet becomes a pivot
+    unreduced, an emergent pair (Bauer 2021, section 3.4), so it is stored
+    as (face, free) and its set is not built.  A set is built only for a
+    row whose largest coface is taken, and for a stored pivot the first time
+    such a row reads it: that pivot was never reduced, so the set built then
+    is exactly its row.  Only the pivot cofaces are returned."""
+    pivots: dict = {}  # largest coface -> (face, free) of an emergent pivot, or a built row
     for face, state in level:
-        if face not in cleared:
-            free, row = c._free(face, state), set()
-            while free:
-                bit = free & -free
-                row.add(face | bit)
-                free ^= bit
-            yield row
+        if face in cleared:
+            continue
+        free = c._free(face, state)
+        if not free:
+            continue
+        lead = face | 1 << free.bit_length() - 1
+        if lead not in pivots:
+            pivots[lead] = (face, free)
+            continue
+        row = _cofaces(face, free)
+        while row:
+            top = max(row)
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            if type(pivot) is tuple:
+                pivot = pivots[top] = _cofaces(*pivot)
+            row ^= pivot
+    return set(pivots)
+
+
+def _cofaces(face: int, free: int) -> set:
+    """The coboundary row of a face: the set of its coface masks, one per
+    vertex of free, the vertices that extend it."""
+    row = set()
+    while free:
+        bit = free & -free
+        row.add(face | bit)
+        free ^= bit
+    return row
 
 
 def _boundary(face: int) -> Dict[int, int]:

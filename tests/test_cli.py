@@ -304,6 +304,25 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert (code, out) == (2, ""), (argv, data)
 
 
+@pytest.mark.parametrize("argv, data, message", [
+    (["nu", "{}"], {"edges": []}, "hypergraph: missing key 'sides'"),
+    (["psi", "{}"], {"vertices": 2}, "graph: missing key 'edges'"),
+    (["eta", "{}"], {"facets": [[1]]}, "complex: missing key 'vertices'"),
+    (["dinterval", "cover", "{}", "--budgets", "1"], {"d": 1, "families": [[{"part": []}]]},
+     "d-interval: missing key 'parts'"),
+    (["dinterval", "rainbow", "{}", "--target", "1"], {"families": []},
+     "d-interval families: missing key 'd'"),
+], ids=["hypergraph", "graph", "complex", "d-interval", "families"])
+def test_missing_key_names_document_and_key(tmp_path, capsys, argv, data, message):
+    """A document without a key it needs exits 2 with an error that names
+    the document kind and the key, not a bare KeyError text."""
+    path = write(tmp_path, "in.json", data)
+    code = main([path if a == "{}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["nu", str(tmp_path / "missing.json")]) == 2
     assert main(["bogus-command"]) == 2

@@ -331,6 +331,13 @@ def test_nu_matches_oracle_small():
     assert nu(h) == nu_oracle(h) == 3
 
 
+def test_nu_oracle_takes_a_long_side_without_recursion():
+    """The DP steps once per vertex of the largest side, here 1100 of them,
+    more than the interpreter's default recursion limit of 1000."""
+    h = PartiteHypergraph((3, 1100), [(1, i) for i in range(1, 1101)])
+    assert nu_oracle(h) == 1
+
+
 @st.composite
 def oracle_hypergraphs(draw):
     """(3,3,3) with up to 12 edges, unequal sides, where the choice of the

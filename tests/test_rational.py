@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balmat.rational import (LPProblem, Optimal, exact, format_rational, lp_solve,
-                             over_lcd, parse_rational, pivots_mod2, rank_of_rows)
+                             over_lcd, parse_rational, rank_of_rows)
 
 
 def test_parse_and_format_roundtrip():
@@ -145,25 +145,6 @@ def test_rank_matches_dense_fraction_gauss_jordan(case, slack):
     expected = dense_fraction_rank(dense, ncols)
     ceiling = None if slack is None else expected + slack
     assert rank_leaving_rows(rows, ceiling) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool), max_size=4),
-                max_size=8))
-def test_pivots_mod2_lead_the_span_and_bound_the_rational_rank(rows):
-    """The pivot keys of an elimination over GF(2) are the largest keys of
-    the nonzero vectors in the span of the rows, found here by listing the
-    span.  Rows independent mod 2 are independent over Q, so their number,
-    the GF(2) rank of the rows reduced mod 2, is at most the rational rank."""
-    rank = rank_of_rows(rows)
-    keys = [{c for c, x in row.items() if x % 2} for row in rows]
-    span = {0}  # as bitmasks, bit c for key c
-    for row in keys:
-        span |= {x ^ sum(1 << c for c in row) for x in span}
-    pivots = pivots_mod2(keys)
-    assert pivots == {x.bit_length() - 1 for x in span if x}
-    assert len(span) == 2 ** len(pivots)
-    assert len(pivots) <= rank
 
 
 def test_lp_basic_max():

@@ -101,6 +101,35 @@ def test_no_recursive_closures():
     assert not recursive, f"recursive nested functions: {sorted(recursive)}"
 
 
+# The recursive engines, each one search whose depth its input bounds; a new
+# recursion must be added here on purpose, or written as a loop.
+RECURSIVE = {"_balanced_vectors", "_compositions", "_con_value", "_grid_assignments",
+             "_matching_branch", "_psi_value", "_rainbow"}
+
+
+def _calls_itself(function):
+    """Whether a function calls its own name, bare or as a method of self."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == function.name:
+                return True
+            if (isinstance(f, ast.Attribute) and f.attr == function.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                return True
+    return False
+
+
+def test_recursion_only_in_the_listed_engines():
+    """Every function that calls itself by name is one of RECURSIVE.  A
+    recursion's depth grows with its input until Python's limit raises
+    RecursionError, as `nu_oracle`'s once did on a side of 1100 vertices."""
+    found = {node.name for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)}
+    assert found == RECURSIVE
+
+
 def _is_main_guard(node):
     """Whether a statement is `if __name__ == "__main__":`."""
     return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)

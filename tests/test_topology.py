@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,125 @@ def test_scan_matches_dense_oracle_on_given_sets(sets):
 @example(Graph(0, []))
 def test_scan_matches_dense_oracle_on_independence_complexes(g):
     check_scan_against_dense_oracle(independence_complex(g), independent_sets(g))
+
+
+def scan_steps(c):
+    """(level, cleared, upper) for each GF(2) step of the scan of c, cleared
+    being the pivots of the step before and upper the next level's faces."""
+    levels, cleared = list(c._levels()), set()
+    for j, level in enumerate(levels):
+        upper = [face for face, _ in levels[j + 1]] if j + 1 < len(levels) else []
+        yield level, cleared, upper
+        cleared = topology._coboundary_pivots(c, level, cleared)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
+@example(RP2)
+def test_coboundary_pivots_lead_the_span_and_bound_the_rational_rank(sets):
+    """At each step the pivot keys of the GF(2) elimination, run with the
+    pivots of the step before cleared, are the largest keys of the nonzero
+    vectors in the span of every coboundary row of the level, cleared ones
+    included, found here by listing the span.  Rows independent mod 2 are
+    independent over Q, so their number is at most the rational rank of
+    the coboundary, that of the boundary out of the next level."""
+    c = SimplicialComplex(6, sets)
+    for level, cleared, upper in scan_steps(c):
+        rank = rank_of_rows(topology._boundary(u) for u in upper)
+        span = {0}  # as bitmasks, bit u for coface u
+        for face, _ in level:
+            span |= {x ^ sum(1 << u for u in upper if u & face == face) for x in span}
+        pivots = topology._coboundary_pivots(c, level, cleared)
+        assert pivots == {x.bit_length() - 1 for x in span if x}
+        assert len(span) == 2 ** len(pivots)
+        assert len(pivots) <= rank
+
+
+def eager_reads(rows):
+    """An eager elimination over GF(2) of rows given as (face, coface set),
+    each reduced on its largest coface.  Returns its pivot keys, the faces
+    whose largest coface was taken when they came, and the faces of the
+    unreduced pivots that some later row read."""
+    pivots, collided, read = {}, [], set()  # largest coface -> (row, face if unreduced)
+    for face, row in rows:
+        if row and max(row) in pivots:
+            collided.append(face)
+        unreduced = face
+        while row:
+            pivot = pivots.get(max(row))
+            if pivot is None:
+                pivots[max(row)] = (row, unreduced)
+                break
+            if pivot[1] is not None:
+                read.add(pivot[1])
+            row, unreduced = row ^ pivot[0], None
+    return set(pivots), collided, read
+
+
+def record_builds(monkeypatch):
+    """The faces whose coface sets `_cofaces` builds from now on, in order."""
+    built, build = [], topology._cofaces
+    monkeypatch.setattr(topology, "_cofaces", lambda face, free: built.append(face) or
+                        build(face, free))
+    return built
+
+
+def check_lazy_builds(c, level, cleared, upper):
+    """The lazy elimination's pivots against the eager one's, and its row
+    builds: one per row whose largest coface was taken, and one per
+    unreduced pivot such a row read; an emergent row is built no more."""
+    rows = [(face, {u for u in upper if u & face == face}) for face, _ in level
+            if face not in cleared]
+    expected, collided, read = eager_reads(rows)
+    with pytest.MonkeyPatch.context() as m:
+        built = record_builds(m)
+        assert topology._coboundary_pivots(c, level, cleared) == expected
+    assert Counter(built) == Counter(collided) + Counter(read)
+    return len(rows), len(collided), len(built)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 7), max_size=5), max_size=7))
+@example(RP2)  # step 1: five rows built, and a zero row
+@example([{2, 5}, {1, 2, 4}, {1, 3, 5}, {3, 4, 5}])  # step 1 reads edge 12's pivot twice
+def test_lazy_builds_match_the_eager_elimination(sets):
+    c = SimplicialComplex(9, sets)
+    for step in scan_steps(c):
+        check_lazy_builds(c, *step)
+
+
+def test_two_segments_build_only_the_colliding_row_and_its_pivot(monkeypatch):
+    """Two disjoint segments 12 and 34.  Step 0 clears vertex 4, the lead of
+    the empty face.  Vertex 1 leads 12 and is stored unbuilt; vertex 2's
+    largest coface is 12 too, so its row is built, and so is vertex 1's when
+    vertex 2 reads it, and their sum is zero: b_0 = 1.  Vertex 3, leading
+    34, is stored unbuilt.  No other step builds a row."""
+    c = SimplicialComplex(4, [{1, 2}, {3, 4}])
+    assert [check_lazy_builds(c, *step) for step in scan_steps(c)] == [
+        (1, 0, 0), (3, 1, 2), (0, 0, 0)]
+    built = record_builds(monkeypatch)
+    assert [b for _, b in topology._betti_scan(c, 1)] == [0, 1, 0]
+    assert built == [0b100, 0b10]  # vertex 2's row, then vertex 1's
+
+
+def test_hall_workload_builds_rows_only_on_collisions(monkeypatch):
+    """Each complex `hall_check` scans for a (2, 3) instance of the hall
+    benchmark at seed 0, the first whose scan meets a collision, builds
+    exactly the rows `check_lazy_builds` allows: of its 12 rows one
+    collides, and it builds its own row and that of the pivot it reads."""
+    h, _ = random_knn_balanced(2, 3, seed=16)
+    steps, scan = [], topology._coboundary_pivots
+    monkeypatch.setattr(topology, "_coboundary_pivots", lambda c, level, cleared: steps.append(
+        (c, level, cleared)) or scan(c, level, cleared))
+    assert hall_check(h, 0).all_K_pass
+    monkeypatch.undo()
+    totals = Counter()
+    for c, level, cleared in steps:
+        upper = [face for face, _ in next(itertools.islice(
+            c._levels(), level[0][0].bit_count() + 1, None), [])]
+        rows, collided, built = check_lazy_builds(c, level, cleared, upper)
+        totals.update(rows=rows, collided=collided, built=built)
+    assert totals == Counter(rows=12, collided=1, built=2)
 
 
 def test_independence_complex_path():
