@@ -122,8 +122,13 @@ def nu_D(inst: DivisionInstance, p: Partition) -> int:
 
 
 def _compositions(total: int, parts: int):
-    return [(total,)] if parts == 1 else [(first,) + rest for first in range(total + 1)
-                                          for rest in _compositions(total - first, parts - 1)]
+    """The compositions of total into parts naturals, in lexicographic order,
+    by stars and bars: the parts are the gaps between parts - 1 bars placed
+    among total + parts - 1 places, and the bars' positions in lexicographic
+    order give the gaps in it."""
+    ends = (total + parts - 1,)
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + ends))
+            for bars in itertools.combinations(range(total + parts - 1), parts - 1)]
 
 
 def grid_max(inst: DivisionInstance, q: int):

@@ -6,8 +6,6 @@ of a d-partite hypergraph is a d-tuple (j_1, ..., j_d) with j_t in [a_t].
 
 from __future__ import annotations
 
-import collections
-import functools
 import itertools
 import operator
 import random
@@ -182,40 +180,69 @@ def nu(h: PartiteHypergraph) -> int:
 def max_matching(h: PartiteHypergraph) -> Tuple[Edge, ...]:
     """A maximum matching, as a sorted tuple of edges, by branch and bound.
 
-    Vertex (t, j) is a bit, in (side, index) order; an edge ORs its d bits.
-    Branch on the vertex of least positive degree, lowest bit first: its
-    edges in sorted order, then the skip.  Cut a node with c chosen edges
-    when c + u <= len(best), for u the fewest vertices its edges meet on a
-    side or the len(best) - c that a table local to the call, keyed by the
-    tuple of edges, stored once a node with them was explored.  Such a subtree
-    cannot strictly beat `best`, so the witness is that of the uncut search."""
+    A node's remaining edges are one int mask `live` over edge indices, in
+    `h.edges` order.  Vertex (t, j) is number offsets[t] + j - 1, in (side,
+    index) order, and three tables are built once per call: `inc[v]`, the
+    edges through vertex v; `conflict[i]`, the edges that meet edge i; and
+    each vertex's side.  One pass over the vertices live at the parent reads
+    each degree as `(inc[v] & live).bit_count()`, the live vertices of each
+    side, and the branching vertex v: least positive degree, lowest number
+    first.  Its edges i, in index order, lead to `live & ~conflict[i]`, then
+    the skip to `live & ~inc[v]`.  Cut a node with c chosen edges when
+    c + u <= len(best), for u the fewest live vertices on a side or the
+    len(best) - c that a table local to the call, keyed by `live`, stored
+    once a node with those edges was explored.  Such a subtree cannot
+    strictly beat `best`, so the witness is that of the uncut search."""
     offsets = list(itertools.accumulate(h.side_sizes, initial=0))
-    vertex_bits = [tuple(1 << (offsets[t] + j - 1) for t, j in enumerate(e)) for e in h.edges]
-    bits = {sum(vb): vb for vb in vertex_bits}  # edge mask -> its vertices' bits
-    sides = [((1 << a) - 1) << o for a, o in zip(h.side_sizes, offsets)]
+    at = [[o + j - 1 for o, j in zip(offsets, e)] for e in h.edges]
+    inc = [0] * offsets[-1]
+    for i, vs in enumerate(at):
+        for v in vs:
+            inc[v] |= 1 << i
+    conflict = []
+    for vs in at:
+        meet = 0
+        for v in vs:
+            meet |= inc[v]
+        conflict.append(meet)
+    side = [t for t, a in enumerate(h.side_sizes) for _ in range(a)]
     best: List[int] = []
-    _matching_branch(list(bits), [], best, bits, sides, {})
-    return tuple(e for m, e in zip(bits, h.edges) if m in best)
+    _matching_branch((1 << len(at)) - 1, range(len(inc)), [], best, (inc, conflict, side, h.d), {})
+    return tuple(h.edges[i] for i in sorted(best))
 
 
-def _matching_branch(edges: List[int], chosen: List[int], best: List[int], bits, sides, table):
-    """Extend `chosen` from the edge masks `edges`; with no table entry, u = len(edges)."""
+def _matching_branch(live: int, verts, chosen: List[int], best: List[int],
+                     tables, table):
+    """Extend `chosen` from the edge indices in `live`, whose vertices are
+    among `verts`; with no table entry, u = the number of edges in `live`."""
     if len(chosen) > len(best):
         best[:] = chosen
-    c, key = len(chosen), tuple(edges)
-    if c + table.get(key, len(edges)) <= len(best):
+    c, n = len(chosen), live.bit_count()
+    if c + table.get(live, n) <= len(best):
         return
-    union = functools.reduce(operator.or_, edges)
-    if c + min((union & side).bit_count() for side in sides) <= len(best):
+    inc, conflict, side, d = tables
+    counts = [0] * d
+    kept = []
+    low = n + 1
+    for v in verts:
+        k = (inc[v] & live).bit_count()
+        if k:
+            kept.append(v)
+            counts[side[v]] += 1
+            if k < low:
+                low, pick = k, v
+    if c + min(counts) <= len(best):
         return
-    degree = collections.Counter(itertools.chain.from_iterable(map(bits.__getitem__, edges)))
-    v = min(zip(degree.values(), degree))[1]
-    for e in [f for f in edges if f & v]:
-        chosen.append(e)
-        _matching_branch([f for f in edges if not f & e], chosen, best, bits, sides, table)
+    through = inc[pick] & live
+    rest = through
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        rest ^= 1 << i
+        chosen.append(i)
+        _matching_branch(live & ~conflict[i], kept, chosen, best, tables, table)
         chosen.pop()
-    _matching_branch([f for f in edges if not f & v], chosen, best, bits, sides, table)
-    table[key] = len(best) - c
+    _matching_branch(live & ~through, kept, chosen, best, tables, table)
+    table[live] = len(best) - c
 
 
 def nu_oracle(h: PartiteHypergraph) -> int:

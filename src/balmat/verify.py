@@ -175,7 +175,7 @@ def check_upper_bounds() -> CheckResult:
                                   cons.main_negative(n, r, k), big))
             except ValueError:
                 pass
-    for n in range(2, 6):
+    for n in range(2, 9):
         cases.append((f"drisko({n})", cons.drisko(n), n - 1))
     failures = []
     for label, (h, f), claimed in cases:

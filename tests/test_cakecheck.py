@@ -198,6 +198,16 @@ def test_grid_max_trivial_instance():
     assert arg is not None
 
 
+def test_compositions_in_lexicographic_order():
+    """Every composition of total into parts naturals, once each, in
+    lexicographic order, which fixes `grid_max`'s first argmax."""
+    for total in range(9):
+        for parts in range(1, 6):
+            every = [c for c in itertools.product(range(total + 1), repeat=parts)
+                     if sum(c) == total]
+            assert cakecheck._compositions(total, parts) == every
+
+
 @pytest.mark.parametrize("builder", [instance_2n2_nn, instance_nn_2n2])
 def test_counterexample_grid_q4(builder):
     inst = builder(2)

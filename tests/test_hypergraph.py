@@ -425,22 +425,30 @@ def test_max_matching_witness_matches_reference(h):
     assert max_matching(h) == _reference_matching(h)
 
 
-def _stored_bounds(h):
-    """(remaining edges, stored bound) for every entry `max_matching(h)`
-    leaves in its table of upper bounds, edges decoded from their masks."""
-    offsets = list(itertools.accumulate(h.side_sizes, initial=0))
-    edge_of = {sum(1 << (offsets[t] + j - 1) for t, j in enumerate(e)): e for e in h.edges}
-    tables = []
+def _spy_branch(h):
+    """The argument tuples of the `_matching_branch` calls `max_matching(h)`
+    makes, in call order, and its witness."""
+    calls = []
     branch = hypergraph._matching_branch
 
-    def spy(*args):  # the table is the last argument of every call
-        tables.append(args[-1])
+    def spy(*args):
+        calls.append(args)
         branch(*args)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(hypergraph, "_matching_branch", spy)
-        max_matching(h)
-    return [([edge_of[m] for m in key], bound) for key, bound in tables[0].items()]
+        witness = max_matching(h)
+    return calls, witness
+
+
+def _stored_bounds(h):
+    """(remaining edges, stored bound) for every entry `max_matching(h)`
+    leaves in its table of upper bounds, edges decoded from the key, a mask
+    over edge indices in `h.edges` order."""
+    calls, _ = _spy_branch(h)
+    table = calls[0][-1]  # the table is the last argument of every call
+    return [([e for i, e in enumerate(h.edges) if key >> i & 1], bound)
+            for key, bound in table.items()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,6 +459,17 @@ def test_stored_bounds_are_upper_bounds(h):
     by the oracle: a smaller one could cut a subtree that improves `best`."""
     for edges, bound in _stored_bounds(h):
         assert nu_oracle(PartiteHypergraph(h.side_sizes, edges)) <= bound
+
+
+@pytest.mark.parametrize("n, calls", [(5, 245), (6, 839), (7, 2698), (8, 8739)])
+def test_search_tree_of_drisko_is_pinned(n, calls):
+    """The node count of the search on drisko(n) is pinned, and its witness
+    is the reference search's: a lost cut, or another branching vertex or
+    edge order, changes the count even where the witness survives."""
+    h, _ = drisko(n)
+    spied, witness = _spy_branch(h)
+    assert len(spied) == calls
+    assert witness == _reference_matching(h)
 
 
 def test_neighborhood_keeps_multiplicity():
