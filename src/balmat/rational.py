@@ -16,12 +16,14 @@ rank.  For homology this reads b_j(F_2) >= b_j(Q): a reduced Betti number
 is a face count less two ranks, and each rank can only grow from GF(2) to
 Q.  So b_j(F_2) = 0, counted as the rows that reduce to zero, certifies
 b_j(Q) = 0.  A nonzero count decides nothing (torsion, as in RP^2, makes
-it nonzero), and the caller ranks over Q.  The LP has one form: maximise
-c . x over rows coeffs . x <= rhs with rhs >= 0 and x >= 0, so
-the slack basis at x = 0 starts it feasible.  Its entries are ints, and
-the simplex pivots a fraction-free integer dictionary (Edmonds 1967) of the
-nonbasic columns only, as in Avis's lrs: no slack column is stored, and
-Bland's rule chooses by variable index.  It builds a `Fraction` only for
+it nonzero), and the caller ranks over Q: `rank_of_rows` takes the same
+level's signed coboundary rows as lazy rows (lead, build), and stores a
+row whose lead is free unbuilt, the same emergent pair over Q.  The LP
+has one form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0
+and x >= 0, so the slack basis at x = 0 starts it feasible.  Its entries
+are ints, and the simplex pivots a fraction-free integer dictionary
+(Edmonds 1967) of the nonbasic columns only, as in Avis's lrs: no slack
+column is stored, and Bland's rule chooses by variable index.  It builds a `Fraction` only for
 the answer: the value, the point and the dual that certifies them.  It
 serves the capped fractional matchings of `hypergraph` (balance
 certificates, fractional matching numbers).
@@ -91,36 +93,46 @@ def over_lcd(groups) -> Tuple[int, List[List[int]]]:
     return lcd, [[x.numerator * (lcd // x.denominator) for x in group] for group in groups]
 
 
-def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) -> int:
+def rank_of_rows(rows: Iterable, ceiling: Optional[int] = None) -> int:
     """Rank over the rationals by sparse, fraction-free integer elimination.
 
-    Each row is a dict {col: nonzero int}; the rows are left unmodified.
+    Each row is a dict {col: nonzero int}, left unmodified, or a lazy row: a
+    pair (lead, build), lead the highest column of the nonzero row that
+    build() returns as a new dict.  A lazy row whose lead no pivot holds yet
+    would become a pivot unreduced, so it is stored unbuilt, an emergent
+    pair (Bauer 2021), and built the first time a later row reads it.
     `ceiling`, when given, must be an upper bound on the rank that the caller
     has proven: the elimination stops once the rank reaches it, and the rank
     is then exactly the ceiling.
     """
     rank = 0
     # pivots: col -> primitive integer row whose highest column is col, with a
-    # positive entry there, so that a pivot led by 1 never scales a row.
-    # Highest-column pivots are those of the boundary-matrix reduction
-    # (Zomorodian-Carlsson 2005), which keeps the fill-in of boundary rows low.
+    # positive entry there, so that a pivot led by 1 never scales a row; or
+    # the build of a lazy row not read yet.  Highest-column pivots are those
+    # of the boundary-matrix reduction (Zomorodian-Carlsson 2005), which
+    # keeps the fill-in of boundary rows low.
     pivots: dict = {}
     for row in rows:
         if rank == ceiling:
             break
-        r = dict(row)
+        if type(row) is tuple:
+            lead, build = row
+            if lead not in pivots:
+                pivots[lead] = build
+                rank += 1
+                continue
+            r = build()
+        else:
+            r = dict(row)
         while r:
             col = max(r)
             pivot = pivots.get(col)
             if pivot is None:
-                content = math.gcd(*r.values())
-                if r[col] < 0:
-                    content = -content
-                if content != 1:
-                    r = {c: v // content for c, v in r.items()}
-                pivots[col] = r
+                pivots[col] = _primitive(r, col)
                 rank += 1
                 break
+            if type(pivot) is not dict:
+                pivot = pivots[col] = _primitive(pivot(), col)
             # r <- (a/g) r - (b/g) pivot clears col without leaving the integers.
             a, b = pivot[col], r.pop(col)
             g = math.gcd(a, b)
@@ -142,6 +154,15 @@ def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) 
                     for c in r:
                         r[c] //= content
     return rank
+
+
+def _primitive(row: Dict[int, int], col: int) -> Dict[int, int]:
+    """The nonzero integer row divided by its content, signed so that its
+    entry at col is positive."""
+    content = math.gcd(*row.values())
+    if row[col] < 0:
+        content = -content
+    return row if content == 1 else {c: v // content for c, v in row.items()}
 
 
 # --- Linear programming -----------------------------------------------------

@@ -12,6 +12,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction, degrees, max_matching
@@ -152,29 +153,50 @@ def _betti_scan(c: SimplicialComplex, top: int):
     delta tau as a sum of the rows of faces below tau.  The rows that
     reduce to zero then number b_j over GF(2), at least b_j over Q (see
     `rational`), so none certify b_j = 0, and the rank over Q of the
-    boundary out of dimension j + 1 is the ceiling len(level) - rank_in,
-    the dimension of the kernel it maps into.  Otherwise level j + 1 is
-    listed and `rank_of_rows` ranks its signed boundary rows up to that
-    ceiling.  GF(2) steps never read a rational rank, so no step runs
-    twice.  Between steps only the pivot faces are kept, and level top + 1
-    is listed only for a rational step at j = top.
+    coboundary out of dimension j is the ceiling len(level) - rank_in, the
+    codimension of the image of the coboundary into dimension j, which its
+    kernel holds.  Otherwise `rank_of_rows` ranks the same level's signed coboundary rows
+    over Q up to that ceiling, as lazy rows from `_coboundary_rows`, so a
+    row whose largest coface is free is not built there either, and level
+    j + 1 is never listed.
+
+    The rational step skips the faces cleared by the GF(2) pivots C of
+    step j - 1, which is sound over Q even after a torsion step.  The
+    pivots C lead a GF(2) echelon basis of the image of delta_{j-1}, so the
+    columns C of the integer matrix delta_{j-1} have rank |C| over GF(2),
+    hence over Q.  So that image holds, for each sigma in C, a rational
+    cochain x_sigma = delta_{j-1} y that is 1 at sigma and 0 on the rest of
+    C, and delta_j x_sigma = 0 writes row sigma of delta_j as a rational
+    combination of the rows outside C.  GF(2) steps never read a rational
+    rank, so no step runs twice, and between steps only the pivot faces
+    are kept.
     """
-    levels, upper = c._levels(), None
-    cleared, rank_in = set(), 0  # pivots of step j - 1; rank over Q of the boundary out of j
+    levels = c._levels()
+    cleared, rank_in = set(), 0  # pivots of step j - 1; rank over Q of the coboundary into j
     for j in range(-1, top + 1):
-        level = next(levels, []) if upper is None else upper
+        level = next(levels, [])
         if not level:
             return
         pivots = _coboundary_pivots(c, level, cleared)
         zeros = len(level) - len(cleared) - len(pivots)
         ceiling = len(level) - rank_in
         if zeros and ceiling:
-            upper = next(levels, [])
-            rank_in = rank_of_rows((_boundary(face) for face, _ in upper), ceiling)
+            rank_in = rank_of_rows(_coboundary_rows(c, level, cleared), ceiling)
         else:
-            upper, rank_in = None, ceiling
+            rank_in = ceiling
         cleared = pivots
         yield j, ceiling - rank_in
+
+
+def _coboundary_rows(c: SimplicialComplex, level, cleared):
+    """The lazy rows of `rank_of_rows` for the coboundary of the faces of
+    the level outside cleared, in the level's order: (largest coface,
+    build of the signed row).  A face with no coface has no row."""
+    for face, state in level:
+        if face not in cleared:
+            free = c._free(face, state)
+            if free:
+                yield face | 1 << free.bit_length() - 1, partial(_coboundary, face, free)
 
 
 def _coboundary_pivots(c: SimplicialComplex, level, cleared) -> set:
@@ -226,10 +248,17 @@ def _cofaces(face: int, free: int) -> set:
     return row
 
 
-def _boundary(face: int) -> Dict[int, int]:
-    """The boundary of a face as {facet mask: sign}, the sign of the facet
-    without the i-th lowest vertex being (-1)^i."""
-    return {face ^ 1 << v: (-1) ** (face & (1 << v) - 1).bit_count() for v in _indices(face)}
+def _coboundary(face: int, free: int) -> Dict[int, int]:
+    """The signed coboundary row of a face as {coface mask: sign}, one coface
+    face | bit per vertex of free, of sign (-1)^i when i vertices of the face
+    lie below the new one: the transpose of the boundary whose facet without
+    the i-th lowest vertex has sign (-1)^i."""
+    row = {}
+    while free:
+        bit = free & -free
+        row[face | bit] = -1 if (face & bit - 1).bit_count() & 1 else 1
+        free ^= bit
+    return row
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ DIGESTS = {
     "hall": "7817c5ceb8ff5882eccbfdfefbe535cba37b2f7e76ff8caf0cffbba201a09d98",
     "upper-bounds": "e5dbc460252fafc57883181e202dd6a6632ef6dbcfb32a9a2449ab8f6f2b89e8",
     "constructions": "ddd5d6fd45b5307510cca7c96a78c0c4eb7b55e0cd409761d016036573ad07ad",
-    "zeta": "189b2071e23219e1a415e3a6e6742eed8952311207ee61901c11a7a1795c73de",
+    "zeta": "f8a3d844ab1c55b7cba1f04ff96ff20f05d08f47d52275382fc4fcfebcb7fd81",
     "gordan": "5de16629cdac886d880654fcb7f13bf5118c7d057563460dbf09ca3abba6de68",
     "cake": "3a3b7b498a066ecc9bc29f3bb5da6aa6f46516691ea7f6410515cbc368154035",
     "tardos": "aab8ca9b0d8eef569add3a7a5be73edecc144401fa451bbd83fb63433d4a4817",
@@ -87,8 +87,8 @@ def test_criterion_07_upper_bound_constructions():
 
 
 def test_criterion_08_zeta_counterexample():
-    """The n = 3 bipartite witness has degrees (2, 3/2) and nonvanishing
-    first homology of its matching complex."""
+    """The bipartite witnesses for n = 3, 4, 5 have degrees (n - 1, n/(n - 1))
+    and nonvanishing (n - 2)-th homology of their matching complexes."""
     _run("criterion 8", "zeta", budget=60)
 
 

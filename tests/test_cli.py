@@ -200,10 +200,10 @@ def test_verify_all_subset(tmp_path, capsys):
 
 def test_python_dash_m_runs_the_cli(capsys):
     """`python -m balmat` is the command line: same exit code, same stdout."""
-    code, out = run(capsys, "verify-all", "--only", "zeta")
+    code, out = run(capsys, "verify-all", "--only", "gordan")
     src = str(Path(balmat.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "balmat", "verify-all", "--only", "zeta"],
+    proc = subprocess.run([sys.executable, "-m", "balmat", "verify-all", "--only", "gordan"],
                           env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
                           text=True, timeout=120)
     assert code == 0
@@ -214,8 +214,8 @@ def test_verify_all_only_takes_check_names(capsys):
     """--only takes one or more distinct names of checks, and nothing else."""
     for names in ([], ["bogus"], ["pasch", "Pasch"], ["pasch", "pasch"]):
         assert run(capsys, "verify-all", "--only", *names) == (2, ""), names
-    code, out = run(capsys, "verify-all", "--only", "pasch", "zeta")
-    assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == ["pasch", "zeta"]
+    code, out = run(capsys, "verify-all", "--only", "pasch", "gordan")
+    assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == ["pasch", "gordan"]
 
 
 def test_repeated_flags_exit_2(tmp_path, capsys, monkeypatch):
@@ -475,7 +475,7 @@ MISSING = object()
 FAULTS = st.one_of(COUNTS, st.sampled_from([None, True, 1.5, "1/0", "x", [], {}, MISSING]))
 BAD_ARGS = st.sampled_from(["x", "1.5", "1/0", "", "2,", "0", "-1", "-3"])
 BAD_NAMES = st.lists(st.sampled_from(["", "x", "Pasch", "ind_psi", "all"]), max_size=1)
-FAST_CHECKS = ["pasch", "zeta", "nnn", "gordan"]  # each runs in under 0.1 s
+FAST_CHECKS = ["pasch", "matching-bound", "nnn", "gordan"]  # each runs in under 0.1 s
 GRID = ["0", "1/4", "1/3", "1/2", "2/3", "1"]
 
 

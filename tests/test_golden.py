@@ -106,7 +106,7 @@ DIGESTS = {
     "dinterval-rainbow": (0, "ce17cb060d4a47a675eac8015f46eac869b2e24ec2d2673b1b218ee81447f43b"),
     "dinterval-cover-none": (1, "0d0b1aa228ac1af2b7d602cec96c0ada9ef08e42daff780c82323d834c735d80"),
     "dinterval-rainbow-none": (1, "f0066aa0607ff6653c18e560487246c9b8acb6ce061b93e1463644150c41e14c"),
-    "verify-all": (0, "faeb91eb5b95f9051d9d2b51c6bab7db9c765b9c5a9ee984dce5bf9c6f7310cb"),
+    "verify-all": (0, "6e560543757a7a8dde8a61d281e748394c41ecf583f3e454feebd291e907b5ba"),
 }
 
 

@@ -132,19 +132,62 @@ def rank_inputs(draw):
     return dense, ncols
 
 
+def integer_rows(dense):
+    """Each row scaled by the lcm of its denominators, which keeps the rank:
+    the integer rows that rank_of_rows takes."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in dense]
+    return sparse([x.numerator * (scale // x.denominator) for x in row]
+                  for row, scale in zip(dense, scales))
+
+
 @settings(max_examples=300, deadline=None)
 @given(rank_inputs(), st.one_of(st.none(), st.integers(0, 3)))
 def test_rank_matches_dense_fraction_gauss_jordan(case, slack):
-    """Each row scaled by the lcm of its denominators, which keeps the rank,
-    gives the integer rows that rank_of_rows takes.  A ceiling at the rank or
-    above it (rank + slack) leaves the answer exact."""
+    """A ceiling at the rank or above it (rank + slack) leaves the answer
+    exact."""
     dense, ncols = case
-    scales = [math.lcm(*(x.denominator for x in row)) for row in dense]
-    rows = sparse([x.numerator * (scale // x.denominator) for x in row]
-                  for row, scale in zip(dense, scales))
     expected = dense_fraction_rank(dense, ncols)
     ceiling = None if slack is None else expected + slack
-    assert rank_leaving_rows(rows, ceiling) == expected
+    assert rank_leaving_rows(integer_rows(dense), ceiling) == expected
+
+
+def lazy(rows, built):
+    """Each nonzero row as a lazy row (its highest column, a build that
+    appends the row's index to built and returns a copy of the row)."""
+    return [(max(row), lambda i=i, row=row: built.append(i) or dict(row))
+            for i, row in enumerate(rows) if row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_inputs(), st.one_of(st.none(), st.integers(0, 3)), st.randoms())
+def test_lazy_rows_rank_like_dicts(case, slack, rnd):
+    """The same rows, all lazy or each lazy by a coin flip, have the rank
+    they have as dicts, with and without a ceiling, and no row is built
+    twice."""
+    rows = integer_rows(case[0])
+    expected = rank_leaving_rows(rows)
+    ceiling = None if slack is None else expected + slack
+    built = []
+    assert rank_of_rows(lazy(rows, built), ceiling) == expected
+    assert len(built) == len(set(built))
+    mixed = [row if rnd.random() < 0.5 else lazy_row
+             for row, lazy_row in zip([row for row in rows if row], lazy(rows, []))]
+    assert rank_of_rows(mixed, ceiling) == expected
+
+
+def test_lazy_row_with_a_free_lead_is_built_when_a_later_row_reads_it():
+    """Rows 0 and 1 lead free columns 2 and 1 and are stored unbuilt.  Row 2
+    leads column 2, taken, so it is built; it reads row 0, then row 1, each
+    built then.  Row 3 reads row 0 again, now built, and reduces to zero.
+    Row 4 leads free column 3 and is never built.  A ceiling stops the
+    elimination before any row that would read a stored one."""
+    rows = [{2: 1, 0: 1}, {1: 1}, {2: 1, 1: 1}, {2: 3, 0: 1}, {3: 1}]
+    assert rank_leaving_rows(rows) == 4
+    for ceiling, rank, builds in [(None, 4, [2, 0, 1, 3]), (4, 4, [2, 0, 1, 3]),
+                                  (3, 3, [2, 0, 1]), (2, 2, [])]:
+        built = []
+        assert rank_of_rows(lazy(rows, built), ceiling) == rank
+        assert built == builds
 
 
 def test_lp_basic_max():

@@ -276,8 +276,9 @@ def test_rp2_has_no_rational_homology():
 
 def test_rp2_torsion_reaches_the_rational_fallback(monkeypatch):
     """H_1(RP^2; F_2) = Z/2, so the GF(2) coboundary step at j = 1 leaves a
-    zero row and cannot certify b_1 = 0: `rank_of_rows` ranks the boundary
-    from triangles to edges, which reaches its ceiling 10 = 15 - 5 over Q.
+    zero row and cannot certify b_1 = 0: `rank_of_rows` ranks the
+    coboundary rows of the 10 edges outside the 5 that step 0 cleared,
+    which reach their ceiling 10 = 15 - 5 over Q.
     Step 2 leaves a zero row as well, but its ceiling 10 - 10 = 0 already
     certifies b_2 = 0, and the steps at j = -1 and 0 have no zero row, so
     neither gets there."""
@@ -338,6 +339,9 @@ def suspension(facets, apexes):
 
 RP2 = [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
        {2, 3, 4}, {2, 3, 5}, {2, 5, 6}, {3, 4, 6}, {4, 5, 6}]
+# RP^2, a tetrahedron on its triangle 124, and a 2-sphere on 8..11
+RP2_BALL_SPHERE = (RP2 + [{1, 2, 4, 7}]
+                   + [set(t) for t in itertools.combinations(range(8, 12), 3)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,10 +349,11 @@ RP2 = [{1, 2, 4}, {1, 2, 6}, {1, 3, 5}, {1, 3, 6}, {1, 4, 5},
 @example(RP2)  # H_1 = Z/2: b = 0 over Q, 1 over GF(2) in dimensions 1 and 2
 @example(suspension(RP2, (7, 8)))  # the torsion moves up to dimension 2
 @example(RP2 + [{7, 8}, {8, 9}, {7, 9}])  # RP^2 and a circle: b_0 = b_1 = 1
+@example(RP2_BALL_SPHERE)  # step 2 clears 14 GF(2) pivots, rank_Q delta_1 = 15: b_2 = 1
 @example([])
 @example([set()])
 def test_scan_matches_dense_oracle_on_given_sets(sets):
-    c = SimplicialComplex(9, sets)
+    c = SimplicialComplex(11, sets)
     faces = {frozenset(x) for f in sets for k in range(len(f) + 1)
              for x in itertools.combinations(f, k)}
     check_scan_against_dense_oracle(c, faces)
@@ -360,6 +365,13 @@ def test_scan_matches_dense_oracle_on_given_sets(sets):
 @example(Graph(0, []))
 def test_scan_matches_dense_oracle_on_independence_complexes(g):
     check_scan_against_dense_oracle(independence_complex(g), independent_sets(g))
+
+
+def boundary(face):
+    """The boundary of a face as {facet mask: sign}, the sign of the facet
+    without the i-th lowest vertex being (-1)^i."""
+    return {face ^ 1 << v: (-1) ** (face & (1 << v) - 1).bit_count()
+            for v in range(face.bit_length()) if face >> v & 1}
 
 
 def scan_steps(c):
@@ -384,7 +396,7 @@ def test_coboundary_pivots_lead_the_span_and_bound_the_rational_rank(sets):
     the coboundary, that of the boundary out of the next level."""
     c = SimplicialComplex(6, sets)
     for level, cleared, upper in scan_steps(c):
-        rank = rank_of_rows(topology._boundary(u) for u in upper)
+        rank = rank_of_rows(boundary(u) for u in upper)
         span = {0}  # as bitmasks, bit u for coface u
         for face, _ in level:
             span |= {x ^ sum(1 << u for u in upper if u & face == face) for x in span}
@@ -392,6 +404,49 @@ def test_coboundary_pivots_lead_the_span_and_bound_the_rational_rank(sets):
         assert pivots == {x.bit_length() - 1 for x in span if x}
         assert len(span) == 2 ** len(pivots)
         assert len(pivots) <= rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(1, 7), max_size=5), max_size=7))
+@example(RP2)
+@example(RP2_BALL_SPHERE)
+def test_lazy_coboundary_rank_equals_the_boundary_rank(sets):
+    """At every step each face's signed coboundary row is the transpose of
+    the boundary rows of the next level, and the lazy rows of the faces
+    outside the GF(2) pivots of the step before have the rational rank of
+    the whole boundary out of the next level: clearing by GF(2) pivots
+    loses no rank over Q, torsion or not."""
+    c = SimplicialComplex(11, sets)
+    for level, cleared, upper in scan_steps(c):
+        for face, state in level:
+            assert topology._coboundary(face, c._free(face, state)) == {
+                u: boundary(u)[face] for u in upper if u & face == face}
+        assert (rank_of_rows(topology._coboundary_rows(c, level, cleared))
+                == rank_of_rows(boundary(u) for u in upper))
+
+
+def test_clearing_after_a_torsion_step(monkeypatch):
+    """On RP2_BALL_SPHERE step 1 has 14 GF(2) pivots while rank_Q delta_1 =
+    15, the torsion of RP^2.  Step 2 clears those 14 of its 17 triangles;
+    of the 3 left one has a coface, 124 under the tetrahedron, and its rank
+    1 against the ceiling 17 - 15 = 2 leaves b_2 = 1, the sphere.  A
+    clearing that lost that row would read b_2 = 2."""
+    c = SimplicialComplex(11, RP2_BALL_SPHERE)
+    steps = list(scan_steps(c))
+    level, cleared, _ = steps[3]  # j = 2
+    assert (len(level), len(cleared)) == (17, 14)
+    assert [len(list(topology._coboundary_rows(c, *step[:2]))) for step in steps] == [
+        1, 10, 15, 1, 0]
+    calls = []
+
+    def counted(rows, ceiling=None):
+        rows = list(rows)
+        calls.append((len(rows), ceiling, rank_of_rows(rows, ceiling)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(topology, "rank_of_rows", counted)
+    assert list(topology._betti_scan(c, 4)) == [(-1, 0), (0, 1), (1, 0), (2, 1), (3, 0)]
+    assert calls == [(10, 10, 9), (15, 15, 15), (1, 2, 1)]
 
 
 def eager_reads(rows):
