@@ -275,19 +275,15 @@ def _block_jnk(n: int, k: int):
     return (k, n), edges
 
 
-def _grid_assignments(rows, counts, col=1):
-    """All ways to assign columns col, col+1, ... to rows with given counts."""
-    if not counts:
-        yield {}
-        return
-    first, rest = counts[0], counts[1:]
-    for chosen in itertools.combinations(rows, first):
-        remaining = [r for r in rows if r not in chosen]
-        for sub in _grid_assignments(remaining, rest, col + 1):
-            out = dict(sub)
-            for r in chosen:
-                out[r] = col
-            yield out
+def _grid_assignments(rows, counts):
+    """All ways to give column c to counts[c - 1] of the rows, each row one
+    column, as dicts row -> column.  Built column by column, so the first
+    column's choice varies slowest, then the second's, and so on."""
+    partial = [({}, list(rows))]  # (rows given a column so far, rows left)
+    for col, count in enumerate(counts, 1):
+        partial = [({**done, **dict.fromkeys(chosen, col)}, [r for r in left if r not in chosen])
+                   for done, left in partial for chosen in itertools.combinations(left, count)]
+    return [done for done, _ in partial]
 
 
 def _combine(block1, block2) -> PartiteHypergraph:

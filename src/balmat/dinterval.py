@@ -132,27 +132,28 @@ def rainbow_matching(fams: DIntervalFamilies, target: int):
     """A pairwise-disjoint selection of one d-interval from each of >= target
     distinct families, or None if no such selection exists.
 
-    Returns a list of (family_index, DInterval) pairs.
+    Returns a list of (family_index, DInterval) pairs: the first found by a
+    depth-first search that tries each member of family i disjoint from
+    those chosen, in order, and then skips family i.  The search keeps an
+    explicit stack, so its depth is not Python's recursion limit.
     """
     if checked(target, int, "target") < 0:
         raise ValueError(f"target must be >= 0, got {target}")
-    return _rainbow(fams.families, 0, [], target)
-
-
-def _rainbow(families, i, chosen, target):
-    """`chosen` extended by pairwise-disjoint members of families i, i+1, ...,
-    at most one from each, to `target` members; or None if it cannot be.
-
-    Not a closure: a recursive closure refers to itself through its cell,
-    which keeps what it holds alive until a cyclic garbage collection."""
-    if len(chosen) >= target:
-        return chosen
-    if len(chosen) + len(families) - i < target:
-        return None
-    for iv in families[i]:
-        if all(not intersects(iv, prev) for _, prev in chosen):
-            found = _rainbow(families, i + 1, chosen + [(i, iv)], target)
-            if found is not None:
-                return found
-    return _rainbow(families, i + 1, chosen, target)
+    families = fams.families
+    stack = [(0, [], 0)]  # (family i, chosen so far, next member of family i to try)
+    while stack:
+        i, chosen, k = stack.pop()
+        if len(chosen) >= target:
+            return chosen
+        if len(chosen) + len(families) - i < target:
+            continue
+        members = families[i]
+        while k < len(members) and any(intersects(members[k], prev) for _, prev in chosen):
+            k += 1
+        if k < len(members):
+            stack.append((i, chosen, k + 1))
+            stack.append((i + 1, chosen + [(i, members[k])], 0))
+        else:
+            stack.append((i + 1, chosen, 0))  # skip family i
+    return None
 

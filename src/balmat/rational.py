@@ -2,31 +2,22 @@
 
 Rank over the rationals is exact fraction-free integer elimination: sparse
 integer rows are combined by integer multiples, so homology ranks never build
-a `Fraction`.  Each row is reduced on its highest column, as in the standard
-boundary-matrix reduction, and a caller that has proven an upper bound on the
-rank passes it as a ceiling, at which the elimination stops.
-Its one companion over GF(2) is `topology._coboundary_pivots`, which
-reduces coboundary rows, sets of coface masks, on their largest key in
-the same way, and builds a row only when an earlier pivot has its largest
-key: a row whose largest key is free becomes a pivot unreduced, an
-emergent pair (Bauer 2021), and is never built.  Rows independent mod 2
-are independent over Q, since an integer minor that is odd is not zero,
-so the GF(2) rank of integer rows reduced mod 2 is at most their rational
-rank.  For homology this reads b_j(F_2) >= b_j(Q): a reduced Betti number
-is a face count less two ranks, and each rank can only grow from GF(2) to
-Q.  So b_j(F_2) = 0, counted as the rows that reduce to zero, certifies
-b_j(Q) = 0.  A nonzero count decides nothing (torsion, as in RP^2, makes
-it nonzero), and the caller ranks over Q: `rank_of_rows` takes the same
-level's signed coboundary rows as lazy rows (lead, build), and stores a
-row whose lead is free unbuilt, the same emergent pair over Q.  The LP
-has one form: maximise c . x over rows coeffs . x <= rhs with rhs >= 0
-and x >= 0, so the slack basis at x = 0 starts it feasible.  Its entries
-are ints, and the simplex pivots a fraction-free integer dictionary
+a `Fraction`.  `add_row` is the one reduction: it reduces a row on its
+highest column, as in the standard boundary-matrix reduction, and stores
+what is left as a pivot.  `rank_of_rows` feeds it dict rows; the Betti scan,
+`topology._coboundary_pivots`, feeds it signed coboundary rows, and stores a
+row whose highest column is free unbuilt, an emergent pair (Bauer 2021),
+for `add_row` to build the first time a later row reads it.  A caller that
+has proven an upper bound on the rank stops once it holds that many pivots.
+
+The LP has one form: maximise c . x over rows coeffs . x <= rhs with
+rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  Its
+entries are ints, and the simplex pivots a fraction-free integer dictionary
 (Edmonds 1967) of the nonbasic columns only, as in Avis's lrs: no slack
-column is stored, and Bland's rule chooses by variable index.  It builds a `Fraction` only for
-the answer: the value, the point and the dual that certifies them.  It
-serves the capped fractional matchings of `hypergraph` (balance
-certificates, fractional matching numbers).
+column is stored, and Bland's rule chooses by variable index.  It builds a
+`Fraction` only for the answer: the value, the point and the dual that
+certifies them.  It serves the capped fractional matchings of `hypergraph`
+(balance certificates, fractional matching numbers).
 
 This module is the one boundary of exact numbers.  No floats anywhere:
 `checked` keeps a float or bool from passing for an int, `exact` keeps
@@ -93,67 +84,62 @@ def over_lcd(groups) -> Tuple[int, List[List[int]]]:
     return lcd, [[x.numerator * (lcd // x.denominator) for x in group] for group in groups]
 
 
-def rank_of_rows(rows: Iterable, ceiling: Optional[int] = None) -> int:
-    """Rank over the rationals by sparse, fraction-free integer elimination.
-
-    Each row is a dict {col: nonzero int}, left unmodified, or a lazy row: a
-    pair (lead, build), lead the highest column of the nonzero row that
-    build() returns as a new dict.  A lazy row whose lead no pivot holds yet
-    would become a pivot unreduced, so it is stored unbuilt, an emergent
-    pair (Bauer 2021), and built the first time a later row reads it.
+def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) -> int:
+    """Rank over the rationals of integer rows {col: nonzero int}, left
+    unmodified, by sparse, fraction-free elimination (`add_row`).
     `ceiling`, when given, must be an upper bound on the rank that the caller
     has proven: the elimination stops once the rank reaches it, and the rank
     is then exactly the ceiling.
     """
-    rank = 0
-    # pivots: col -> primitive integer row whose highest column is col, with a
-    # positive entry there, so that a pivot led by 1 never scales a row; or
-    # the build of a lazy row not read yet.  Highest-column pivots are those
-    # of the boundary-matrix reduction (Zomorodian-Carlsson 2005), which
-    # keeps the fill-in of boundary rows low.
     pivots: dict = {}
     for row in rows:
-        if rank == ceiling:
+        if len(pivots) == ceiling:
             break
-        if type(row) is tuple:
-            lead, build = row
-            if lead not in pivots:
-                pivots[lead] = build
-                rank += 1
-                continue
-            r = build()
-        else:
-            r = dict(row)
-        while r:
-            col = max(r)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = _primitive(r, col)
-                rank += 1
-                break
-            if type(pivot) is not dict:
-                pivot = pivots[col] = _primitive(pivot(), col)
-            # r <- (a/g) r - (b/g) pivot clears col without leaving the integers.
-            a, b = pivot[col], r.pop(col)
-            g = math.gcd(a, b)
-            mult, coef = a // g, b // g
-            if mult != 1:
+        add_row(pivots, dict(row))
+    return len(pivots)
+
+
+def add_row(pivots: dict, r: Dict[int, int], build=None) -> None:
+    """Reduce the integer row r, in place, on its highest column against
+    pivots until it is zero or its highest column leads no pivot, and store
+    it then as that column's pivot.
+
+    pivots maps a column to the primitive integer row whose highest column
+    it is, with a positive entry there, so that a pivot led by 1 never
+    scales a row; or to the arguments of an emergent pair, a row stored
+    unbuilt, which build(*args) returns as a dict the first time r reads
+    it.  Highest-column pivots are those of the boundary-matrix reduction
+    (Zomorodian-Carlsson 2005), which keeps the fill-in of boundary rows
+    low.
+    """
+    while r:
+        col = max(r)
+        pivot = pivots.get(col)
+        if pivot is None:
+            pivots[col] = _primitive(r, col)
+            return
+        if type(pivot) is not dict:
+            pivot = pivots[col] = _primitive(build(*pivot), col)
+        # r <- (a/g) r - (b/g) pivot clears col without leaving the integers.
+        a, b = pivot[col], r.pop(col)
+        g = math.gcd(a, b)
+        mult, coef = a // g, b // g
+        if mult != 1:
+            for c in r:
+                r[c] *= mult
+        for c, v in pivot.items():
+            if c != col:
+                nv = r.get(c, 0) - coef * v
+                if nv:
+                    r[c] = nv
+                else:
+                    del r[c]
+        if mult != 1:
+            # A scaled row is made primitive again, which keeps entries small.
+            content = math.gcd(*r.values())  # 0 when r is empty
+            if content > 1:
                 for c in r:
-                    r[c] *= mult
-            for c, v in pivot.items():
-                if c != col:
-                    nv = r.get(c, 0) - coef * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        del r[c]
-            if mult != 1:
-                # A scaled row is made primitive again, which keeps entries small.
-                content = math.gcd(*r.values())  # 0 when r is empty
-                if content > 1:
-                    for c in r:
-                        r[c] //= content
-    return rank
+                    r[c] //= content
 
 
 def _primitive(row: Dict[int, int], col: int) -> Dict[int, int]:

@@ -12,11 +12,10 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .hypergraph import Multigraph, PartiteHypergraph, WeightFunction, degrees, max_matching
-from .rational import ZERO, checked, exact, rank_of_rows
+from .rational import ZERO, add_row, checked, exact
 
 # Game value for "an isolated vertex appeared".  It stays the float math.inf
 # because the benchmark's exact renderer (bench/workloads.py, text()) prints
@@ -144,77 +143,48 @@ def _betti_scan(c: SimplicialComplex, top: int):
     """Yield (j, b_j), b_j the j-th reduced Betti number over Q, for
     j = -1, 0, ..., top while faces of dimension j exist.
 
-    Step j reduces the coboundary out of dimension j over GF(2), as Ripser
-    does (Bauer 2021), in `_coboundary_pivots`: one row per j-face, its
-    coface masks, in increasing mask order, each reduced on its largest
-    coface, and most rows are never built (emergent pairs).  Clearing
-    (Chen-Kerber 2011) skips the j-faces that led a pivot at step j - 1: if
-    tau leads the reduced row of a chain x, delta delta x = 0 writes
-    delta tau as a sum of the rows of faces below tau.  The rows that
-    reduce to zero then number b_j over GF(2), at least b_j over Q (see
-    `rational`), so none certify b_j = 0, and the rank over Q of the
-    coboundary out of dimension j is the ceiling len(level) - rank_in, the
-    codimension of the image of the coboundary into dimension j, which its
-    kernel holds.  Otherwise `rank_of_rows` ranks the same level's signed coboundary rows
-    over Q up to that ceiling, as lazy rows from `_coboundary_rows`, so a
-    row whose largest coface is free is not built there either, and level
-    j + 1 is never listed.
-
-    The rational step skips the faces cleared by the GF(2) pivots C of
-    step j - 1, which is sound over Q even after a torsion step.  The
-    pivots C lead a GF(2) echelon basis of the image of delta_{j-1}, so the
-    columns C of the integer matrix delta_{j-1} have rank |C| over GF(2),
-    hence over Q.  So that image holds, for each sigma in C, a rational
-    cochain x_sigma = delta_{j-1} y that is 1 at sigma and 0 on the rest of
-    C, and delta_j x_sigma = 0 writes row sigma of delta_j as a rational
-    combination of the rows outside C.  GF(2) steps never read a rational
-    rank, so no step runs twice, and between steps only the pivot faces
-    are kept.
+    Step j ranks the coboundary delta_j out of dimension j over Q, as
+    Ripser ranks it over a field (Bauer 2021), in `_coboundary_pivots`.
+    Its rank is at most the ceiling len(level) - rank_in, rank_in being
+    that of delta_{j-1}, since ker delta_j holds the image of delta_{j-1};
+    and b_j is the ceiling less the rank.  Clearing (Chen-Kerber 2011)
+    skips the j-faces P that led a pivot at step j - 1.  Those pivots lead
+    an echelon basis of the image of delta_{j-1}, also after a stop at the
+    ceiling, where the rank is full; so for each tau in P the image holds
+    a cochain x that is 1 at tau and 0 on the rest of P, and
+    delta_j x = 0 writes row tau of delta_j through the rows outside P.
+    Between steps only the pivot faces are kept, and level j + 1 is never
+    listed for step j.
     """
     levels = c._levels()
-    cleared, rank_in = set(), 0  # pivots of step j - 1; rank over Q of the coboundary into j
+    cleared, rank_in = {}, 0  # pivots of step j - 1; the rank of delta_{j-1}
     for j in range(-1, top + 1):
         level = next(levels, [])
         if not level:
             return
-        pivots = _coboundary_pivots(c, level, cleared)
-        zeros = len(level) - len(cleared) - len(pivots)
         ceiling = len(level) - rank_in
-        if zeros and ceiling:
-            rank_in = rank_of_rows(_coboundary_rows(c, level, cleared), ceiling)
-        else:
-            rank_in = ceiling
-        cleared = pivots
+        cleared = _coboundary_pivots(c, level, cleared, ceiling)
+        rank_in = len(cleared)
         yield j, ceiling - rank_in
 
 
-def _coboundary_rows(c: SimplicialComplex, level, cleared):
-    """The lazy rows of `rank_of_rows` for the coboundary of the faces of
-    the level outside cleared, in the level's order: (largest coface,
-    build of the signed row).  A face with no coface has no row."""
-    for face, state in level:
-        if face not in cleared:
-            free = c._free(face, state)
-            if free:
-                yield face | 1 << free.bit_length() - 1, partial(_coboundary, face, free)
+def _coboundary_pivots(c: SimplicialComplex, level, cleared, ceiling: int) -> dict:
+    """The pivots, keyed by coface, of the elimination over Q of the signed
+    coboundary rows of the faces of the level outside cleared, in the
+    level's order, stopped once it holds `ceiling` of them.
 
-
-def _coboundary_pivots(c: SimplicialComplex, level, cleared) -> set:
-    """The pivot cofaces of the elimination over GF(2) of the coboundary
-    rows of the faces of the level outside cleared, in the level's order.
-
-    A row is the set of a face's coface masks, and it is reduced on its
-    largest coface by symmetric difference with the pivot row of the same
-    largest coface; it becomes a pivot, or reduces to zero.  A face with no
-    coface is a zero row from the start.  A row whose largest coface, the
-    face plus its highest free vertex, leads no pivot yet becomes a pivot
+    Each row is reduced on its largest coface by `add_row`, fraction-free.
+    A face with no coface has no row.  A row whose largest coface, the face
+    plus its highest free vertex, leads no pivot yet becomes a pivot
     unreduced, an emergent pair (Bauer 2021, section 3.4), so it is stored
-    as (face, free) and its set is not built.  A set is built only for a
-    row whose largest coface is taken, and for a stored pivot the first time
-    such a row reads it: that pivot was never reduced, so the set built then
-    is exactly its row.  Only the pivot cofaces are returned."""
-    pivots: dict = {}  # largest coface -> (face, free) of an emergent pivot, or a built row
+    as (face, free) and not built.  `_coboundary` builds a row only when
+    its largest coface is taken, and a stored pivot the first time such a
+    row reads it: that pivot was never reduced, so the row built then is
+    exactly its own."""
+    pivots: dict = {}
     for face, state in level:
+        if len(pivots) == ceiling:
+            break
         if face in cleared:
             continue
         free = c._free(face, state)
@@ -223,29 +193,9 @@ def _coboundary_pivots(c: SimplicialComplex, level, cleared) -> set:
         lead = face | 1 << free.bit_length() - 1
         if lead not in pivots:
             pivots[lead] = (face, free)
-            continue
-        row = _cofaces(face, free)
-        while row:
-            top = max(row)
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                break
-            if type(pivot) is tuple:
-                pivot = pivots[top] = _cofaces(*pivot)
-            row ^= pivot
-    return set(pivots)
-
-
-def _cofaces(face: int, free: int) -> set:
-    """The coboundary row of a face: the set of its coface masks, one per
-    vertex of free, the vertices that extend it."""
-    row = set()
-    while free:
-        bit = free & -free
-        row.add(face | bit)
-        free ^= bit
-    return row
+        else:
+            add_row(pivots, _coboundary(face, free), _coboundary)
+    return pivots
 
 
 def _coboundary(face: int, free: int) -> Dict[int, int]:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -189,6 +191,23 @@ def test_conj_nn_infeasible_parameters():
         cons.conj_nn(3, 4)
     with pytest.raises(ValueError):
         cons.conj_nn(5, 5)
+
+
+@pytest.mark.parametrize("rows, counts", [
+    ([], []), ([1, 2, 3], [3]), ([0, 1, 2, 3], [2, 2]), ([0, 1, 2, 3, 4, 5], [1, 2, 3]),
+    ([1, 2, 3, 4, 5, 6], [3, 2, 1]), ([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])])
+def test_grid_assignments_order(rows, counts):
+    """The assignments in order are the permutations of the rows, in
+    lexicographic order, whose consecutive blocks of counts[0], counts[1],
+    ... rows each increase, block c giving its rows column c + 1: the first
+    column's choice varies slowest."""
+    starts = list(itertools.accumulate([0] + counts))
+    expected = [{r: col for col, (a, b) in enumerate(zip(starts, starts[1:]), 1) for r in p[a:b]}
+                for p in itertools.permutations(rows)
+                if all(list(p[a:b]) == sorted(p[a:b]) for a, b in zip(starts, starts[1:]))]
+    got = cons._grid_assignments(rows, counts)
+    assert [sorted(a.items()) for a in got] == [sorted(a.items()) for a in expected]
+    assert len(got) == math.factorial(len(rows)) // math.prod(map(math.factorial, counts))
 
 
 def test_block_nu():

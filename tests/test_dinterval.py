@@ -215,6 +215,43 @@ def test_rainbow_matching_identical_interval():
             rainbow_matching(fams, target)
 
 
+def rainbow_oracle(families, i, chosen, target):
+    """The recursive search `rainbow_matching` keeps the order of: each
+    member of family i disjoint from those chosen, in order, then a skip."""
+    if len(chosen) >= target:
+        return chosen
+    if len(chosen) + len(families) - i < target:
+        return None
+    for iv in families[i]:
+        if all(not intersects(iv, prev) for _, prev in chosen):
+            found = rainbow_oracle(families, i + 1, chosen + [(i, iv)], target)
+            if found is not None:
+                return found
+    return rainbow_oracle(families, i + 1, chosen, target)
+
+
+sixths = st.tuples(st.integers(0, 5), st.integers(1, 6)).map(
+    lambda p: (Fraction(p[0], 6), Fraction(min(p[0] + p[1], 6), 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(sixths, sixths).map(DInterval), max_size=3), max_size=6),
+       st.integers(0, 7))
+def test_rainbow_matching_returns_the_first_selection_of_the_recursive_search(raw, target):
+    fams = DIntervalFamilies(2, raw)
+    assert rainbow_matching(fams, target) == rainbow_oracle(fams.families, 0, [], target)
+
+
+def test_rainbow_matching_on_1100_disjoint_families():
+    """The search's depth is no recursion: 1,100 one-member families of
+    pairwise disjoint intervals reach target 1,100, one member each."""
+    fams = DIntervalFamilies(1, [[di((Fraction(i, 1100), Fraction(i + 1, 1100)))]
+                                 for i in range(1100)])
+    found = rainbow_matching(fams, 1100)
+    assert [i for i, _ in found] == list(range(1100))
+    assert [iv for _, iv in found] == [fam[0] for fam in fams.families]
+
+
 def test_rainbow_matching_skips_families():
     iv = di((0, 1), (0, 1))
     a = di((0, "1/2"), (0, "1/2"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balmat.rational import (LPProblem, Optimal, exact, format_rational, lp_solve,
+from balmat.rational import (LPProblem, Optimal, add_row, exact, format_rational, lp_solve,
                              over_lcd, parse_rational, rank_of_rows)
 
 
@@ -151,43 +151,21 @@ def test_rank_matches_dense_fraction_gauss_jordan(case, slack):
     assert rank_leaving_rows(integer_rows(dense), ceiling) == expected
 
 
-def lazy(rows, built):
-    """Each nonzero row as a lazy row (its highest column, a build that
-    appends the row's index to built and returns a copy of the row)."""
-    return [(max(row), lambda i=i, row=row: built.append(i) or dict(row))
-            for i, row in enumerate(rows) if row]
-
-
-@settings(max_examples=100, deadline=None)
-@given(rank_inputs(), st.one_of(st.none(), st.integers(0, 3)), st.randoms())
-def test_lazy_rows_rank_like_dicts(case, slack, rnd):
-    """The same rows, all lazy or each lazy by a coin flip, have the rank
-    they have as dicts, with and without a ceiling, and no row is built
-    twice."""
-    rows = integer_rows(case[0])
-    expected = rank_leaving_rows(rows)
-    ceiling = None if slack is None else expected + slack
+def test_add_row_builds_a_stored_pivot_when_a_row_first_reads_it():
+    """A pivot stored as the arguments of its build is built, made primitive
+    and kept the first time a row reaches its column, and never again."""
     built = []
-    assert rank_of_rows(lazy(rows, built), ceiling) == expected
-    assert len(built) == len(set(built))
-    mixed = [row if rnd.random() < 0.5 else lazy_row
-             for row, lazy_row in zip([row for row in rows if row], lazy(rows, []))]
-    assert rank_of_rows(mixed, ceiling) == expected
 
+    def build(*args):
+        built.append(args)
+        return {2: -2, 0: 4}
 
-def test_lazy_row_with_a_free_lead_is_built_when_a_later_row_reads_it():
-    """Rows 0 and 1 lead free columns 2 and 1 and are stored unbuilt.  Row 2
-    leads column 2, taken, so it is built; it reads row 0, then row 1, each
-    built then.  Row 3 reads row 0 again, now built, and reduces to zero.
-    Row 4 leads free column 3 and is never built.  A ceiling stops the
-    elimination before any row that would read a stored one."""
-    rows = [{2: 1, 0: 1}, {1: 1}, {2: 1, 1: 1}, {2: 3, 0: 1}, {3: 1}]
-    assert rank_leaving_rows(rows) == 4
-    for ceiling, rank, builds in [(None, 4, [2, 0, 1, 3]), (4, 4, [2, 0, 1, 3]),
-                                  (3, 3, [2, 0, 1]), (2, 2, [])]:
-        built = []
-        assert rank_of_rows(lazy(rows, built), ceiling) == rank
-        assert built == builds
+    pivots = {2: ("row", 0)}
+    add_row(pivots, {2: 1, 1: 1}, build)
+    assert built == [("row", 0)]
+    assert pivots == {2: {2: 1, 0: -2}, 1: {1: 1, 0: 2}}
+    add_row(pivots, {2: 3, 0: -6}, build)  # reduces to zero
+    assert built == [("row", 0)] and len(pivots) == 2
 
 
 def test_lp_basic_max():

@@ -103,8 +103,7 @@ def test_no_recursive_closures():
 
 # The recursive engines, each one search whose depth its input bounds; a new
 # recursion must be added here on purpose, or written as a loop.
-RECURSIVE = {"_balanced_vectors", "_con_value", "_grid_assignments", "_matching_branch",
-             "_psi_value", "_rainbow"}
+RECURSIVE = {"_balanced_vectors", "_con_value", "_matching_branch", "_psi_value"}
 
 
 def _calls_itself(function):

@@ -221,14 +221,19 @@ def test_independence_complex_facets_are_maximal_independent_sets(g):
 def test_eta_scan_matches_definition(facets, cap):
     """`betti` and `eta` both read `_betti_scan`; the oracle takes each Betti
     number from the faces of dimensions j - 1, j and j + 1 alone, and ranks
-    their signed boundary rows over Q with no ceiling, sharing no code with
-    the scan's GF(2) coboundary steps."""
+    their dense signed boundary matrices by Gauss-Jordan over `Fraction`
+    with no ceiling, sharing no code with the scan's coboundary steps."""
     c = SimplicialComplex(6, facets)
 
     def rank(lower, upper):
         idx = {f: i for i, f in enumerate(lower)}
-        return rank_of_rows([{idx[f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
-                             for f in upper])
+        rows = []
+        for f in upper:
+            row = [0] * len(lower)
+            for i in range(len(f)):
+                row[idx[f[:i] + f[i + 1:]]] = (-1) ** i
+            rows.append(row)
+        return dense_fraction_rank(rows, len(lower))
 
     oracle = []
     for j in range(-1, cap - 1):
@@ -272,25 +277,6 @@ def test_rp2_has_no_rational_homology():
     for j in range(-1, 3):
         assert betti(c, j) == 0
     assert eta(c, cap=4) == Eta(4, False)
-
-
-def test_rp2_torsion_reaches_the_rational_fallback(monkeypatch):
-    """H_1(RP^2; F_2) = Z/2, so the GF(2) coboundary step at j = 1 leaves a
-    zero row and cannot certify b_1 = 0: `rank_of_rows` ranks the
-    coboundary rows of the 10 edges outside the 5 that step 0 cleared,
-    which reach their ceiling 10 = 15 - 5 over Q.
-    Step 2 leaves a zero row as well, but its ceiling 10 - 10 = 0 already
-    certifies b_2 = 0, and the steps at j = -1 and 0 have no zero row, so
-    neither gets there."""
-    ceilings = []
-
-    def counted(rows, ceiling=None):
-        ceilings.append(ceiling)
-        return rank_of_rows(rows, ceiling)
-
-    monkeypatch.setattr(topology, "rank_of_rows", counted)
-    assert list(topology._betti_scan(rp2(), 3)) == [(-1, 0), (0, 0), (1, 0), (2, 0)]
-    assert ceilings == [10]
 
 
 def dense_betti(faces):
@@ -349,7 +335,7 @@ RP2_BALL_SPHERE = (RP2 + [{1, 2, 4, 7}]
 @example(RP2)  # H_1 = Z/2: b = 0 over Q, 1 over GF(2) in dimensions 1 and 2
 @example(suspension(RP2, (7, 8)))  # the torsion moves up to dimension 2
 @example(RP2 + [{7, 8}, {8, 9}, {7, 9}])  # RP^2 and a circle: b_0 = b_1 = 1
-@example(RP2_BALL_SPHERE)  # step 2 clears 14 GF(2) pivots, rank_Q delta_1 = 15: b_2 = 1
+@example(RP2_BALL_SPHERE)  # step 2 clears 15 of 17 triangles, one row left: b_2 = 1
 @example([])
 @example([set()])
 def test_scan_matches_dense_oracle_on_given_sets(sets):
@@ -375,35 +361,51 @@ def boundary(face):
 
 
 def scan_steps(c):
-    """(level, cleared, upper) for each GF(2) step of the scan of c, cleared
-    being the pivots of the step before and upper the next level's faces."""
-    levels, cleared = list(c._levels()), set()
+    """(level, cleared, ceiling, upper) for each step of the scan of c,
+    cleared being the pivots of the step before, ceiling the bound the
+    scan passes, and upper the next level's faces."""
+    levels, cleared = list(c._levels()), {}
     for j, level in enumerate(levels):
         upper = [face for face, _ in levels[j + 1]] if j + 1 < len(levels) else []
-        yield level, cleared, upper
-        cleared = topology._coboundary_pivots(c, level, cleared)
+        ceiling = len(level) - len(cleared)
+        yield level, cleared, ceiling, upper
+        cleared = topology._coboundary_pivots(c, level, cleared, ceiling)
+
+
+def coboundary_rows(level, upper):
+    """Each face's signed coboundary row, read off the boundaries of the
+    next level: (face, {coface: sign})."""
+    return [(face, {u: boundary(u)[face] for u in upper if u & face == face})
+            for face, _ in level]
+
+
+def restricted_rank(rows, cols):
+    """The rank over Q of the rows restricted to the columns cols, as a
+    dense matrix ranked by Gauss-Jordan over `Fraction`."""
+    cols = sorted(cols)
+    return dense_fraction_rank([[row.get(u, 0) for u in cols] for _, row in rows], len(cols))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
 @example(RP2)
 def test_coboundary_pivots_lead_the_span_and_bound_the_rational_rank(sets):
-    """At each step the pivot keys of the GF(2) elimination, run with the
-    pivots of the step before cleared, are the largest keys of the nonzero
-    vectors in the span of every coboundary row of the level, cleared ones
-    included, found here by listing the span.  Rows independent mod 2 are
-    independent over Q, so their number is at most the rational rank of
-    the coboundary, that of the boundary out of the next level."""
+    """At each step, run with the pivots of the step before cleared and
+    stopped at the ceiling, the pivot count is the rational rank of the
+    boundary out of the next level, and the pivot keys lead the span of
+    every coboundary row of the level, cleared ones included: a coface
+    leads a vector of the span exactly when the rank of the rows restricted
+    to the cofaces from it up exceeds that from the next one up.  So the
+    rows restricted to the pivot columns have rank |P|, which is what lets
+    the next step clear them."""
     c = SimplicialComplex(6, sets)
-    for level, cleared, upper in scan_steps(c):
-        rank = rank_of_rows(boundary(u) for u in upper)
-        span = {0}  # as bitmasks, bit u for coface u
-        for face, _ in level:
-            span |= {x ^ sum(1 << u for u in upper if u & face == face) for x in span}
-        pivots = topology._coboundary_pivots(c, level, cleared)
-        assert pivots == {x.bit_length() - 1 for x in span if x}
-        assert len(span) == 2 ** len(pivots)
-        assert len(pivots) <= rank
+    for level, cleared, ceiling, upper in scan_steps(c):
+        pivots = topology._coboundary_pivots(c, level, cleared, ceiling)
+        assert len(pivots) == rank_of_rows(boundary(u) for u in upper)
+        rows = coboundary_rows(level, upper)
+        ranks = [restricted_rank(rows, upper[i:]) for i in range(len(upper) + 1)]
+        assert set(pivots) == {u for i, u in enumerate(upper) if ranks[i] > ranks[i + 1]}
+        assert restricted_rank(rows, pivots) == len(pivots)
 
 
 @settings(max_examples=100, deadline=None)
@@ -412,50 +414,54 @@ def test_coboundary_pivots_lead_the_span_and_bound_the_rational_rank(sets):
 @example(RP2_BALL_SPHERE)
 def test_lazy_coboundary_rank_equals_the_boundary_rank(sets):
     """At every step each face's signed coboundary row is the transpose of
-    the boundary rows of the next level, and the lazy rows of the faces
-    outside the GF(2) pivots of the step before have the rational rank of
-    the whole boundary out of the next level: clearing by GF(2) pivots
-    loses no rank over Q, torsion or not."""
+    the boundary rows of the next level, and the pivots of the rows outside
+    those of the step before number the rational rank of the whole boundary
+    out of the next level, and lead rows independent on their own columns:
+    clearing loses no rank over Q, torsion or not."""
     c = SimplicialComplex(11, sets)
-    for level, cleared, upper in scan_steps(c):
-        for face, state in level:
-            assert topology._coboundary(face, c._free(face, state)) == {
-                u: boundary(u)[face] for u in upper if u & face == face}
-        assert (rank_of_rows(topology._coboundary_rows(c, level, cleared))
-                == rank_of_rows(boundary(u) for u in upper))
+    for level, cleared, ceiling, upper in scan_steps(c):
+        rows = coboundary_rows(level, upper)
+        for (face, state), (_, row) in zip(level, rows):
+            assert topology._coboundary(face, c._free(face, state)) == row
+        pivots = topology._coboundary_pivots(c, level, cleared, ceiling)
+        assert len(pivots) == rank_of_rows(boundary(u) for u in upper)
+        assert restricted_rank(rows, pivots) == len(pivots)
 
 
-def test_clearing_after_a_torsion_step(monkeypatch):
-    """On RP2_BALL_SPHERE step 1 has 14 GF(2) pivots while rank_Q delta_1 =
-    15, the torsion of RP^2.  Step 2 clears those 14 of its 17 triangles;
-    of the 3 left one has a coface, 124 under the tetrahedron, and its rank
-    1 against the ceiling 17 - 15 = 2 leaves b_2 = 1, the sphere.  A
-    clearing that lost that row would read b_2 = 2."""
+def test_clearing_after_a_torsion_step():
+    """On RP2_BALL_SPHERE the steps -1 to 3 stop at ceilings 1, 10, 15, 2
+    and 0.  Step 1 reaches its ceiling 15 = rank_Q delta_1 on the 15 edges
+    that step 0 left, where the 2-torsion of RP^2 holds the GF(2) rank to
+    14.  Step 2 clears those 15 of its 17 triangles; of the 2 left one has
+    a coface, 124 under the tetrahedron, and its rank 1 against the
+    ceiling 17 - 15 = 2 leaves b_2 = 1, the sphere.  A clearing that lost
+    that row would read b_2 = 2."""
     c = SimplicialComplex(11, RP2_BALL_SPHERE)
-    steps = list(scan_steps(c))
-    level, cleared, _ = steps[3]  # j = 2
-    assert (len(level), len(cleared)) == (17, 14)
-    assert [len(list(topology._coboundary_rows(c, *step[:2]))) for step in steps] == [
-        1, 10, 15, 1, 0]
-    calls = []
-
-    def counted(rows, ceiling=None):
-        rows = list(rows)
-        calls.append((len(rows), ceiling, rank_of_rows(rows, ceiling)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(topology, "rank_of_rows", counted)
+    steps = [(level, cleared, ceiling, topology._coboundary_pivots(c, level, cleared, ceiling))
+             for level, cleared, ceiling, _ in scan_steps(c)]
+    assert [(len(level), len(cleared), ceiling, len(pivots))
+            for level, cleared, ceiling, pivots in steps] == [
+        (1, 0, 1, 1), (11, 1, 10, 9), (24, 9, 15, 15), (17, 15, 2, 1), (1, 1, 0, 0)]
+    # the faces outside cleared that have a coface, one row each
+    assert [sum(face not in cleared and c._free(face, state) != 0 for face, state in level)
+            for level, cleared, _, _ in steps] == [1, 10, 15, 1, 0]
+    level, cleared, _, pivots = steps[3]  # j = 2
+    assert [face for face, state in level if face not in cleared
+            and c._free(face, state)] == [0b10110]  # 124
     assert list(topology._betti_scan(c, 4)) == [(-1, 0), (0, 1), (1, 0), (2, 1), (3, 0)]
-    assert calls == [(10, 10, 9), (15, 15, 15), (1, 2, 1)]
 
 
-def eager_reads(rows):
-    """An eager elimination over GF(2) of rows given as (face, coface set),
-    each reduced on its largest coface.  Returns its pivot keys, the faces
-    whose largest coface was taken when they came, and the faces of the
-    unreduced pivots that some later row read."""
+def eager_reads(rows, ceiling):
+    """An eager elimination over Q, in `Fraction`s, of rows given as
+    (face, {coface: sign}), each reduced on its largest coface and stopped
+    at ceiling pivots.  Returns its pivot keys, the faces whose largest
+    coface was taken when they came, and the faces of the unreduced pivots
+    that some later row read."""
     pivots, collided, read = {}, [], set()  # largest coface -> (row, face if unreduced)
     for face, row in rows:
+        if len(pivots) == ceiling:
+            break
+        row = {u: Fraction(x) for u, x in row.items()}
         if row and max(row) in pivots:
             collided.append(face)
         unreduced = face
@@ -466,35 +472,37 @@ def eager_reads(rows):
                 break
             if pivot[1] is not None:
                 read.add(pivot[1])
-            row, unreduced = row ^ pivot[0], None
+            f = row[max(row)] / pivot[0][max(row)]
+            row = {u: x for u in row.keys() | pivot[0].keys()
+                   if (x := row.get(u, 0) - f * pivot[0].get(u, 0))}
+            unreduced = None
     return set(pivots), collided, read
 
 
 def record_builds(monkeypatch):
-    """The faces whose coface sets `_cofaces` builds from now on, in order."""
-    built, build = [], topology._cofaces
-    monkeypatch.setattr(topology, "_cofaces", lambda face, free: built.append(face) or
+    """The faces whose signed rows `_coboundary` builds from now on, in order."""
+    built, build = [], topology._coboundary
+    monkeypatch.setattr(topology, "_coboundary", lambda face, free: built.append(face) or
                         build(face, free))
     return built
 
 
-def check_lazy_builds(c, level, cleared, upper):
+def check_lazy_builds(c, level, cleared, ceiling, upper):
     """The lazy elimination's pivots against the eager one's, and its row
     builds: one per row whose largest coface was taken, and one per
     unreduced pivot such a row read; an emergent row is built no more."""
-    rows = [(face, {u for u in upper if u & face == face}) for face, _ in level
-            if face not in cleared]
-    expected, collided, read = eager_reads(rows)
+    rows = [(face, row) for face, row in coboundary_rows(level, upper) if face not in cleared]
+    expected, collided, read = eager_reads(rows, ceiling)
     with pytest.MonkeyPatch.context() as m:
         built = record_builds(m)
-        assert topology._coboundary_pivots(c, level, cleared) == expected
+        assert set(topology._coboundary_pivots(c, level, cleared, ceiling)) == expected
     assert Counter(built) == Counter(collided) + Counter(read)
     return len(rows), len(collided), len(built)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sets(st.integers(1, 7), max_size=5), max_size=7))
-@example(RP2)  # step 1: five rows built, and a zero row
+@example(RP2)  # step 1: two rows collide, five rows built, no zero row
 @example([{2, 5}, {1, 2, 4}, {1, 3, 5}, {3, 4, 5}])  # step 1 reads edge 12's pivot twice
 def test_lazy_builds_match_the_eager_elimination(sets):
     c = SimplicialComplex(9, sets)
@@ -523,15 +531,15 @@ def test_hall_workload_builds_rows_only_on_collisions(monkeypatch):
     collides, and it builds its own row and that of the pivot it reads."""
     h, _ = random_knn_balanced(2, 3, seed=16)
     steps, scan = [], topology._coboundary_pivots
-    monkeypatch.setattr(topology, "_coboundary_pivots", lambda c, level, cleared: steps.append(
-        (c, level, cleared)) or scan(c, level, cleared))
+    monkeypatch.setattr(topology, "_coboundary_pivots", lambda c, level, cleared, ceiling: (
+        steps.append((c, level, cleared, ceiling)) or scan(c, level, cleared, ceiling)))
     assert hall_check(h, 0).all_K_pass
     monkeypatch.undo()
     totals = Counter()
-    for c, level, cleared in steps:
+    for c, level, cleared, ceiling in steps:
         upper = [face for face, _ in next(itertools.islice(
             c._levels(), level[0][0].bit_count() + 1, None), [])]
-        rows, collided, built = check_lazy_builds(c, level, cleared, upper)
+        rows, collided, built = check_lazy_builds(c, level, cleared, ceiling, upper)
         totals.update(rows=rows, collided=collided, built=built)
     assert totals == Counter(rows=12, collided=1, built=2)
 
