@@ -119,54 +119,64 @@ def balanced_certificate(h: PartiteHypergraph) -> Optional[WeightFunction]:
     """
     if len({v for e in h.edges for v in enumerate(e, start=1)}) < sum(h.side_sizes):
         return None  # isolated vertex: its degree can never reach 1/a_t
-    res = _capped_matching(h, lambda a: Fraction(1, a))
-    if res.value < 1:
+    res, lcd = _capped_matching(h, lambda a: Fraction(1, a))
+    scale = res.det * lcd
+    if res.value < scale:
         return None
-    return WeightFunction({e: x for e, x in zip(h.edges, res.point) if x > 0})
+    return WeightFunction({e: Fraction(x, scale) for e, x in zip(h.edges, res.point) if x > 0})
 
 
 def nu_star(h: PartiteHypergraph) -> Fraction:
     """Fractional matching number: max |f| s.t. deg_f <= 1, f >= 0."""
-    return _capped_matching(h, lambda a: ONE).value
+    res, lcd = _capped_matching(h, lambda a: ONE)
+    return Fraction(res.value, res.det * lcd)
 
 
-def _capped_matching(h: PartiteHypergraph, cap) -> Optimal:
+def _capped_matching(h: PartiteHypergraph, cap) -> Tuple[Optimal, int]:
     """max |f| over f >= 0 on h.edges with deg_f(t, j) <= cap(a_t) at each
     vertex (t, j), sides in order, then indices; its certificate checked.
 
     The LP counts f in units of 1/L, L the lcm of the caps' denominators, so
-    its right sides are the integers L * cap(a_t) and its rows stay 0/1; the
-    dual, a vertex cover, is the same for both, and the point and value are
-    divided by L."""
+    its right sides are the integers L * cap(a_t) and its rows stay 0/1, one
+    entry set per edge and side.  Returns (res, L), res the LP's answer in
+    integers over res.det: f = res.point / (res.det * L) of total
+    res.value / (res.det * L), and its dual, the vertex cover
+    y = res.dual / res.det, the same for both LPs."""
     lcd, (caps,) = over_lcd([[cap(a) for a in h.side_sizes]])
-    rows = [([int(e[t - 1] == j) for e in h.edges], c)
-            for t, (a, c) in enumerate(zip(h.side_sizes, caps), start=1) for j in range(1, a + 1)]
-    res = lp_solve(LPProblem(len(h.edges), rows, [1] * len(h.edges)))
-    res = Optimal(res.value / lcd, [x / lcd for x in res.point], res.dual)
-    _check_cover(h, cap, res)
-    return res
+    offsets = list(itertools.accumulate(h.side_sizes, initial=-1))
+    rows = [[0] * len(h.edges) for _ in range(offsets[-1] + 1)]
+    for i, e in enumerate(h.edges):
+        for o, j in zip(offsets, e):
+            rows[o + j][i] = 1
+    rhs = [c for a, c in zip(h.side_sizes, caps) for _ in range(a)]
+    res = lp_solve(LPProblem(len(h.edges), list(zip(rows, rhs)), [1] * len(h.edges)))
+    _check_cover(h, caps, res)
+    return res, lcd
 
 
-def _check_cover(h: PartiteHypergraph, cap, res: Optimal):
-    """RuntimeError unless res.point is an f >= 0 within the caps and
-    res.dual a fractional vertex cover y (y >= 0, y summed over each edge's
-    vertices >= 1), both of total res.value: by weak duality both are then
-    optimal.  Shares no code with the simplex: it reads only the returned
-    rationals and checks each clause on their numerators over one common
-    denominator D, so the cover's total, sum(cap * y), is compared at D^2."""
-    caps = [c for a in h.side_sizes for c in [cap(a)] * a]  # per vertex, in order
-    if len(res.point) == len(h.edges) and len(res.dual) == len(caps):
-        big, (f, y, caps, (value,)) = over_lcd([res.point, res.dual, caps, [res.value]])
+def _check_cover(h: PartiteHypergraph, caps, res: Optimal):
+    """RuntimeError unless, over det = res.det > 0 and with caps[t - 1] the
+    integer cap L * cap(a_t) of side t, f = res.point / (det * L) is >= 0
+    and within the caps, y = res.dual / det is a fractional vertex cover
+    (y >= 0, y summed over each edge's vertices >= 1), and both total
+    res.value / (det * L): by weak duality both are then optimal.  Shares no
+    code with the simplex: it reads only the returned integers, and checks
+    each clause on them as they are, with L cancelled: deg <= caps * det,
+    cover sums >= det, and sum(point) = value = sum(caps * dual)."""
+    caps = [c for a, c in zip(h.side_sizes, caps) for _ in range(a)]  # per vertex, in order
+    det, f, y, value = res.det, res.point, res.dual, res.value
+    if len(f) == len(h.edges) and len(y) == len(caps) and det > 0:
         offsets = list(itertools.accumulate(h.side_sizes, initial=-1))
-        at = [[o + j for o, j in zip(offsets, e)] for e in h.edges]  # vertex positions
+        at = [list(map(operator.add, offsets, e)) for e in h.edges]  # vertex positions
         deg = [0] * len(caps)
         for vs, x in zip(at, f):
-            for v in vs:
-                deg[v] += x
+            if x:
+                for v in vs:
+                    deg[v] += x
         if (min(f, default=0) >= 0 and min(y, default=0) >= 0
-                and all(map(operator.le, deg, caps))
-                and all(sum(y[v] for v in vs) >= big for vs in at)
-                and sum(f) == value and sum(map(operator.mul, caps, y)) == value * big):
+                and all(d <= c * det for d, c in zip(deg, caps))
+                and all(sum(map(y.__getitem__, vs)) >= det for vs in at)
+                and sum(f) == value == sum(map(operator.mul, caps, y))):
             return
     raise RuntimeError("capped fractional matching LP answer fails its "
                        "primal-dual certificate")

@@ -14,9 +14,11 @@ The LP has one form: maximise c . x over rows coeffs . x <= rhs with
 rhs >= 0 and x >= 0, so the slack basis at x = 0 starts it feasible.  Its
 entries are ints, and the simplex pivots a fraction-free integer dictionary
 (Edmonds 1967) of the nonbasic columns only, as in Avis's lrs: no slack
-column is stored, and Bland's rule chooses by variable index.  It builds a
-`Fraction` only for the answer: the value, the point and the dual that
-certifies them.  It serves the capped fractional matchings of `hypergraph`
+column is stored, and Bland's rule chooses by variable index.  A pivot
+whose entry equals det updates in place only the entries it changes; any
+other pivot rewrites every row.  It builds no `Fraction`: the answer, the
+value, the point and the dual that certifies them, is integers over the
+last det.  It serves the capped fractional matchings of `hypergraph`
 (balance certificates, fractional matching numbers).
 
 This module is the one boundary of exact numbers.  No floats anywhere:
@@ -52,8 +54,9 @@ def parse_rational(s: str) -> Fraction:
 
 
 def format_rational(q) -> str:
-    """Render a Fraction as "p/q", or just "p" when the denominator is 1."""
-    q = Fraction(q)
+    """Render an int or a Fraction as "p/q", or just "p" when the
+    denominator is 1; a float, a bool or anything else is a ValueError."""
+    q = exact(q, "rational")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -166,42 +169,53 @@ class LPProblem:
     def check(self):
         if len(self.objective) != self.variables:
             raise ValueError("objective length mismatch")
-        for coeffs, rhs in self.constraints:
-            if len(coeffs) != self.variables:
-                raise ValueError("constraint length mismatch")
-        for x in itertools.chain(self.objective, *(
-                (*coeffs, rhs) for coeffs, rhs in self.constraints)):
-            checked(x, int, "LP entry")
-        for _, rhs in self.constraints:
-            if rhs < 0:
-                raise ValueError(f"negative right-hand side {rhs}")
+        if any(len(coeffs) != self.variables for coeffs, _ in self.constraints):
+            raise ValueError("constraint length mismatch")
+        rhs = [b for _, b in self.constraints]
+        entries = itertools.chain(self.objective, rhs, *(c for c, _ in self.constraints))
+        if not set(map(type, entries)) <= {int}:
+            # Read again in order, so the error names the first entry that is no int.
+            for x in itertools.chain(self.objective, *(
+                    (*coeffs, b) for coeffs, b in self.constraints)):
+                checked(x, int, "LP entry")
+        for b in rhs:
+            if b < 0:
+                raise ValueError(f"negative right-hand side {b}")
 
 
 @dataclass
 class Optimal:
-    value: Fraction
-    point: List[Fraction]
-    dual: List[Fraction]  # y, one entry per constraint row
+    """An optimum as integers over one common denominator det > 0: the value
+    value / det, the point point[j] / det and the dual dual[i] / det."""
+
+    value: int
+    point: List[int]
+    dual: List[int]  # y, one entry per constraint row
+    det: int
 
 
 def lp_solve(p: LPProblem) -> Optimal:
     """Exact simplex with Bland's anti-cycling rule on one integer dictionary.
 
-    Returns Optimal(value, point, dual); raises ValueError when the objective
-    is unbounded, that is, when a ratio test finds no row.  The entries are
-    ints, so the dictionary starts as the LP itself; a caller with rational
-    data scales it to integers first (`over_lcd`).  Variable n + i is row
-    i's slack.  Only the nonbasic columns are kept, `cols[c]` naming the
-    variable in column c, as in Avis's lrs; the start is the slack basis at
-    x = 0, det = 1.  Bland's rule enters the lowest variable with a positive
-    reduced cost and, among tied ratios, leaves on the lowest basic
-    variable.  Fraction-free (Edmonds
-    1967): the dictionary is always det times the rational one of the same
-    basis, det being the last pivot, so every division in the update is
-    exact; the leaving variable takes the entering column, -a_i in each
-    other row i and the old det in the pivot row.  The dual y is minus the
-    final reduced costs at the slacks (0 for a basic slack); y >= 0,
-    y . coeffs >= objective and y . rhs = value.
+    Returns Optimal(value, point, dual, det), integers over det; raises
+    ValueError when the objective is unbounded, that is, when a ratio test
+    finds no row.  The entries are ints, so the dictionary starts as the LP
+    itself; a caller with rational data scales it to integers first
+    (`over_lcd`).  Variable n + i is row i's slack.  Only the nonbasic
+    columns are kept, `cols[c]` naming the variable in column c, as in
+    Avis's lrs; the start is the slack basis at x = 0, det = 1.  Bland's
+    rule enters the lowest variable with a positive reduced cost and, among
+    tied ratios, leaves on the lowest basic variable.  Fraction-free
+    (Edmonds 1967): the dictionary is always det times the rational one of
+    the same basis, det being the last pivot, so every division in the
+    update is exact; the leaving variable takes the entering column, -a_i
+    in each other row i and the old det in the pivot row.  A pivot entry
+    equal to det, the common case on 0/1 rows, leaves a row with a zero in
+    the entering column as it is, and changes any other row only where the
+    pivot row is nonzero, by row[c] -= a_i * prow[c] // det, in place; only
+    a pivot entry other than det rewrites every entry of every row.  The
+    dual y is minus the final reduced costs at the slacks (0 for a basic
+    slack); y >= 0, y . coeffs >= objective and y . rhs = value.
     """
     p.check()
     n = p.variables
@@ -232,25 +246,34 @@ def lp_solve(p: LPProblem) -> Optimal:
             raise ValueError("the LP is unbounded")
         prow = tableau[leave]
         piv = prow[enter]
-        for i, row in enumerate(tableau):
-            if i == leave:
-                continue
-            coef = row[enter]
-            if coef:
-                tableau[i] = [(piv * x - coef * y) // det for x, y in zip(row, prow)]
-                tableau[i][enter] = -coef
-            elif piv != det:
-                tableau[i] = [piv * x // det if x else 0 for x in row]
+        if piv == det:
+            nonzero = [(c, y) for c, y in enumerate(prow) if y and c != enter]
+            for i, row in enumerate(tableau):
+                coef = row[enter]
+                if coef and i != leave:
+                    for c, y in nonzero:
+                        row[c] -= coef * y // det
+                    row[enter] = -coef
+        else:
+            for i, row in enumerate(tableau):
+                if i == leave:
+                    continue
+                coef = row[enter]
+                if coef:
+                    tableau[i] = [(piv * x - coef * y) // det for x, y in zip(row, prow)]
+                    tableau[i][enter] = -coef
+                else:
+                    tableau[i] = [piv * x // det if x else 0 for x in row]
         prow[enter] = det
         det = piv
         basis[leave], cols[enter] = cols[enter], basis[leave]
-    point = [ZERO] * n
+    point = [0] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = Fraction(tableau[i][n], det)
+            point[b] = tableau[i][n]
     cost = tableau[m]
-    dual = [ZERO] * m
+    dual = [0] * m
     for c, v in enumerate(cols):
         if v >= n:
-            dual[v - n] = Fraction(-cost[c], det)
-    return Optimal(Fraction(-cost[n], det), point, dual)
+            dual[v - n] = -cost[c]
+    return Optimal(-cost[n], point, dual, det)

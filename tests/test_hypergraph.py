@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from balmat import hypergraph
 from balmat.constructions import drisko
-from balmat.rational import ONE, Optimal
+from balmat.rational import ONE, Optimal, over_lcd
 from balmat.hypergraph import (Multigraph, PartiteHypergraph, WeightFunction,
                                _capped_matching, balanced_certificate, check_hosted,
                                check_side_sizes,
@@ -138,8 +138,37 @@ def test_balanced_certificate_isolated_vertex():
 def test_balanced_certificate_below_one_without_isolated_vertex():
     # every vertex has an edge, yet the capped LP stops at 5/6 < 1
     h = PartiteHypergraph((2, 3), [(1, 1), (1, 2), (1, 3), (2, 1)])
-    assert _capped_matching(h, lambda a: Fraction(1, a)).value == Fraction(5, 6)
+    assert capped_answer(h, lambda a: Fraction(1, a))[0] == Fraction(5, 6)
     assert balanced_certificate(h) is None
+
+
+def test_each_lp_goes_through_the_module_binding(monkeypatch):
+    """`nu_star` and `balanced_certificate` solve their one LP each through
+    the name `hypergraph.lp_solve`, the binding a tracer wraps; the isolated
+    vertex exit solves none."""
+    calls = []
+    solve = hypergraph.lp_solve
+    monkeypatch.setattr(hypergraph, "lp_solve", lambda p: calls.append(p) or solve(p))
+    h, _ = random_balanced((3, 6), seed=0, layers=2)
+    for run in (nu_star, balanced_certificate):
+        calls.clear()
+        assert run(h) is not None and len(calls) == 1
+    calls.clear()
+    assert balanced_certificate(PartiteHypergraph((2, 2), [(1, 1), (1, 2)])) is None
+    assert calls == []
+
+
+def capped_answer(h, cap):
+    """`_capped_matching`'s value, point and dual as `Fraction`s."""
+    res, lcd = _capped_matching(h, cap)
+    return as_fractions(res, lcd)
+
+
+def as_fractions(res, lcd):
+    """(|f|, f, y) of an integer LP answer in units of 1/L, L = lcd."""
+    scale = res.det * lcd
+    return (Fraction(res.value, scale), [Fraction(x, scale) for x in res.point],
+            [Fraction(y, res.det) for y in res.dual])
 
 
 def _shift(r, sizes):
@@ -155,12 +184,14 @@ def _shift(r, sizes):
 # cover covers (its mass moved onto one vertex), y >= 0 (`_shift`), f keeps
 # its caps (f, y and the value all doubled), the cover has one entry per
 # vertex.  On the (3, 6) instance the second and third may break the
-# totals as well.
+# totals as well.  Each alters the integers over det that `lp_solve`
+# returns, det itself left alone.
 CORRUPTIONS = [
     lambda r, sizes: dataclasses.replace(r, dual=[2 * y for y in r.dual]),
     lambda r, sizes: dataclasses.replace(r, dual=[sum(r.dual)] + [0] * (len(r.dual) - 1)),
     lambda r, sizes: dataclasses.replace(r, dual=_shift(r, sizes)),
-    lambda r, sizes: Optimal(2 * r.value, [2 * x for x in r.point], [2 * y for y in r.dual]),
+    lambda r, sizes: dataclasses.replace(r, value=2 * r.value, point=[2 * x for x in r.point],
+                                         dual=[2 * y for y in r.dual]),
     lambda r, sizes: dataclasses.replace(r, dual=r.dual[:-1]),
 ]
 
@@ -194,33 +225,74 @@ def assert_corruption_raises(monkeypatch, corrupt, solve, h):
     with pytest.raises(RuntimeError, match="primal-dual certificate"):
         solve(h)
     cap = (lambda a: ONE) if solve is nu_star else (lambda a: Fraction(1, a))
-    assert not fraction_cover_ok(h, cap, answers[-1])
+    lcd, _ = over_lcd([[cap(a) for a in h.side_sizes]])
+    assert not fraction_cover_ok(h, cap, *as_fractions(answers[-1], lcd))
 
 
-def fraction_cover_ok(h, cap, res):
+def fraction_cover_ok(h, cap, value, f, dual):
     """The cover check on `Fraction`s: f >= 0 within the caps, y >= 0
     covering every edge, and sum(f) = value = sum(cap * y)."""
-    f = res.point
     vertices = [(t, j) for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
-    y = dict(zip(vertices, res.dual))
+    y = dict(zip(vertices, dual))
     deg = dict.fromkeys(vertices, Fraction(0))
     for e, x in zip(h.edges, f):
         for v in enumerate(e, start=1):
             deg[v] += x
-    return (len(f) == len(h.edges) and len(res.dual) == len(vertices)
-            and min(f, default=0) >= 0 and min(res.dual, default=0) >= 0
+    return (len(f) == len(h.edges) and len(dual) == len(vertices)
+            and min(f, default=0) >= 0 and min(dual, default=0) >= 0
             and all(deg[t, j] <= cap(h.side_sizes[t - 1]) for t, j in vertices)
             and all(sum(y[v] for v in enumerate(e, start=1)) >= 1 for e in h.edges)
-            and sum(f) == res.value
+            and sum(f) == value
             == sum(cap(h.side_sizes[t - 1]) * y[t, j] for t, j in vertices))
 
 
-def integer_cover_ok(h, cap, res):
+def integer_cover_ok(h, cap, value, f, dual):
+    """The package's check on (|f|, f, y) written as integers over the least
+    det that makes y and L * f integral, L the lcm of the caps' denominators."""
+    lcd, (caps,) = over_lcd([[cap(a) for a in h.side_sizes]])
+    det, (num_f, num_y, (num_value,)) = over_lcd([[x * lcd for x in f], dual, [value * lcd]])
     try:
-        hypergraph._check_cover(h, cap, res)
+        hypergraph._check_cover(h, caps, Optimal(num_value, num_f, num_y, det))
     except RuntimeError:
         return False
     return True
+
+
+# Answers on K_{2,2} under cap 1, edges (1,1), (1,2), (2,1), (2,2), as
+# (value, point, dual, det): each but the first breaks exactly one clause,
+# which no corruption of a true optimum above isolates.
+K22_ANSWERS = {
+    "optimal": (2, [1, 0, 0, 1], [1, 1, 0, 0], 1),
+    "f < 0, degrees and totals kept": (2, [2, -1, -1, 2], [1, 1, 0, 0], 1),
+    "sum(f) != value": (2, [0, 0, 0, 0], [1, 1, 0, 0], 1),
+    "cover sums in [1, det)": (2, [1, 0, 0, 1], [1, 1, 0, 0], 2),
+}
+
+
+@pytest.mark.parametrize("answer", K22_ANSWERS.values(), ids=K22_ANSWERS.keys())
+def test_cover_check_needs_each_clause(answer):
+    """The integer check and the `Fraction` oracle agree on each answer."""
+    h = PartiteHypergraph((2, 2), itertools.product([1, 2], repeat=2))
+    value, point, dual, det = answer
+    ok = answer == K22_ANSWERS["optimal"]
+    assert fraction_cover_ok(h, lambda a: ONE, Fraction(value, det),
+                             [Fraction(x, det) for x in point],
+                             [Fraction(y, det) for y in dual]) == ok
+    try:
+        hypergraph._check_cover(h, [1, 1], Optimal(value, point, dual, det))
+    except RuntimeError:
+        assert not ok
+    else:
+        assert ok
+
+
+def test_cover_check_rejects_a_zero_det():
+    """The zero answer over det = 0 meets every other clause (deg <= cap * 0,
+    cover sums >= 0, all totals 0), so only det > 0 rejects it."""
+    h = pasch()
+    with pytest.raises(RuntimeError, match="primal-dual certificate"):
+        hypergraph._check_cover(h, [1] * len(h.side_sizes),
+                                Optimal(0, [0] * len(h.edges), [0] * sum(h.side_sizes), 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,22 +303,20 @@ def test_integer_cover_check_matches_fraction_oracle(data):
     entry shifted by a nonzero rational or a point entry raised by 1/k."""
     h = data.draw(small_hypergraphs())
     cap = data.draw(st.sampled_from([lambda a: ONE, lambda a: Fraction(1, a)]))
-    res = _capped_matching(h, cap)
-    assert fraction_cover_ok(h, cap, res)
+    res, lcd = _capped_matching(h, cap)
+    value, point, dual = as_fractions(res, lcd)
+    assert fraction_cover_ok(h, cap, value, point, dual)
+    assert integer_cover_ok(h, cap, value, point, dual)
     kind = data.draw(st.sampled_from(["dual", "point"] if h.edges else ["dual"]))
     if kind == "dual":
-        i = data.draw(st.integers(0, len(res.dual) - 1))
+        i = data.draw(st.integers(0, len(dual) - 1))
         shift = data.draw(st.fractions(-2, 2, max_denominator=6))
-        dual = list(res.dual)
         dual[i] += shift
-        bad = dataclasses.replace(res, dual=dual)
     else:
-        i = data.draw(st.integers(0, len(res.point) - 1))
-        point = list(res.point)
+        i = data.draw(st.integers(0, len(point) - 1))
         point[i] += Fraction(1, data.draw(st.integers(1, 6)))
-        bad = dataclasses.replace(res, point=point)
-    ok = integer_cover_ok(h, cap, bad)
-    assert ok == fraction_cover_ok(h, cap, bad) == (kind == "dual" and shift == 0)
+    ok = integer_cover_ok(h, cap, value, point, dual)
+    assert ok == fraction_cover_ok(h, cap, value, point, dual) == (kind == "dual" and shift == 0)
 
 
 def test_corrupted_lp_certificate_raises_under_dash_O():
@@ -298,9 +368,7 @@ def test_capped_matching_matches_fraction_simplex(cap, h):
     once scaled back, the same value, point and dual."""
     rows = [([int(e[t - 1] == j) for e in h.edges], cap(a))
             for t, a in enumerate(h.side_sizes, start=1) for j in range(1, a + 1)]
-    res = _capped_matching(h, cap)
-    assert (res.value, res.point, res.dual) == _fraction_simplex(
-        len(h.edges), rows, [1] * len(h.edges))
+    assert capped_answer(h, cap) == _fraction_simplex(len(h.edges), rows, [1] * len(h.edges))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,15 @@ def test_parse_and_format_roundtrip():
         parse_rational(" -2 ")
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(6, 3)) == "2"
+    assert format_rational(-7) == "-7"
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2", None])
+def test_format_rational_takes_only_int_or_fraction(bad):
+    """`Fraction(0.5)` and `Fraction(True)` are exact, so without the check a
+    float or a bool would print as a rational."""
+    with pytest.raises(ValueError, match="rational must be int or Fraction"):
+        format_rational(bad)
 
 
 @pytest.mark.parametrize("text", ["0.5", "1e0", "1_0/20", " 3/4 ", "2.0", "+1", "1/-2",
@@ -173,7 +183,9 @@ def test_lp_basic_max():
     p = LPProblem(2, [([1, 2], 4), ([3, 1], 6)], [1, 1])
     res = lp_solve(p)
     assert isinstance(res, Optimal)
-    assert res.value == Fraction(14, 5)
+    assert all(type(x) is int for x in (res.value, res.det, *res.point, *res.dual))
+    assert answer(res) == (Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)],
+                           [Fraction(2, 5), Fraction(1, 5)])
 
 
 def test_lp_unbounded():
@@ -231,6 +243,31 @@ def test_lp_rejects_a_fraction_entry():
     for p in _lps_with_entry(Fraction(1, 2)):
         with pytest.raises(ValueError, match="LP entry must be int, not Fraction"):
             lp_solve(p)
+
+
+@pytest.mark.parametrize("bad, name", [(0.5, "float"), (True, "bool"),
+                                       (Fraction(1, 2), "Fraction"), (None, "NoneType")])
+def test_lp_check_names_the_last_entry(bad, name):
+    """An entry that is no int is found and named wherever it sits, here at
+    the last coefficient of the last row or at the objective's last entry
+    of a 5 x 5 LP."""
+    cons = [([(i + j) % 3 for j in range(5)], 4) for i in range(5)]
+    obj = [1] * 5
+    for p in (LPProblem(5, cons[:-1] + [(cons[-1][0][:-1] + [bad], 4)], obj),
+              LPProblem(5, cons, obj[:-1] + [bad])):
+        with pytest.raises(ValueError, match=f"^LP entry must be int, not {name}$"):
+            lp_solve(p)
+    lp_solve(LPProblem(5, cons, obj))
+
+
+def test_lp_check_names_the_first_of_two_bad_entries():
+    """The objective is read first, then each row's coefficients and right side."""
+    p = LPProblem(2, [([1, None], 1), ([1, 1], 0.5)], [1, True])
+    with pytest.raises(ValueError, match="^LP entry must be int, not bool$"):
+        p.check()
+    p = LPProblem(2, [([1, None], 1), ([1, 1], 0.5)], [1, 1])
+    with pytest.raises(ValueError, match="^LP entry must be int, not NoneType$"):
+        p.check()
 
 
 def _solve_square(rows, rhs):
@@ -297,16 +334,24 @@ def test_lp_matches_vertex_enumeration(lp):
             lp_solve(LPProblem(n, cons, obj))
         return
     res = lp_solve(LPProblem(n, cons, obj))
-    assert res.value == want
+    assert answer(res)[0] == want
     assert len(res.point) == n
     assert_certified(cons, obj, res)
 
 
-def _fraction_simplex(n, cons, obj):
+def answer(res):
+    """An `Optimal`'s value, point and dual as `Fraction`s."""
+    return (Fraction(res.value, res.det), [Fraction(x, res.det) for x in res.point],
+            [Fraction(y, res.det) for y in res.dual])
+
+
+def _fraction_simplex(n, cons, obj, states=None):
     """The rational tableau that `lp_solve` takes pivot for pivot: Bland's
     rule, the same ratio test, every entry a `Fraction`.  (value, point,
     dual) or UNBOUNDED; the dual is minus the final reduced costs of the
-    slack columns."""
+    slack columns.  A list `states` gets (basis, det) after each pivot, det
+    the fraction-free dictionary's denominator: the previous det times the
+    rational pivot entry, which must be an integer."""
     m = len(cons)
     total = n + m
     tableau = []
@@ -338,6 +383,10 @@ def _fraction_simplex(n, cons, obj):
             if coef and i != leave:
                 tableau[i] = [o - coef * r for o, r in zip(other, row)]
         basis[leave] = enter
+        if states is not None:
+            det = piv * (states[-1][1] if states else 1)
+            assert det.denominator == 1
+            states.append((tuple(basis), int(det)))
     point = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
@@ -347,13 +396,13 @@ def _fraction_simplex(n, cons, obj):
 
 def assert_certified(cons, obj, res):
     """x and y are feasible for the LP and its dual, with equal totals."""
-    x, y = res.point, res.dual
+    value, x, y = answer(res)
     assert len(y) == len(cons) and min(x + y, default=0) >= 0
     for coeffs, rhs in cons:
         assert sum(a * v for a, v in zip(coeffs, x)) <= rhs
     for j, c in enumerate(obj):
         assert sum(w * coeffs[j] for w, (coeffs, _) in zip(y, cons)) >= c
-    assert res.value == sum(c * v for c, v in zip(obj, x)) \
+    assert value == sum(c * v for c, v in zip(obj, x)) \
         == sum(w * rhs for w, (_, rhs) in zip(y, cons))
 
 
@@ -389,5 +438,56 @@ def test_lp_matches_fraction_simplex(lp):
             lp_solve(LPProblem(n, cons, obj))
         return
     res = lp_solve(LPProblem(n, cons, obj))
-    assert isinstance(res, Optimal) and (res.value, res.point, res.dual) == want
+    assert isinstance(res, Optimal) and answer(res) == want
     assert_certified(cons, obj, res)
+
+
+def _lp_states(p):
+    """lp_solve(p) and the (basis, det) it holds after each pivot, read off
+    its frame by a line tracer at the first line run after `basis` changed."""
+    states = []
+    last = None
+
+    def line(frame, event, arg):
+        nonlocal last
+        basis = frame.f_locals.get("basis")
+        if event == "line" and basis is not None:
+            if last is not None and tuple(basis) != last:
+                states.append((tuple(basis), frame.f_locals["det"]))
+            last = tuple(basis)
+        return line
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is lp_solve.__code__ else None)
+    try:
+        res = lp_solve(p)
+    finally:
+        sys.settrace(old)
+    return res, states
+
+
+# (n, constraints, objective, the kinds of pivot it must take): "det" for a
+# pivot entry equal to det > 1, which updates rows in place, and "dense" for
+# one unequal to det, which rewrites every row, a row with a zero in the
+# entering column too.
+BRANCH_LPS = {
+    "piv == det > 1": (2, [([0, 2], 3), ([3, 3], 2)], [1, 3], {"det"}),
+    "piv != det": (2, [([0, 2], 0), ([1, 0], 1)], [3, 1], {"dense"}),
+}
+
+
+@pytest.mark.parametrize("lp", BRANCH_LPS.values(), ids=BRANCH_LPS.keys())
+def test_lp_update_branches_match_fraction_simplex(lp):
+    """Both row updates take the rational tableau's pivots: after each pivot
+    the same basis, and a det that is the rational pivot entries' product;
+    and at the end the same value, point and dual."""
+    n, cons, obj, kinds = lp
+    want_states = []
+    want = _fraction_simplex(n, cons, obj, want_states)
+    dets = [1] + [det for _, det in want_states]
+    taken = {"det" if new == old else "dense"
+             for old, new in zip(dets, dets[1:]) if new != old or old > 1}
+    assert kinds <= taken
+    res, states = _lp_states(LPProblem(n, cons, obj))
+    assert states == want_states
+    assert res.det == dets[-1] and answer(res) == want
