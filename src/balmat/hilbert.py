@@ -19,29 +19,28 @@ class CapExceeded(Exception):
     """The norm cap was reached before the generating set closed."""
 
 
-def _balanced_vectors(edges: List[Edge], later: List[Set], remaining: Dict, i: int,
-                      prefix: Vector):
-    """Yield prefix + v for every integral v >= 0 on edges[i:] that brings each
-    vertex's count in `remaining` down to exactly 0, in lexicographic order;
-    `later[i]` holds the vertices that edges[i:] touch.  `remaining` is
-    restored before the generator ends.
-
-    Not a closure: a recursive closure refers to itself through its cell,
-    which keeps what it holds alive until a cyclic garbage collection."""
-    if i == len(edges):
-        if not any(remaining.values()):
+def _balanced_vectors(edges: List[Edge], later: List[Set], remaining: Dict):
+    """Yield every integral w >= 0 on edges that brings each vertex's count in
+    `remaining` down to exactly 0, in lexicographic order; `later[i]` holds
+    the vertices that edges[i:] touch.  One loop pops frames (prefix,
+    remaining), cut when a positive count is on no later edge (at the end,
+    any positive count), and pushes its children from the top weight down,
+    so the lowest pops first; no Python frame is added per edge."""
+    stack = [((), remaining)]
+    while stack:
+        prefix, remaining = stack.pop()
+        i = len(prefix)
+        if any(v > 0 and vert not in later[i] for vert, v in remaining.items()):
+            continue
+        if i == len(edges):
             yield prefix
-        return
-    if any(v > 0 and vert not in later[i] for vert, v in remaining.items()):
-        return
-    verts = list(enumerate(edges[i], start=1))
-    top = min(remaining[v] for v in verts)
-    for w in range(top + 1):
-        yield from _balanced_vectors(edges, later, remaining, i + 1, prefix + (w,))
-        for v in verts:
-            remaining[v] -= 1
-    for v in verts:
-        remaining[v] += top + 1
+            continue
+        verts = list(enumerate(edges[i], start=1))
+        for w in range(min(remaining[v] for v in verts), -1, -1):
+            child = remaining.copy()
+            for v in verts:
+                child[v] -= w
+            stack.append((prefix + (w,), child))
 
 
 def hilbert_basis(side_sizes, norm_cap: int) -> List[WeightFunction]:
@@ -75,7 +74,7 @@ def hilbert_basis(side_sizes, norm_cap: int) -> List[WeightFunction]:
     for norm in range(step, norm_cap + 1, step):
         remaining = {(t, j): norm // a for t, a in enumerate(sizes, start=1)
                      for j in range(1, a + 1)}
-        for w in _balanced_vectors(edges, later, remaining, 0, ()):
+        for w in _balanced_vectors(edges, later, remaining):
             g = next((g for g in basis if all(x >= y for x, y in zip(w, g))), None)
             if g is None:
                 basis.append(w)

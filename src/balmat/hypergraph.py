@@ -191,18 +191,19 @@ def max_matching(h: PartiteHypergraph) -> Tuple[Edge, ...]:
     """A maximum matching, as a sorted tuple of edges, by branch and bound.
 
     A node's remaining edges are one int mask `live` over edge indices, in
-    `h.edges` order.  Vertex (t, j) is number offsets[t] + j - 1, in (side,
-    index) order, and three tables are built once per call: `inc[v]`, the
-    edges through vertex v; `conflict[i]`, the edges that meet edge i; and
-    each vertex's side.  One pass over the vertices live at the parent reads
-    each degree as `(inc[v] & live).bit_count()`, the live vertices of each
-    side, and the branching vertex v: least positive degree, lowest number
-    first.  Its edges i, in index order, lead to `live & ~conflict[i]`, then
-    the skip to `live & ~inc[v]`.  Cut a node with c chosen edges when
-    c + u <= len(best), for u the fewest live vertices on a side or the
-    len(best) - c that a table local to the call, keyed by `live`, stored
-    once a node with those edges was explored.  Such a subtree cannot
-    strictly beat `best`, so the witness is that of the uncut search."""
+    `h.edges` order; vertex (t, j) is number offsets[t] + j - 1, and `inc[v]`
+    holds the edges through v, `conflict[i]` those that meet edge i.  A node
+    branches on its live vertex v of least positive degree, lowest number
+    first: each edge i through v, in index order, to `live & ~conflict[i]`,
+    then the skip to `live & ~inc[v]`.  It is cut when c + u <= len(best), c
+    its chosen edges and u the fewest live vertices on a side or the
+    len(best) - c that `table` stored for `live` once a node with those
+    edges was explored: such a subtree cannot strictly beat `best`, so the
+    witness is that of the uncut search.  One loop pops frames (live, verts,
+    chosen), verts the vertices live at the parent; an expanded node pushes
+    a marker (live, None, c) that stores its bound once its subtree is done,
+    then the skip child, then its edge children from the highest index down.
+    So the lowest is popped first, and the depth is bounded by memory."""
     offsets = list(itertools.accumulate(h.side_sizes, initial=0))
     at = [[o + j - 1 for o, j in zip(offsets, e)] for e in h.edges]
     inc = [0] * offsets[-1]
@@ -216,43 +217,41 @@ def max_matching(h: PartiteHypergraph) -> Tuple[Edge, ...]:
             meet |= inc[v]
         conflict.append(meet)
     side = [t for t, a in enumerate(h.side_sizes) for _ in range(a)]
-    best: List[int] = []
-    _matching_branch((1 << len(at)) - 1, range(len(inc)), [], best, (inc, conflict, side, h.d), {})
+    d = h.d
+    best, table = (), {}
+    stack = [((1 << len(at)) - 1, range(len(inc)), ())]
+    push, pop = stack.append, stack.pop
+    while stack:
+        live, verts, chosen = pop()
+        if verts is None:  # a marker: chosen is the c of its node
+            table[live] = len(best) - chosen
+            continue
+        c = len(chosen)
+        if c > len(best):
+            best = chosen
+        n = live.bit_count()
+        if c + table.get(live, n) <= len(best):
+            continue
+        counts = [0] * d
+        kept = []
+        low = n + 1
+        for v in verts:
+            k = (inc[v] & live).bit_count()
+            if k:
+                kept.append(v)
+                counts[side[v]] += 1
+                if k < low:
+                    low, pick = k, v
+        if c + min(counts) <= len(best):
+            continue
+        through = inc[pick] & live
+        push((live, None, c))
+        push((live & ~through, kept, chosen))
+        while through:
+            i = through.bit_length() - 1
+            through ^= 1 << i
+            push((live & ~conflict[i], kept, chosen + (i,)))
     return tuple(h.edges[i] for i in sorted(best))
-
-
-def _matching_branch(live: int, verts, chosen: List[int], best: List[int],
-                     tables, table):
-    """Extend `chosen` from the edge indices in `live`, whose vertices are
-    among `verts`; with no table entry, u = the number of edges in `live`."""
-    if len(chosen) > len(best):
-        best[:] = chosen
-    c, n = len(chosen), live.bit_count()
-    if c + table.get(live, n) <= len(best):
-        return
-    inc, conflict, side, d = tables
-    counts = [0] * d
-    kept = []
-    low = n + 1
-    for v in verts:
-        k = (inc[v] & live).bit_count()
-        if k:
-            kept.append(v)
-            counts[side[v]] += 1
-            if k < low:
-                low, pick = k, v
-    if c + min(counts) <= len(best):
-        return
-    through = inc[pick] & live
-    rest = through
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest ^= 1 << i
-        chosen.append(i)
-        _matching_branch(live & ~conflict[i], kept, chosen, best, tables, table)
-        chosen.pop()
-    _matching_branch(live & ~through, kept, chosen, best, tables, table)
-    table[live] = len(best) - c
 
 
 def nu_oracle(h: PartiteHypergraph) -> int:

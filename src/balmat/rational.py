@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,17 +87,11 @@ def over_lcd(groups) -> Tuple[int, List[List[int]]]:
     return lcd, [[x.numerator * (lcd // x.denominator) for x in group] for group in groups]
 
 
-def rank_of_rows(rows: Iterable[Dict[int, int]], ceiling: Optional[int] = None) -> int:
+def rank_of_rows(rows: Iterable[Dict[int, int]]) -> int:
     """Rank over the rationals of integer rows {col: nonzero int}, left
-    unmodified, by sparse, fraction-free elimination (`add_row`).
-    `ceiling`, when given, must be an upper bound on the rank that the caller
-    has proven: the elimination stops once the rank reaches it, and the rank
-    is then exactly the ceiling.
-    """
+    unmodified, by sparse, fraction-free elimination (`add_row`)."""
     pivots: dict = {}
     for row in rows:
-        if len(pivots) == ceiling:
-            break
         add_row(pivots, dict(row))
     return len(pivots)
 

@@ -410,7 +410,9 @@ def _psi_value(verts: int, edges: int):
     decreasing b(e), ties in sorted (u, v) order, and the loop stops at the
     first edge with b(e) <= best, since no later edge can raise best (an
     alpha-beta cut, Knuth-Moore 1975).  The cut only skips deletion
-    subtrees, so the value returned and every memo entry stay exact.
+    subtrees, so the value returned and every memo entry stay exact.  Each
+    move recurses and removes an edge, so the depth is at most the edge
+    count, which psi's exponential time keeps far below the recursion limit.
     """
     if not edges:
         return 0
@@ -566,14 +568,18 @@ def _con_phase(p, q, w) -> int:
 
 def _con_value(verts, edges, order, memo) -> int:
     """Explosions CON forces by offering the first (mask, u, v) of order still
-    present, against NON's best replies; one per vertex left once no edge is."""
-    offer = next((o for o in order if o[0] & edges), None)
-    if offer is None:
-        return verts.bit_count()
+    present, against NON's best replies; one per vertex left once no edge is.
+    A deletion removes only the offered edge, so the value is the least of
+    verts.bit_count() and, for each offer present, in order and each deleted
+    once passed, its explosion's value + 1.  Only explosions recurse, each
+    removing two or more vertices, so the depth is at most half the cells."""
     if (verts, edges) not in memo:
-        bit, u, v = offer
-        memo[verts, edges] = min(_con_value(verts, edges & ~bit, order, memo),
-                                 _con_value(*_explode(verts, edges, u, v), order, memo) + 1)
+        value, rest = verts.bit_count(), edges
+        for bit, u, v in order:
+            if bit & rest:
+                value = min(value, _con_value(*_explode(verts, rest, u, v), order, memo) + 1)
+                rest ^= bit
+        memo[verts, edges] = value
     return memo[verts, edges]
 
 

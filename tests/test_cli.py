@@ -98,6 +98,13 @@ def test_nu_nustar_balance(tmp_path, capsys):
     assert code == 0 and json.loads(out)["balanced"] is True
 
 
+def test_nu_on_a_deep_perfect_matching(tmp_path, capsys):
+    """1,100 disjoint edges take the search 1,100 levels deep, past Python's
+    default recursion limit; the loop answers, with exit 0."""
+    data = {"sides": [1100, 1100], "edges": [[i, i] for i in range(1, 1101)]}
+    assert run(capsys, "nu", write(tmp_path, "m.json", data)) == (0, '{"nu":1100}\n')
+
+
 def test_balance_failure_exit_code(tmp_path, capsys):
     unbal = {"sides": [2, 2], "edges": [[1, 1]]}
     code, out = run(capsys, "balance", write(tmp_path, "u.json", unbal))

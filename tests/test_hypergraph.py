@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -493,28 +494,44 @@ def test_max_matching_witness_matches_reference(h):
     assert max_matching(h) == _reference_matching(h)
 
 
-def _spy_branch(h):
-    """The argument tuples of the `_matching_branch` calls `max_matching(h)`
-    makes, in call order, and its witness."""
-    calls = []
-    branch = hypergraph._matching_branch
+def _traced_search(h, count_nodes):
+    """(witness, nodes, table) of `max_matching(h)`, read off its frame by a
+    tracer: nodes counts the node frames it pops, as line events at the
+    line `c = len(chosen)` that each of them runs (0 when not
+    `count_nodes`, with line events off), and table is its table of upper
+    bounds, read off the frame's locals at its return."""
+    source, first = inspect.getsourcelines(max_matching)
+    node_line = first + next(k for k, text in enumerate(source)
+                             if text.strip() == "c = len(chosen)")
+    seen = {"nodes": 0}
 
-    def spy(*args):
-        calls.append(args)
-        branch(*args)
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == node_line:
+            seen["nodes"] += 1
+        elif event == "return":
+            seen["table"] = dict(frame.f_locals["table"])
+        return local
 
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(hypergraph, "_matching_branch", spy)
+    def start(frame, event, arg):
+        if frame.f_code is not max_matching.__code__:
+            return None
+        frame.f_trace_lines = count_nodes
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(start)
+    try:
         witness = max_matching(h)
-    return calls, witness
+    finally:
+        sys.settrace(old)
+    return witness, seen["nodes"], seen["table"]
 
 
 def _stored_bounds(h):
     """(remaining edges, stored bound) for every entry `max_matching(h)`
     leaves in its table of upper bounds, edges decoded from the key, a mask
     over edge indices in `h.edges` order."""
-    calls, _ = _spy_branch(h)
-    table = calls[0][-1]  # the table is the last argument of every call
+    _, _, table = _traced_search(h, count_nodes=False)
     return [([e for i, e in enumerate(h.edges) if key >> i & 1], bound)
             for key, bound in table.items()]
 
@@ -535,8 +552,8 @@ def test_search_tree_of_drisko_is_pinned(n, calls):
     is the reference search's: a lost cut, or another branching vertex or
     edge order, changes the count even where the witness survives."""
     h, _ = drisko(n)
-    spied, witness = _spy_branch(h)
-    assert len(spied) == calls
+    witness, nodes, _ = _traced_search(h, count_nodes=True)
+    assert nodes == calls
     assert witness == _reference_matching(h)
 
 

@@ -103,7 +103,11 @@ def test_no_recursive_closures():
 
 # The recursive engines, each one search whose depth its input bounds; a new
 # recursion must be added here on purpose, or written as a loop.
-RECURSIVE = {"_balanced_vectors", "_con_value", "_matching_branch", "_psi_value"}
+# - `_con_value`: only explosions recurse, and each removes at least two
+#   vertices, so at most half the vertices of the line graph (its cells).
+# - `_psi_value`: each level removes at least one edge, so at most the
+#   position's edge count, and psi is exponential long before that depth.
+RECURSIVE = {"_con_value", "_psi_value"}
 
 
 def _calls_itself(function):
@@ -127,6 +131,16 @@ def test_recursion_only_in_the_listed_engines():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)}
     assert found == RECURSIVE
+
+
+def test_no_recursion_limit_is_raised():
+    """No module calls `sys.setrecursionlimit`: a higher limit only moves the
+    RecursionError to a deeper input, and a deep enough recursion can
+    overflow the C stack and kill the process instead."""
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for _, line, name in _referenced(ast.parse(path.read_text(), filename=str(path)), path)
+             if name == "setrecursionlimit"]
+    assert not found, f"sys.setrecursionlimit called at {found}"
 
 
 def _is_main_guard(node):

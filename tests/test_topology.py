@@ -928,6 +928,16 @@ def test_con_certificate_zero_weight_cells():
     assert con_certificate(g, f, 1) == 1
 
 
+def test_con_certificate_on_one_full_row():
+    """Fifty cells in one row, each of weight 1, s = 25: L(g) is K_50, so
+    NON may delete its 1,225 edges one by one, while any explosion clears
+    it, and CON forces exactly one.  Only explosions add depth, so the long
+    chain of deletions raises no RecursionError."""
+    g = Multigraph(1, 50, [(1, c, 0) for c in range(1, 51)])
+    f = WeightFunction({e: 1 for e in g.edges})
+    assert con_certificate(g, f, 25) == 1
+
+
 def test_con_lower_bound_values():
     assert con_lower_bound(8, 1) == 2
     assert con_lower_bound(9, 1) == 3
